@@ -10,15 +10,16 @@ carry at least one emitted triplet, and every paragraph with at least one
 linked entity (used for span masking without triplet supervision).
 
 All surface matching is case-insensitive via offset-preserving lowering, and
-candidate windows start and end on token boundaries.  Alignment of a single
-paragraph is a pure function of (paragraph, KB), so paragraphs may be
-processed in parallel; output order always equals input order.
+candidate windows start and end on token boundaries.  An ``Aligner`` holds
+one KB with its linker and matcher, and aligning a paragraph is a pure
+function of (paragraph, KB).  ``build_dataset`` runs the aligner over the
+whole corpus, or hands it once to each pool worker, which aligns contiguous
+chunks of the corpus; output order always equals input order.
 """
 
 from __future__ import annotations
 
 import logging
-import weakref
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -53,7 +54,6 @@ class AlignedTriplet:
     subject_span: Span
     predicate_span: Span
     object_span: Span
-    deterministic: bool
     edit_distance: int
 
 
@@ -123,9 +123,9 @@ class EntityLinker:
                 node[None] = ent_id if prev is None else min(prev, ent_id)
         self._trie = trie
 
-    def link(self, text: str) -> tuple[tuple[Span, str], ...]:
-        spans = token_spans(text)
-        toks = tokens_lower(text)
+    def link(self, text: str, spans: Sequence[tuple[int, int]]) -> tuple[tuple[Span, str], ...]:
+        """Entity mentions in ``text``, whose tokens are ``spans``."""
+        toks = [text[a:b].lower() for a, b in spans]
         out: list[tuple[Span, str]] = []
         n = len(toks)
         i = 0
@@ -214,24 +214,6 @@ def _scan_alias(
     return best
 
 
-_LINKERS: "weakref.WeakKeyDictionary[KnowledgeBase, EntityLinker]" = weakref.WeakKeyDictionary()
-_MATCHERS: "weakref.WeakKeyDictionary[KnowledgeBase, PredicateMatcher]" = weakref.WeakKeyDictionary()
-
-
-def _linker_for(kb: KnowledgeBase) -> EntityLinker:
-    linker = _LINKERS.get(kb)
-    if linker is None:
-        linker = _LINKERS[kb] = EntityLinker(kb)
-    return linker
-
-
-def _matcher_for(kb: KnowledgeBase) -> PredicateMatcher:
-    matcher = _MATCHERS.get(kb)
-    if matcher is None:
-        matcher = _MATCHERS[kb] = PredicateMatcher(kb)
-    return matcher
-
-
 def _validate_pre_linked(paragraph: Paragraph) -> tuple[tuple[Span, str], ...]:
     text = paragraph.text
     spans = sorted(paragraph.pre_linked_spans or (), key=lambda s: (s[0], s[1]))
@@ -248,113 +230,106 @@ def _validate_pre_linked(paragraph: Paragraph) -> tuple[tuple[Span, str], ...]:
     )
 
 
-def link_entities(paragraph: Paragraph, kb: KnowledgeBase) -> tuple[tuple[Span, str], ...]:
-    """Entity spans for a paragraph: pre-linked spans verbatim when present,
-    otherwise dictionary matches against the KB alias table."""
-    if paragraph.pre_linked_spans is not None:
-        return _validate_pre_linked(paragraph)
-    return _linker_for(kb).link(paragraph.text)
+class Aligner:
+    """Aligns paragraphs against one KB.
 
+    Built once per KB: it holds the KB, its alias-trie linker and its
+    predicate matcher, and is picklable so a pool worker can receive it once.
+    """
 
-def match_predicate(text: str, p: str, kb: KnowledgeBase) -> Optional[Span]:
-    """Best span within edit distance 1 of any alias of ``p``, or None."""
-    low = lower_aligned(text)
-    spans = token_spans(text)
-    starts = [a for a, _ in spans]
-    ends = [b for _, b in spans]
-    found = _matcher_for(kb).best(low, starts, ends, p)
-    if found is None:
-        return None
-    _dist, a, b = found
-    return Span(a, b, text[a:b])
+    def __init__(self, kb: KnowledgeBase) -> None:
+        self.kb = kb
+        self.linker = EntityLinker(kb)
+        self.matcher = PredicateMatcher(kb)
 
+    def align(self, paragraph: Paragraph) -> tuple[AlignedSample, AlignCounters]:
+        """Align one paragraph; invalid pre-linked spans raise ``DataError``.
 
-def _align(
-    paragraph: Paragraph,
-    kb: KnowledgeBase,
-    linker: EntityLinker,
-    matcher: PredicateMatcher,
-) -> tuple[AlignedSample, AlignCounters]:
-    counts = AlignCounters(paragraphs=1)
-    if paragraph.pre_linked_spans is not None:
-        entity_spans = _validate_pre_linked(paragraph)
-    else:
-        entity_spans = linker.link(paragraph.text)
-    aligned: list[AlignedTriplet] = []
-    if len(entity_spans) >= 2:
+        Entity spans are the pre-linked spans verbatim when present, otherwise
+        dictionary matches against the KB alias table.
+        """
+        counts = AlignCounters(paragraphs=1)
         text = paragraph.text
-        low = lower_aligned(text)
         tspans = token_spans(text)
-        starts = [a for a, _ in tspans]
-        ends = [b for _, b in tspans]
-        memo: dict[str, Optional[tuple[int, int, int]]] = {}
-        seen: set[tuple[str, str, str]] = set()
-        for i, (s_span, s_id) in enumerate(entity_spans):
-            for j, (o_span, o_id) in enumerate(entity_spans):
-                if i == j:
-                    continue
-                for p in predicates_between(kb, s_id, o_id):
-                    key = (s_id, p, o_id)
-                    if key in seen:
+        if paragraph.pre_linked_spans is not None:
+            entity_spans = _validate_pre_linked(paragraph)
+        else:
+            entity_spans = self.linker.link(text, tspans)
+        aligned: list[AlignedTriplet] = []
+        if len(entity_spans) >= 2:
+            kb = self.kb
+            low = lower_aligned(text)
+            starts = [a for a, _ in tspans]
+            ends = [b for _, b in tspans]
+            memo: dict[str, Optional[tuple[int, int, int]]] = {}
+            seen: set[tuple[str, str, str]] = set()
+            for i, (s_span, s_id) in enumerate(entity_spans):
+                for j, (o_span, o_id) in enumerate(entity_spans):
+                    if i == j:
                         continue
-                    seen.add(key)
-                    counts.candidates += 1
-                    if not is_deterministic(kb, s_id, p):
-                        counts.non_deterministic += 1
-                        continue
-                    if p in memo:
-                        found = memo[p]
-                    else:
-                        found = memo[p] = matcher.best(low, starts, ends, p)
-                    if found is None:
-                        counts.unmatched_deterministic += 1
-                        continue
-                    dist, a, b = found
-                    aligned.append(
-                        AlignedTriplet(
-                            triplet=Triplet(s_id, p, o_id),
-                            subject_span=s_span,
-                            predicate_span=Span(a, b, text[a:b]),
-                            object_span=o_span,
-                            deterministic=True,
-                            edit_distance=dist,
+                    for p in predicates_between(kb, s_id, o_id):
+                        key = (s_id, p, o_id)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        counts.candidates += 1
+                        if not is_deterministic(kb, s_id, p):
+                            counts.non_deterministic += 1
+                            continue
+                        if p in memo:
+                            found = memo[p]
+                        else:
+                            found = memo[p] = self.matcher.best(low, starts, ends, p)
+                        if found is None:
+                            counts.unmatched_deterministic += 1
+                            continue
+                        dist, a, b = found
+                        aligned.append(
+                            AlignedTriplet(
+                                triplet=Triplet(s_id, p, o_id),
+                                subject_span=s_span,
+                                predicate_span=Span(a, b, text[a:b]),
+                                object_span=o_span,
+                                edit_distance=dist,
+                            )
                         )
-                    )
-                    counts.emitted_triplets += 1
-    return AlignedSample(paragraph, entity_spans, tuple(aligned)), counts
+                        counts.emitted_triplets += 1
+        return AlignedSample(paragraph, entity_spans, tuple(aligned)), counts
+
+    def build(self, paragraphs: Iterable[Paragraph]) -> BuildResult:
+        """Align ``paragraphs`` in order and split them into the two streams.
+
+        A paragraph that fails validation is logged, counted as skipped, and
+        never aborts the run.
+        """
+        result = BuildResult([], [], AlignCounters())
+        for paragraph in paragraphs:
+            try:
+                sample, counts = self.align(paragraph)
+            except DataError as exc:
+                result.counters.paragraphs += 1
+                result.counters.skipped += 1
+                log.warning("skipping paragraph %s: %s", paragraph.doc_id, exc)
+                continue
+            result.counters.merge(counts)
+            if sample.aligned:
+                result.deterministic_samples.append(sample)
+            if sample.entity_spans:
+                result.span_samples.append(sample)
+        return result
 
 
-def align_paragraph(paragraph: Paragraph, kb: KnowledgeBase) -> AlignedSample:
-    """Align one paragraph against the KB (pure; safe to call concurrently)."""
-    sample, _counts = _align(paragraph, kb, _linker_for(kb), _matcher_for(kb))
-    return sample
+# The aligner of a pool worker, set once by the pool's initializer.
+_WORKER_ALIGNER: Optional[Aligner] = None
 
 
-def _safe_align(
-    paragraph: Paragraph,
-    kb: KnowledgeBase,
-    linker: EntityLinker,
-    matcher: PredicateMatcher,
-):
-    try:
-        return _align(paragraph, kb, linker, matcher)
-    except DataError as exc:
-        return (paragraph.doc_id, str(exc))
+def _init_worker(aligner: Aligner) -> None:
+    global _WORKER_ALIGNER
+    _WORKER_ALIGNER = aligner
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(kb: KnowledgeBase) -> None:
-    _POOL_STATE["kb"] = kb
-    _POOL_STATE["linker"] = EntityLinker(kb)
-    _POOL_STATE["matcher"] = PredicateMatcher(kb)
-
-
-def _pool_align(paragraph: Paragraph):
-    return _safe_align(
-        paragraph, _POOL_STATE["kb"], _POOL_STATE["linker"], _POOL_STATE["matcher"]
-    )
+def _build_chunk(paragraphs: list[Paragraph]) -> BuildResult:
+    return _WORKER_ALIGNER.build(paragraphs)
 
 
 def build_dataset(
@@ -369,33 +344,20 @@ def build_dataset(
     ``threads``.
     """
     paragraphs = list(corpus)
-    counters = AlignCounters()
-    deterministic_samples: list[AlignedSample] = []
-    span_samples: list[AlignedSample] = []
-    if threads > 1 and len(paragraphs) > 1:
-        chunk = max(1, len(paragraphs) // (threads * 8))
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_pool_init, initargs=(kb,)
-        ) as pool:
-            results = list(pool.map(_pool_align, paragraphs, chunksize=chunk))
-    else:
-        linker = _linker_for(kb)
-        matcher = _matcher_for(kb)
-        results = [_safe_align(p, kb, linker, matcher) for p in paragraphs]
-    for item in results:
-        if isinstance(item[0], str):
-            doc_id, message = item
-            counters.paragraphs += 1
-            counters.skipped += 1
-            log.warning("skipping paragraph %s: %s", doc_id, message)
-            continue
-        sample, counts = item
-        counters.merge(counts)
-        if sample.aligned:
-            deterministic_samples.append(sample)
-        if sample.entity_spans:
-            span_samples.append(sample)
-    return BuildResult(deterministic_samples, span_samples, counters)
+    aligner = Aligner(kb)
+    if threads <= 1 or len(paragraphs) <= 1:
+        return aligner.build(paragraphs)
+    size = max(1, len(paragraphs) // (threads * 8))
+    chunks = [paragraphs[i : i + size] for i in range(0, len(paragraphs), size)]
+    result = BuildResult([], [], AlignCounters())
+    with ProcessPoolExecutor(
+        max_workers=min(threads, len(chunks)), initializer=_init_worker, initargs=(aligner,)
+    ) as pool:
+        for part in pool.map(_build_chunk, chunks):
+            result.deterministic_samples += part.deterministic_samples
+            result.span_samples += part.span_samples
+            result.counters.merge(part.counters)
+    return result
 
 
 def compute_stats(

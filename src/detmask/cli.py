@@ -209,6 +209,11 @@ def cmd_train(args) -> int:
     masked = formats.read_masked(args.data)
     items = formats.group_items(masked)
     vocab = formats.read_vocab(args.vocab)
+    for m in masked:
+        ids = m.input_tokens + m.targets
+        if ids and (min(ids) < 0 or max(ids) >= vocab.size):
+            raise DataError(f"{args.data}: {m.doc_id} has a token id outside the "
+                            f"{vocab.size}-token vocabulary {args.vocab}")
     longest = 0
     for item in items:
         members = (item,) if not isinstance(item, tuple) else item

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
-from .errors import MalformedLine
+from .errors import DataError, MalformedLine
 from .kb import Triplet
 from .masking import MaskedSample, MaskScheme, Variant, Vocabulary
 from .model import LogEntry, TrainItem
@@ -115,17 +115,22 @@ def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
     return Span(a, b, text[a:b])
 
 
+def _entities(obj: dict, text: str, name: str, line_no: int) -> tuple[tuple[Span, str], ...]:
+    entities = []
+    for item in _require(obj, "entities", list, name, line_no):
+        if not isinstance(item, list) or len(item) != 3:
+            raise MalformedLine(name, line_no, "entities entries must be [start, end, id]")
+        entities.append((_span(text, item[:2], name, line_no), item[2]))
+    return tuple(entities)
+
+
 def read_samples(path: PathLike) -> list[AlignedSample]:
     name = str(path)
     out: list[AlignedSample] = []
     for line_no, obj in read_jsonl(path):
         doc_id = _require(obj, "doc_id", str, name, line_no)
         text = _require(obj, "text", str, name, line_no)
-        entities = []
-        for item in _require(obj, "entities", list, name, line_no):
-            if not isinstance(item, list) or len(item) != 3:
-                raise MalformedLine(name, line_no, "entities entries must be [start, end, id]")
-            entities.append((_span(text, item[:2], name, line_no), item[2]))
+        entities = _entities(obj, text, name, line_no)
         triplets = []
         for item in _require(obj, "triplets", list, name, line_no):
             if not isinstance(item, dict):
@@ -139,14 +144,13 @@ def read_samples(path: PathLike) -> list[AlignedSample]:
                     subject_span=_span(text, item["s_span"], name, line_no),
                     predicate_span=_span(text, item["p_span"], name, line_no),
                     object_span=_span(text, item["o_span"], name, line_no),
-                    deterministic=True,
                     edit_distance=int(item["edit_distance"]),
                 )
             )
         out.append(
             AlignedSample(
                 paragraph=Paragraph(doc_id=doc_id, text=text),
-                entity_spans=tuple(entities),
+                entity_spans=entities,
                 aligned=tuple(triplets),
             )
         )
@@ -173,15 +177,11 @@ def read_ssm(path: PathLike) -> list[AlignedSample]:
     for line_no, obj in read_jsonl(path):
         doc_id = _require(obj, "doc_id", str, name, line_no)
         text = _require(obj, "text", str, name, line_no)
-        entities = []
-        for item in _require(obj, "entities", list, name, line_no):
-            if not isinstance(item, list) or len(item) != 3:
-                raise MalformedLine(name, line_no, "entities entries must be [start, end, id]")
-            entities.append((_span(text, item[:2], name, line_no), item[2]))
+        entities = _entities(obj, text, name, line_no)
         out.append(
             AlignedSample(
                 paragraph=Paragraph(doc_id=doc_id, text=text),
-                entity_spans=tuple(entities),
+                entity_spans=entities,
                 aligned=(),
             )
         )
@@ -275,10 +275,10 @@ def write_vocab(path: PathLike, vocab: Vocabulary) -> None:
 
 
 def read_vocab(path: PathLike) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    tokens = tuple(obj["tokens"])
-    return Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
+    tokens = read_json(path).get("tokens")
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise DataError(f"{path}: 'tokens' must be a list of strings")
+    return Vocabulary(tuple(tokens), {t: i for i, t in enumerate(tokens)})
 
 
 def read_templates(path: PathLike) -> list[Template]:
@@ -335,5 +335,12 @@ def write_json(path: PathLike, obj: dict) -> None:
 
 
 def read_json(path: PathLike) -> dict:
+    """The JSON object in ``path``; anything else raises ``DataError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise DataError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj

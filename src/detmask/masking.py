@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -166,40 +166,13 @@ def _assign(roles: list[Role], positions: Iterable[int], role: Role) -> None:
             roles[i] = role
 
 
-def tokenize(text: str, vocab: Vocabulary, aligned: Optional[AlignedTriplet] = None,
-             doc_id: str = "") -> TokenizedSample:
-    """Tokenize raw text, tagging roles from one aligned triplet if given.
-
-    A token gets a clue or object role only when it lies fully inside the
-    corresponding span; straddling tokens stay in the Other role.
-    """
-    spans, ids, bounds = _base_fields(text, vocab)
-    roles = [Role.OTHER] * len(ids)
-    word_count = 0
-    if aligned is not None:
-        _assign(roles, tokens_inside(spans, aligned.predicate_span.char_start,
-                                     aligned.predicate_span.char_end), Role.PREDICATE_CLUE)
-        _assign(roles, tokens_inside(spans, aligned.subject_span.char_start,
-                                     aligned.subject_span.char_end), Role.SUBJECT_CLUE)
-        _assign(roles, tokens_inside(spans, aligned.object_span.char_start,
-                                     aligned.object_span.char_end), Role.OBJECT)
-        word_count = count_words(aligned.object_span.surface)
-    return TokenizedSample(
-        doc_id=doc_id,
-        tokens=ids,
-        token_spans=tuple(spans),
-        roles=tuple(roles),
-        word_boundaries=bounds,
-        object_word_count=word_count,
-    )
-
-
 def tokenize_groups(sample: AlignedSample, vocab: Vocabulary) -> list[TokenizedSample]:
     """One TokenizedSample per distinct object span of an aligned sample.
 
     Triplets sharing the object span pool their subject and predicate tokens
     into the group's clue set; clue tokens of the other groups are recorded as
-    foreign so random draws can avoid them.
+    foreign so random draws can avoid them.  A token takes a role only when it
+    lies fully inside the span; straddling tokens stay in the Other role.
     """
     text = sample.paragraph.text
     spans, ids, bounds = _base_fields(text, vocab)
@@ -269,7 +242,7 @@ def _words(sample: TokenizedSample) -> list[list[int]]:
     return words
 
 
-def _choose(rng: np.random.Generator, candidates: Sequence[int], k: int) -> list[int]:
+def _choose(rng: np.random.Generator, candidates: Sequence, k: int) -> list:
     picked = rng.choice(len(candidates), size=k, replace=False)
     return [candidates[int(i)] for i in picked]
 
@@ -299,7 +272,7 @@ def apply_mask(sample: TokenizedSample, scheme: MaskScheme,
         words = _words(sample)
         if k == 0 or k > len(words):
             raise NoMaskableContent("word budget empty or larger than the sample")
-        positions = [p for w in _choose_words(rng, words, k) for p in w]
+        positions = [p for w in _choose(rng, words, k) for p in w]
         return _masked(sample, positions, Variant.PLAIN, scheme)
     if scheme is MaskScheme.SALIENT_SPAN:
         if not sample.entity_token_spans:
@@ -307,11 +280,6 @@ def apply_mask(sample: TokenizedSample, scheme: MaskScheme,
         a, b = sample.entity_token_spans[int(rng.integers(len(sample.entity_token_spans)))]
         return _masked(sample, range(a, b), Variant.PLAIN, scheme)
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _choose_words(rng: np.random.Generator, words: list[list[int]], k: int) -> list[list[int]]:
-    picked = rng.choice(len(words), size=k, replace=False)
-    return [words[int(i)] for i in picked]
 
 
 def make_contrastive_pair(sample: TokenizedSample) -> tuple[MaskedSample, MaskedSample]:

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyMaskSet, NoMask, NonFiniteLoss, SequenceTooLong
+from .errors import DataError, EmptyMaskSet, NoMask, NonFiniteLoss, SequenceTooLong
 from .masking import MASK_ID, PAD_ID, UNK_ID, MaskedSample, Vocabulary
 
 _NEG_INF = -1e30
@@ -447,22 +447,40 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
 
 
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A header that is not the expected JSON, a tensor set other than the
+    model's parameters, or a tensor reaching past the end of the file raises
+    ``DataError``.
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT or header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} file")
+        first = fh.readline()
         body = fh.read()
+    try:
+        header = json.loads(first)
+    except ValueError:
+        raise DataError(f"{path}: checkpoint header is not JSON") from None
+    if (not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT
+            or header.get("version") != CHECKPOINT_VERSION):
+        raise DataError(f"{path}: not a version-{CHECKPOINT_VERSION} {CHECKPOINT_FORMAT} file")
+    try:
+        entries = {e["name"]: (tuple(e["shape"]), e["offset"]) for e in header["tensors"]}
+        config = ModelConfig(**header["config"])
+        toks = header.get("vocab")
+        vocab = None
+        if toks is not None:
+            vocab = Vocabulary(tuple(toks), {t: i for i, t in enumerate(toks)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
+    if set(entries) != {f.name for f in fields(ModelState)}:
+        raise DataError(f"{path}: checkpoint tensors are not the model's parameters")
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+    for name, (shape, start) in entries.items():
+        if not all(type(x) is int and x >= 0 for x in (*shape, start)):
+            raise DataError(f"{path}: tensor {name!r} has a malformed shape or offset")
+        count = math.prod(shape)
+        if start + 8 * count > len(body):
+            raise DataError(f"{path}: tensor {name!r} reaches past the end of the file")
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    config = ModelConfig(**header["config"])
-    vocab = None
-    if header.get("vocab") is not None:
-        toks = tuple(header["vocab"])
-        vocab = Vocabulary(toks, {t: i for i, t in enumerate(toks)})
-    state = ModelState(**tensors)
-    return state, config, vocab
+        tensors[name] = arr.reshape(shape).astype(np.float64)
+    return ModelState(**tensors), config, vocab

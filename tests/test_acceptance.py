@@ -18,7 +18,7 @@ from statistics import median
 
 import numpy as np
 
-from detmask.align import Paragraph, align_paragraph, build_dataset, compute_stats
+from detmask.align import Aligner, Paragraph, build_dataset, compute_stats
 from detmask.errors import InsufficientContext
 from detmask.formats import write_samples
 from detmask.kb import Triplet, build_kb
@@ -84,6 +84,7 @@ def test_alignment_matches_reference_procedure_on_random_worlds():
         kb, corpus = make_world(rng, **sizes)
         t0 = time.perf_counter()
         result = build_dataset(corpus, kb)
+        aligner = Aligner(kb)
         engine_s += time.perf_counter() - t0
         by_doc = {s.paragraph.doc_id: s for s in result.span_samples}
         total_candidates = 0
@@ -98,7 +99,7 @@ def test_alignment_matches_reference_procedure_on_random_worlds():
                 got = sample_to_tuples(by_doc[paragraph.doc_id])
             else:
                 t0 = time.perf_counter()
-                got = sample_to_tuples(align_paragraph(paragraph, kb))
+                got = sample_to_tuples(aligner.align(paragraph)[0])
                 engine_s += time.perf_counter() - t0
             if got != (entities, aligned):
                 mismatches += 1

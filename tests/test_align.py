@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from detmask.align import (
+    Aligner,
     Paragraph,
-    align_paragraph,
+    PredicateMatcher,
+    Span,
     build_dataset,
     compute_stats,
-    link_entities,
-    match_predicate,
 )
 from detmask.errors import DataError, EmptyDataset
 from detmask.kb import Triplet, build_kb
+from detmask.tokenizer import lower_aligned, token_spans
 from oracles import align_paragraph_oracle, sample_to_tuples
 from worldgen import make_world
 
@@ -39,47 +40,59 @@ def film_kb():
 FILM_TEXT = "War Horse is an American war film directed by Steven Spielberg"
 
 
+def match_predicate(text, p, kb):
+    """The span ``PredicateMatcher.best`` picks for ``p`` in ``text``, or None."""
+    spans = token_spans(text)
+    found = PredicateMatcher(kb).best(
+        lower_aligned(text), [a for a, _ in spans], [b for _, b in spans], p
+    )
+    if found is None:
+        return None
+    _dist, a, b = found
+    return Span(a, b, text[a:b])
+
+
 class TestLinkEntities:
     def test_single_exact_match(self):
         kb = build_kb([], {"Q1": ("War Horse",)}, {})
-        spans = link_entities(Paragraph("d", "War Horse is a film"), kb)
+        spans = Aligner(kb).align(Paragraph("d", "War Horse is a film"))[0].entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 9, "Q1")]
 
     def test_longest_match_wins(self):
         kb = build_kb([], {"Q3": ("New York",), "Q4": ("New York University",)}, {})
-        spans = link_entities(Paragraph("d", "New York University is old"), kb)
+        spans = Aligner(kb).align(Paragraph("d", "New York University is old"))[0].entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 19, "Q4")]
 
     def test_pre_linked_passthrough(self):
         kb = build_kb([], {"Q1": ("War Horse",)}, {})
         p = Paragraph("d", "War Horse is a film", pre_linked_spans=((0, 9, "Q9"),))
-        spans = link_entities(p, kb)
+        spans = Aligner(kb).align(p)[0].entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 9, "Q9")]
 
     def test_case_insensitive_word_boundaries(self):
         kb = build_kb([], {"Q1": ("war horse",)}, {})
-        spans = link_entities(Paragraph("d", "WAR HORSE rides; warhorse does not"), kb)
+        p = Paragraph("d", "WAR HORSE rides; warhorse does not")
+        spans = Aligner(kb).align(p)[0].entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 9, "Q1")]
 
     def test_shared_alias_resolves_to_smallest_id(self):
         kb = build_kb([], {"Q2": ("ambiguous",), "Q1": ("ambiguous",)}, {})
-        spans = link_entities(Paragraph("d", "ambiguous thing"), kb)
+        spans = Aligner(kb).align(Paragraph("d", "ambiguous thing"))[0].entity_spans
         assert [e for _s, e in spans] == ["Q1"]
 
     def test_non_overlapping_left_to_right(self):
         kb = build_kb([], {"A": ("a b",), "B": ("b c",)}, {})
-        spans = link_entities(Paragraph("d", "a b c"), kb)
+        spans = Aligner(kb).align(Paragraph("d", "a b c"))[0].entity_spans
         # "a b" consumes token b, so "b c" cannot match.
         assert [(s.surface, e) for s, e in spans] == [("a b", "A")]
 
     def test_invalid_pre_linked_span_raises(self):
         kb = build_kb([], {"Q1": ("x",)}, {})
         with pytest.raises(DataError):
-            link_entities(Paragraph("d", "tiny", pre_linked_spans=((0, 99, "Q1"),)), kb)
+            Aligner(kb).align(Paragraph("d", "tiny", pre_linked_spans=((0, 99, "Q1"),)))
         with pytest.raises(DataError):
-            link_entities(
-                Paragraph("d", "tiny text", pre_linked_spans=((0, 4, "Q1"), (2, 6, "Q1"))),
-                kb,
+            Aligner(kb).align(
+                Paragraph("d", "tiny text", pre_linked_spans=((0, 4, "Q1"), (2, 6, "Q1")))
             )
 
 
@@ -115,21 +128,21 @@ class TestMatchPredicate:
 
 class TestAlignParagraph:
     def test_film_example_filters_reverse_direction(self):
-        sample = align_paragraph(Paragraph("d", FILM_TEXT), film_kb())
+        sample, _counts = Aligner(film_kb()).align(Paragraph("d", FILM_TEXT))
         assert len(sample.aligned) == 1
         t = sample.aligned[0]
         assert t.triplet == Triplet("WarHorse", "directedBy", "Spielberg")
         assert t.object_span.surface == "Steven Spielberg"
-        assert t.deterministic and t.edit_distance == 0
+        assert t.edit_distance == 0
 
     def test_single_entity_no_pairs(self):
-        sample = align_paragraph(Paragraph("d", "War Horse stands alone"), film_kb())
+        sample, _counts = Aligner(film_kb()).align(Paragraph("d", "War Horse stands alone"))
         assert sample.aligned == ()
         assert len(sample.entity_spans) == 1
 
     def test_unmatched_predicate_gate(self):
         text = "War Horse notes nothing about Steven Spielberg"
-        sample = align_paragraph(Paragraph("d", text), film_kb())
+        sample, _counts = Aligner(film_kb()).align(Paragraph("d", text))
         assert sample.aligned == ()
 
 
@@ -172,6 +185,29 @@ class TestBuildDataset:
         assert serial.span_samples == parallel.span_samples
         assert serial.counters == parallel.counters
 
+    def test_parallel_skip_in_later_chunk_equals_serial(self):
+        rng = np.random.default_rng(7)
+        kb, corpus = make_world(rng, n_paragraphs=60)
+        # 61 paragraphs over 3 workers make 31 chunks of at most two; the bad
+        # one, at index 50, is in the 26th.
+        bad = Paragraph("bad", "x", pre_linked_spans=((0, 99, "E"),))
+        corpus = corpus[:50] + [bad] + corpus[50:]
+        serial = build_dataset(corpus, kb, threads=1)
+        parallel = build_dataset(corpus, kb, threads=3)
+        assert serial.counters.skipped == 1
+        assert serial.deterministic_samples == parallel.deterministic_samples
+        assert serial.span_samples == parallel.span_samples
+        assert serial.counters == parallel.counters
+
+    def test_more_threads_than_paragraphs(self):
+        corpus = [Paragraph("p1", FILM_TEXT), Paragraph("p2", "Jaws alone here")]
+        serial = build_dataset(corpus, film_kb(), threads=1)
+        parallel = build_dataset(corpus, film_kb(), threads=4)
+        assert [s.paragraph.doc_id for s in parallel.span_samples] == ["p1", "p2"]
+        assert serial.deterministic_samples == parallel.deterministic_samples
+        assert serial.span_samples == parallel.span_samples
+        assert serial.counters == parallel.counters
+
     def test_two_runs_identical(self):
         rng = np.random.default_rng(6)
         kb, corpus = make_world(rng, n_paragraphs=12)
@@ -195,6 +231,7 @@ class TestOracleEquivalence:
                 n_paragraphs=int(rng.integers(1, 8)),
             )
             result = build_dataset(corpus, kb)
+            aligner = Aligner(kb)
             by_doc = {s.paragraph.doc_id: s for s in result.span_samples}
             total_candidates = 0
             total_nondet = 0
@@ -205,7 +242,7 @@ class TestOracleEquivalence:
                 if paragraph.doc_id in by_doc:
                     got_entities, got_aligned = sample_to_tuples(by_doc[paragraph.doc_id])
                 else:
-                    sample = align_paragraph(paragraph, kb)
+                    sample, _counts = aligner.align(paragraph)
                     got_entities, got_aligned = sample_to_tuples(sample)
                 assert got_entities == entities, paragraph.text
                 assert got_aligned == aligned, paragraph.text

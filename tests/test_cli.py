@@ -318,6 +318,43 @@ class TestExitCodes:
         path.write_text('{"format": "other"}', encoding="utf-8")
         assert main(["report", "--report", str(path)]) == 2
 
+    def test_truncated_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
+        blob = pipeline["ckpt"].read_bytes()
+        header_end = blob.index(b"\n") + 1
+        probe = ["--templates", str(pipeline["templates"]), "--facts", str(pipeline["facts"]),
+                 "--out", str(tmp_path / "r.json")]
+        for name, data in (("header", blob[:header_end // 2]), ("body", blob[:header_end + 64]),
+                           ("garbage", b"garbage\x00\xff")):
+            ckpt = tmp_path / f"{name}.ckpt"
+            ckpt.write_bytes(data)
+            assert main(["probe", "--model", str(ckpt), *probe]) == 2, name
+            assert capsys.readouterr().err.startswith("detmask: error:"), name
+
+    def test_token_id_outside_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
+        lines = pipeline["masked"].read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["input_ids"][0] = read_vocab(pipeline["root"] / "vocab.json").size
+        bad = tmp_path / "masked.jsonl"
+        bad.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+        code = main(["train", "--data", str(bad), "--vocab", str(pipeline["root"] / "vocab.json"),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_report_on_non_json_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("not json\n", encoding="utf-8")
+        assert main(["report", "--report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_non_json_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text('{"tokens": [', encoding="utf-8")
+        code = main(["train", "--data", str(pipeline["masked"]), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:
             main(["--version"])

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from detmask.align import Paragraph, align_paragraph
+from detmask.align import Aligner, Paragraph
 from detmask.errors import MalformedLine
 from detmask.formats import (
     group_items,
@@ -37,7 +37,7 @@ def film_sample():
         {"directedBy": ("directed by",)},
     )
     text = "War Horse is a film directed by Steven Spielberg"
-    return align_paragraph(Paragraph("film", text), kb)
+    return Aligner(kb).align(Paragraph("film", text))[0]
 
 
 def masked_sample(variant=Variant.PLAIN, doc_id="d") -> MaskedSample:

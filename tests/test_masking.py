@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from detmask.align import Paragraph, align_paragraph
+from detmask.align import AlignedSample, AlignedTriplet, Aligner, Paragraph, Span
 from detmask.errors import InsufficientContext, NoClues, NoMaskableContent
 from detmask.kb import Triplet, build_kb
 from detmask.masking import (
@@ -20,7 +20,6 @@ from detmask.masking import (
     apply_mask,
     make_classification_triple,
     make_contrastive_pair,
-    tokenize,
     tokenize_for_spans,
     tokenize_groups,
 )
@@ -38,7 +37,12 @@ def film_kb():
 
 
 def film_sample():
-    return align_paragraph(Paragraph("film", FILM_TEXT), film_kb())
+    return Aligner(film_kb()).align(Paragraph("film", FILM_TEXT))[0]
+
+
+def plain(text, vocab):
+    """``text`` tokenized with every role Other and no entity spans."""
+    return tokenize_for_spans(AlignedSample(Paragraph("d", text), (), ()), vocab)
 
 
 def unmask(masked) -> tuple[int, ...]:
@@ -77,7 +81,7 @@ class TestTokenize:
     def test_film_roles(self):
         sample = film_sample()
         vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize(FILM_TEXT, vocab, sample.aligned[0], doc_id="film")
+        tok = tokenize_groups(sample, vocab)[0]
         assert len(tok.tokens) == 11
         assert tok.positions(Role.SUBJECT_CLUE) == (0, 1)
         assert tok.positions(Role.PREDICATE_CLUE) == (7, 8)
@@ -88,13 +92,13 @@ class TestTokenize:
 
     def test_tokens_encode_lowercased_surface(self):
         vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize(FILM_TEXT, vocab)
+        tok = plain(FILM_TEXT, vocab)
         assert tok.tokens[0] == vocab.encode("war")
         assert all(r is Role.OTHER for r in tok.roles)
 
     def test_punctuation_is_its_own_token(self):
         vocab = Vocabulary.build(["War Horse."])
-        tok = tokenize("War Horse.", vocab)
+        tok = plain("War Horse.", vocab)
         assert [vocab.decode(t) for t in tok.tokens] == ["war", "horse", "."]
         assert tok.token_spans == ((0, 3), (4, 9), (9, 10))
         assert tok.word_boundaries == (True, True, False)
@@ -103,18 +107,15 @@ class TestTokenize:
         sample = film_sample()
         aligned = sample.aligned[0]
         # Shrink the object span so it ends inside "Steve n"-less token.
-        from detmask.align import AlignedTriplet, Span
-
         clipped = AlignedTriplet(
             triplet=aligned.triplet,
             subject_span=aligned.subject_span,
             predicate_span=aligned.predicate_span,
             object_span=Span(46, 51, FILM_TEXT[46:51]),
-            deterministic=True,
             edit_distance=0,
         )
         vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize(FILM_TEXT, vocab, clipped)
+        tok = tokenize_groups(AlignedSample(sample.paragraph, (), (clipped,)), vocab)[0]
         assert tok.object_positions == ()
 
 
@@ -126,7 +127,7 @@ class TestTokenizeGroups:
             {"p": ("guards",), "q": ("rules",)},
         )
         text = "alpha guards beta then beta rules colt"
-        return align_paragraph(Paragraph("d", text), kb)
+        return Aligner(kb).align(Paragraph("d", text))[0]
 
     def test_one_group_per_object_span(self):
         sample = self.kb_two_objects()
@@ -161,7 +162,7 @@ class TestTokenizeGroups:
         tok = tokenize_for_spans(sample, vocab)
         assert all(r is Role.OTHER for r in tok.roles)
         assert tok.entity_token_spans
-        assert tok.tokens == tokenize(FILM_TEXT, vocab).tokens
+        assert tok.tokens == plain(FILM_TEXT, vocab).tokens
 
 
 class TestApplyMask:
@@ -208,7 +209,7 @@ class TestApplyMask:
 
     def test_no_object_raises(self):
         vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize(FILM_TEXT, vocab)
+        tok = plain(FILM_TEXT, vocab)
         for scheme in (
             MaskScheme.DETERMINISTIC,
             MaskScheme.OBJECT_SPAN,
@@ -220,7 +221,7 @@ class TestApplyMask:
 
     def test_no_entity_spans_raises_for_salient(self):
         vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize(FILM_TEXT, vocab)
+        tok = plain(FILM_TEXT, vocab)
         with pytest.raises(NoMaskableContent):
             apply_mask(tok, MaskScheme.SALIENT_SPAN, np.random.default_rng(0))
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from detmask.errors import (
+    DataError,
     EmptyMaskSet,
     NoMask,
     NonFiniteLoss,
@@ -316,7 +317,7 @@ class TestCheckpoint:
     def test_rejects_other_formats(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b'{"format": "other", "version": 1}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             load_checkpoint(path)
 
     def test_vocab_optional(self, tmp_path):
