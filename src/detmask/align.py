@@ -360,6 +360,36 @@ def build_dataset(
     return result
 
 
+@dataclass
+class ObjectGroup:
+    """Token indices of the triplets in one sample that share an object span."""
+
+    span: tuple[int, int]
+    objects: list[int]
+    subjects: set[int]
+    predicates: set[int]
+
+
+def object_groups(sample: AlignedSample, spans: Sequence[tuple[int, int]]) -> list[ObjectGroup]:
+    """The sample's triplets grouped by object character span, in first-seen order.
+
+    Each group is one masked instance: its subject and predicate tokens are
+    the clues that determine its object.  ``spans`` are the paragraph's token
+    spans; a token belongs to a span only when it lies fully inside it.
+    """
+    groups: dict[tuple[int, int], ObjectGroup] = {}
+    for t in sample.aligned:
+        key = (t.object_span.char_start, t.object_span.char_end)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = ObjectGroup(key, tokens_inside(spans, *key), set(), set())
+        group.subjects.update(
+            tokens_inside(spans, t.subject_span.char_start, t.subject_span.char_end))
+        group.predicates.update(
+            tokens_inside(spans, t.predicate_span.char_start, t.predicate_span.char_end))
+    return list(groups.values())
+
+
 def compute_stats(
     samples: Sequence[AlignedSample], counters: Optional[AlignCounters] = None
 ) -> DatasetStats:
@@ -378,22 +408,10 @@ def compute_stats(
     for sample in samples:
         spans = token_spans(sample.paragraph.text)
         total_tokens += len(spans)
-        by_object: dict[tuple[int, int], list[AlignedTriplet]] = {}
-        for t in sample.aligned:
-            span_key = (t.object_span.char_start, t.object_span.char_end)
-            by_object.setdefault(span_key, []).append(t)
-        for (a, b), triplets in by_object.items():
+        for group in object_groups(sample, spans):
             groups += 1
-            object_sum += len(tokens_inside(spans, a, b))
-            clue_tokens: set[int] = set()
-            for t in triplets:
-                clue_tokens.update(
-                    tokens_inside(spans, t.subject_span.char_start, t.subject_span.char_end)
-                )
-                clue_tokens.update(
-                    tokens_inside(spans, t.predicate_span.char_start, t.predicate_span.char_end)
-                )
-            clue_sum += len(clue_tokens)
+            object_sum += len(group.objects)
+            clue_sum += len(group.subjects | group.predicates)
     fraction = 0.0
     paragraph_count = len(samples)
     if counters is not None:

@@ -161,33 +161,24 @@ def cmd_mask(args) -> int:
     groups = 0
     scheme = MaskScheme(args.scheme) if args.scheme else None
     if scheme is MaskScheme.SALIENT_SPAN:
-        source = ssm if ssm else samples
-        for sample in source:
-            ts = tokenize_for_spans(sample, vocab)
-            rng = np.random.default_rng([args.seed, groups])
-            groups += 1
-            try:
-                out_lines.append(apply_mask(ts, scheme, rng))
-            except DataError as exc:
-                skipped[type(exc).__name__] += 1
-                log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
+        pairs = ((s, tokenize_for_spans(s, vocab)) for s in ssm or samples)
+    elif not samples:
+        raise UsageError("this mode requires --samples")
     else:
-        if not samples:
-            raise UsageError("this mode requires --samples")
-        for sample in samples:
-            for ts in tokenize_groups(sample, vocab):
-                rng = np.random.default_rng([args.seed, groups])
-                groups += 1
-                try:
-                    if args.emit == "pair":
-                        out_lines.extend(make_contrastive_pair(ts))
-                    elif args.emit == "triple":
-                        out_lines.extend(make_classification_triple(ts, rng))
-                    else:
-                        out_lines.append(apply_mask(ts, scheme, rng))
-                except DataError as exc:
-                    skipped[type(exc).__name__] += 1
-                    log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
+        pairs = ((s, ts) for s in samples for ts in tokenize_groups(s, vocab))
+    for sample, ts in pairs:
+        rng = np.random.default_rng([args.seed, groups])
+        groups += 1
+        try:
+            if args.emit == "pair":
+                out_lines.extend(make_contrastive_pair(ts))
+            elif args.emit == "triple":
+                out_lines.extend(make_classification_triple(ts, rng))
+            else:
+                out_lines.append(apply_mask(ts, scheme, rng))
+        except DataError as exc:
+            skipped[type(exc).__name__] += 1
+            log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
     formats.write_masked(args.out, out_lines)
     manifest = _Manifest("mask", args.seed)
     manifest.inputs = {

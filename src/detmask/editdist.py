@@ -1,29 +1,11 @@
-"""Character-level edit distance used by predicate surface matching.
+"""Within-one edit distance check used by predicate surface matching.
 
 Matching only ever needs to know whether a window is within distance 1 of an
-alias, so the hot path is an O(n) within-one check rather than the full DP.
-``levenshtein`` is kept as the straightforward reference implementation.
+alias, so instead of filling the full edit-distance table it compares the two
+strings once, in O(n).
 """
 
 from __future__ import annotations
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance (insert, delete, substitute), full DP."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
 
 
 def within_one(a: str, b: str) -> bool:

@@ -25,16 +25,19 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) per non-blank line; malformed lines raise."""
     name = str(path)
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(name, line_no, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise MalformedLine(name, line_no, "expected a JSON object")
-            yield line_no, obj
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedLine(name, line_no, f"invalid JSON: {exc.msg}") from None
+                if not isinstance(obj, dict):
+                    raise MalformedLine(name, line_no, "expected a JSON object")
+                yield line_no, obj
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{name}: not a UTF-8 file: {exc}") from None
 
 
 def write_jsonl(path: PathLike, objects: Iterable[dict]) -> int:
@@ -106,6 +109,13 @@ def write_samples(path: PathLike, samples: Iterable[AlignedSample]) -> int:
     return write_jsonl(path, (_sample_to_dict(s) for s in samples))
 
 
+def _int_list(obj: dict, key: str, name: str, line_no: int) -> tuple[int, ...]:
+    values = _require(obj, key, list, name, line_no)
+    if not all(type(v) is int for v in values):
+        raise MalformedLine(name, line_no, f"key {key!r} must be a list of integers")
+    return tuple(values)
+
+
 def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
     if len(bounds) != 2 or not all(isinstance(b, int) for b in bounds):
         raise MalformedLine(name, line_no, "span must be [start, end]")
@@ -138,13 +148,15 @@ def read_samples(path: PathLike) -> list[AlignedSample]:
             for key in ("s", "p", "o", "s_span", "p_span", "o_span", "edit_distance"):
                 if key not in item:
                     raise MalformedLine(name, line_no, f"triplet missing key {key!r}")
+            if type(item["edit_distance"]) is not int:
+                raise MalformedLine(name, line_no, "edit_distance must be an integer")
             triplets.append(
                 AlignedTriplet(
                     triplet=Triplet(item["s"], item["p"], item["o"]),
                     subject_span=_span(text, item["s_span"], name, line_no),
                     predicate_span=_span(text, item["p_span"], name, line_no),
                     object_span=_span(text, item["o_span"], name, line_no),
-                    edit_distance=int(item["edit_distance"]),
+                    edit_distance=item["edit_distance"],
                 )
             )
         out.append(
@@ -215,17 +227,19 @@ def read_masked(path: PathLike) -> list[MaskedSample]:
             scheme = MaskScheme(_require(obj, "scheme", str, name, line_no))
         except ValueError as exc:
             raise MalformedLine(name, line_no, str(exc)) from None
-        ids = _require(obj, "input_ids", list, name, line_no)
-        positions = _require(obj, "mask_positions", list, name, line_no)
-        targets = _require(obj, "targets", list, name, line_no)
+        ids = _int_list(obj, "input_ids", name, line_no)
+        positions = _int_list(obj, "mask_positions", name, line_no)
+        targets = _int_list(obj, "targets", name, line_no)
         if len(positions) != len(targets):
             raise MalformedLine(name, line_no, "mask_positions and targets differ in length")
+        if not all(0 <= p < len(ids) for p in positions):
+            raise MalformedLine(name, line_no, "mask_positions must index input_ids")
         out.append(
             MaskedSample(
                 doc_id=doc_id,
-                input_tokens=tuple(int(i) for i in ids),
-                mask_positions=tuple(int(i) for i in positions),
-                targets=tuple(int(i) for i in targets),
+                input_tokens=ids,
+                mask_positions=positions,
+                targets=targets,
                 variant=variant,
                 scheme=scheme,
             )

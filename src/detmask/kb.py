@@ -35,7 +35,7 @@ class Triplet:
 class KnowledgeBase:
     """Immutable triplet store with alias tables and a (subject, predicate) index.
 
-    eq=False keeps identity hashing so a loaded KB can key per-KB caches.
+    eq=False keeps identity comparison: a field-wise hash would fail on the dicts.
     """
 
     triplets: frozenset[Triplet]

@@ -17,13 +17,13 @@ Three families of outputs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .align import AlignedSample, AlignedTriplet, Span
+from .align import AlignedSample, Span, object_groups
 from .errors import InsufficientContext, NoClues, NoMaskableContent
 from .tokenizer import count_words, token_spans, tokens_inside, tokens_lower, word_starts
 
@@ -150,22 +150,6 @@ def _entity_token_spans(
     return tuple(out)
 
 
-def _base_fields(text: str, vocab: Vocabulary):
-    spans = token_spans(text)
-    toks = tokens_lower(text)
-    ids = tuple(vocab.encode(t) for t in toks)
-    bounds = tuple(word_starts(text, spans))
-    return spans, ids, bounds
-
-
-def _assign(roles: list[Role], positions: Iterable[int], role: Role) -> None:
-    # Precedence: Object over SubjectClue over PredicateClue over Other.
-    rank = {Role.OTHER: 0, Role.PREDICATE_CLUE: 1, Role.SUBJECT_CLUE: 2, Role.OBJECT: 3}
-    for i in positions:
-        if rank[role] > rank[roles[i]]:
-            roles[i] = role
-
-
 def tokenize_groups(sample: AlignedSample, vocab: Vocabulary) -> list[TokenizedSample]:
     """One TokenizedSample per distinct object span of an aligned sample.
 
@@ -174,60 +158,34 @@ def tokenize_groups(sample: AlignedSample, vocab: Vocabulary) -> list[TokenizedS
     foreign so random draws can avoid them.  A token takes a role only when it
     lies fully inside the span; straddling tokens stay in the Other role.
     """
-    text = sample.paragraph.text
-    spans, ids, bounds = _base_fields(text, vocab)
-    ent_spans = _entity_token_spans(spans, sample.entity_spans)
-    groups: dict[tuple[int, int], list[AlignedTriplet]] = {}
-    for t in sample.aligned:
-        key = (t.object_span.char_start, t.object_span.char_end)
-        groups.setdefault(key, []).append(t)
-
-    def clue_positions(triplets: list[AlignedTriplet]) -> set[int]:
-        pos: set[int] = set()
-        for t in triplets:
-            pos.update(tokens_inside(spans, t.subject_span.char_start, t.subject_span.char_end))
-            pos.update(tokens_inside(spans, t.predicate_span.char_start, t.predicate_span.char_end))
-        return pos
-
+    base = tokenize_for_spans(sample, vocab)
+    groups = object_groups(sample, base.token_spans)
+    all_clues = set().union(*(g.subjects | g.predicates for g in groups))
     out: list[TokenizedSample] = []
-    for key, triplets in groups.items():
-        roles = [Role.OTHER] * len(ids)
-        for t in triplets:
-            _assign(roles, tokens_inside(spans, t.predicate_span.char_start,
-                                         t.predicate_span.char_end), Role.PREDICATE_CLUE)
-            _assign(roles, tokens_inside(spans, t.subject_span.char_start,
-                                         t.subject_span.char_end), Role.SUBJECT_CLUE)
-        _assign(roles, tokens_inside(spans, key[0], key[1]), Role.OBJECT)
-        foreign: set[int] = set()
-        for other_key, other_triplets in groups.items():
-            if other_key != key:
-                foreign.update(clue_positions(other_triplets))
-        foreign -= {i for i, r in enumerate(roles) if r is not Role.OTHER}
-        out.append(
-            TokenizedSample(
-                doc_id=sample.paragraph.doc_id,
-                tokens=ids,
-                token_spans=tuple(spans),
-                roles=tuple(roles),
-                word_boundaries=bounds,
-                entity_token_spans=ent_spans,
-                foreign_clue_positions=frozenset(foreign),
-                object_word_count=count_words(text[key[0]:key[1]]),
-            )
-        )
+    for g in groups:
+        roles = list(base.roles)
+        # Later roles take precedence: Object over SubjectClue over PredicateClue.
+        for positions, role in ((g.predicates, Role.PREDICATE_CLUE),
+                                (g.subjects, Role.SUBJECT_CLUE), (g.objects, Role.OBJECT)):
+            for i in positions:
+                roles[i] = role
+        foreign = all_clues - g.subjects - g.predicates - set(g.objects)
+        a, b = g.span
+        out.append(replace(base, roles=tuple(roles), foreign_clue_positions=frozenset(foreign),
+                           object_word_count=count_words(sample.paragraph.text[a:b])))
     return out
 
 
 def tokenize_for_spans(sample: AlignedSample, vocab: Vocabulary) -> TokenizedSample:
     """Tokenize a paragraph keeping only its entity spans (span masking input)."""
     text = sample.paragraph.text
-    spans, ids, bounds = _base_fields(text, vocab)
+    spans = token_spans(text)
     return TokenizedSample(
         doc_id=sample.paragraph.doc_id,
-        tokens=ids,
+        tokens=tuple(vocab.encode(t) for t in tokens_lower(text)),
         token_spans=tuple(spans),
-        roles=tuple([Role.OTHER] * len(ids)),
-        word_boundaries=bounds,
+        roles=(Role.OTHER,) * len(spans),
+        word_boundaries=tuple(word_starts(text, spans)),
         entity_token_spans=_entity_token_spans(spans, sample.entity_spans),
     )
 

@@ -13,10 +13,15 @@ one text suffix, so one alias-by-suffix table per start token holds the
 distance of every such window in its last row.  ``levenshtein_oracle`` is
 the independent recursive reference that this sweep is itself checked
 against.
+
+``tokenize_groups_oracle`` restates the object-group rules of masking with
+its own tokenization regex and plain data: nested scans over the triplets,
+roles by rank, and each group's foreign clues rebuilt from the other groups.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from detmask.align import AlignedSample, Paragraph
@@ -199,3 +204,71 @@ def consistency_oracle(answer_groups: list[list[tuple[str, ...]]]) -> float:
             counts[a] = counts.get(a, 0) + 1
         agree += sum(c * (c - 1) // 2 for c in counts.values())
     return agree / pairs if pairs else 0.0
+
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+_ROLE_RANK = {"other": 0, "predicate_clue": 1, "subject_clue": 2, "object": 3}
+
+
+def tokenize_groups_oracle(
+    sample: AlignedSample, token_to_id: dict[str, int], unk_id: int
+) -> list[dict]:
+    """One plain dict per distinct object span, keyed like ``TokenizedSample``'s fields.
+
+    A token takes the highest-ranked role any span of the group gives it
+    (object over subject clue over predicate clue over other), and only when
+    it lies fully inside that span.  Foreign clues are the subject and
+    predicate tokens of every other group, minus the tokens this group gives
+    a role.  Roles are the ``Role`` values as strings.
+    """
+    text = sample.paragraph.text
+    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
+
+    def inside(span) -> list[int]:
+        return [i for i, (a, b) in enumerate(spans)
+                if a >= span.char_start and b <= span.char_end]
+
+    def key(t) -> tuple[int, int]:
+        return (t.object_span.char_start, t.object_span.char_end)
+
+    keys: list[tuple[int, int]] = []
+    for t in sample.aligned:
+        if key(t) not in keys:
+            keys.append(key(t))
+    entity_token_spans = []
+    for span, _eid in sample.entity_spans:
+        tokens = inside(span)
+        if tokens:
+            entity_token_spans.append((tokens[0], tokens[-1] + 1))
+    out = []
+    for k in keys:
+        roles = ["other"] * len(spans)
+        for t in sample.aligned:
+            if key(t) != k:
+                continue
+            for span, role in ((t.subject_span, "subject_clue"),
+                               (t.predicate_span, "predicate_clue"),
+                               (t.object_span, "object")):
+                for i in inside(span):
+                    if _ROLE_RANK[role] > _ROLE_RANK[roles[i]]:
+                        roles[i] = role
+        foreign = set()
+        for t in sample.aligned:
+            if key(t) != k:
+                foreign.update(inside(t.subject_span))
+                foreign.update(inside(t.predicate_span))
+        foreign -= {i for i, r in enumerate(roles) if r != "other"}
+        out.append({
+            "doc_id": sample.paragraph.doc_id,
+            "tokens": tuple(token_to_id.get(text[a:b].lower(), unk_id) for a, b in spans),
+            "token_spans": tuple(spans),
+            "roles": tuple(roles),
+            "word_boundaries": tuple(
+                i == 0 or any(c.isspace() for c in text[spans[i - 1][1]:a])
+                for i, (a, _b) in enumerate(spans)
+            ),
+            "entity_token_spans": tuple(entity_token_spans),
+            "foreign_clue_positions": frozenset(foreign),
+            "object_word_count": len(text[k[0]:k[1]].split()),
+        })
+    return out

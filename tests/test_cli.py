@@ -249,6 +249,33 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestMaskSources:
+    def ssm_path(self, pipeline) -> Path:
+        return pipeline["samples"].with_name("samples.ssm.jsonl")
+
+    def test_salient_span_from_ssm(self, pipeline, tmp_path):
+        out = tmp_path / "m.jsonl"
+        assert main(["mask", "--ssm", str(self.ssm_path(pipeline)), "--out", str(out),
+                     "--scheme", "salient_span"]) == 0
+        masked = read_masked(out)
+        assert len(masked) == 4  # one line per ssm paragraph
+        assert {m.scheme.value for m in masked} == {"salient_span"}
+
+    def test_salient_span_falls_back_to_samples(self, pipeline, tmp_path):
+        out = tmp_path / "m.jsonl"
+        assert main(["mask", "--samples", str(pipeline["samples"]), "--out", str(out),
+                     "--scheme", "salient_span"]) == 0
+        masked = read_masked(out)
+        assert [m.doc_id for m in masked] == ["p1", "p2", "p3"]
+        assert {m.scheme.value for m in masked} == {"salient_span"}
+
+    def test_pair_from_ssm_only_is_usage_error(self, pipeline, tmp_path, capsys):
+        code = main(["mask", "--ssm", str(self.ssm_path(pipeline)),
+                     "--out", str(tmp_path / "m.jsonl"), "--emit", "pair"])
+        assert code == 1
+        assert "requires --samples" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -330,15 +357,19 @@ class TestExitCodes:
             assert main(["probe", "--model", str(ckpt), *probe]) == 2, name
             assert capsys.readouterr().err.startswith("detmask: error:"), name
 
-    def test_token_id_outside_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
+    def train_on_edited_masked(self, pipeline, tmp_path, key, value) -> int:
+        """``train``'s exit code once ``key[0]`` of the first masked line is ``value``."""
         lines = pipeline["masked"].read_text(encoding="utf-8").splitlines()
         first = json.loads(lines[0])
-        first["input_ids"][0] = read_vocab(pipeline["root"] / "vocab.json").size
+        first[key][0] = value
         bad = tmp_path / "masked.jsonl"
         bad.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
-        code = main(["train", "--data", str(bad), "--vocab", str(pipeline["root"] / "vocab.json"),
+        return main(["train", "--data", str(bad), "--vocab", str(pipeline["root"] / "vocab.json"),
                      "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
-        assert code == 2
+
+    def test_token_id_outside_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
+        size = read_vocab(pipeline["root"] / "vocab.json").size
+        assert self.train_on_edited_masked(pipeline, tmp_path, "input_ids", size) == 2
         assert capsys.readouterr().err.startswith("detmask: error:")
 
     def test_report_on_non_json_is_data_error(self, tmp_path, capsys):
@@ -353,6 +384,31 @@ class TestExitCodes:
         code = main(["train", "--data", str(pipeline["masked"]), "--vocab", str(vocab),
                      "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_corpus_not_utf8_is_data_error(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b'{"doc_id": "a", "text": "x\xff"}\n')
+        code = main(["align", "--kb", str(pipeline["kb"]), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "s.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_mask_position_past_input_is_data_error(self, pipeline, tmp_path, capsys):
+        assert self.train_on_edited_masked(pipeline, tmp_path, "mask_positions", 500) == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_non_integer_input_id_is_data_error(self, pipeline, tmp_path, capsys):
+        assert self.train_on_edited_masked(pipeline, tmp_path, "input_ids", "abc") == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_non_integer_edit_distance_is_data_error(self, pipeline, tmp_path, capsys):
+        lines = pipeline["samples"].read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["triplets"][0]["edit_distance"] = "zz"
+        bad = tmp_path / "samples.jsonl"
+        bad.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+        assert main(["stats", "--samples", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("detmask: error:")
 
     def test_version_exits_zero(self):

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from detmask.align import AlignedSample, AlignedTriplet, Aligner, Paragraph, Span
+from detmask.align import (
+    AlignedSample,
+    AlignedTriplet,
+    Aligner,
+    Paragraph,
+    Span,
+    build_dataset,
+)
 from detmask.errors import InsufficientContext, NoClues, NoMaskableContent
 from detmask.kb import Triplet, build_kb
 from detmask.masking import (
@@ -23,7 +32,8 @@ from detmask.masking import (
     tokenize_for_spans,
     tokenize_groups,
 )
-from worldgen import random_tokenized_sample
+from oracles import tokenize_groups_oracle
+from worldgen import make_world, random_tokenized_sample
 
 FILM_TEXT = "War Horse is an American war film directed by Steven Spielberg"
 
@@ -163,6 +173,37 @@ class TestTokenizeGroups:
         assert all(r is Role.OTHER for r in tok.roles)
         assert tok.entity_token_spans
         assert tok.tokens == plain(FILM_TEXT, vocab).tokens
+
+    def test_matches_oracle_on_worldgen_samples(self):
+        """Field for field against the restated rules, on samples with 3+ object groups.
+
+        Each sample is checked as aligned, and again with one more triplet in
+        its third group whose predicate span is the second group's object, so
+        that a predicate clue of one group overlaps another group's object.
+        """
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(20):
+            kb, corpus = make_world(rng, n_paragraphs=20)
+            # Half the texts only, so some tokens encode as unknown.
+            vocab = Vocabulary.build(p.text for p in corpus[::2])
+            for sample in build_dataset(corpus, kb).deterministic_samples:
+                heads = {}
+                for t in sample.aligned:
+                    heads.setdefault((t.object_span.char_start, t.object_span.char_end), t)
+                if len(heads) < 3:
+                    continue
+                first, second, third = list(heads.values())[:3]
+                extra = AlignedTriplet(third.triplet, first.subject_span, second.object_span,
+                                       third.object_span, 0)
+                for s in (sample, replace(sample, aligned=sample.aligned + (extra,))):
+                    got = [{f.name: getattr(ts, f.name) for f in fields(ts)}
+                           for ts in tokenize_groups(s, vocab)]
+                    for g in got:
+                        g["roles"] = tuple(r.value for r in g["roles"])
+                    assert got == tokenize_groups_oracle(s, vocab.token_to_id, UNK_ID)
+                    checked += 1
+        assert checked >= 80
 
 
 class TestApplyMask:
