@@ -13,17 +13,14 @@ All surface matching is case-insensitive via offset-preserving lowering, and
 candidate windows start and end on token boundaries.  An ``Aligner`` holds
 one KB with its linker and matcher, and aligning a paragraph is a pure
 function of (paragraph, KB).  ``build_dataset`` runs the aligner over the
-whole corpus, or hands it once to each pool worker, which aligns contiguous
-chunks of the corpus; output order always equals input order.
+corpus in order, in this process.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .editdist import within_one
 from .errors import DanglingReference, DataError, EmptyDataset
@@ -155,7 +152,11 @@ class PredicateMatcher:
 
     Windows are token runs whose character length is within 1 of the alias
     length; anything farther off cannot be within distance 1.  Best means
-    smallest distance, then smallest start, then shortest window.
+    smallest distance, then smallest start, then shortest window.  Exact
+    matches are found with ``str.find``.  Failing those, only windows that
+    hold one half of the alias unchanged are scored: one edit leaves the
+    first half intact at the window's start or the second half intact at
+    its end (Wu & Manber's partition filter).
     """
 
     def __init__(self, kb: KnowledgeBase) -> None:
@@ -173,8 +174,8 @@ class PredicateMatcher:
     def best(
         self,
         low: str,
-        starts: Sequence[int],
-        ends: Sequence[int],
+        starts: AbstractSet[int],
+        ends: AbstractSet[int],
         p: str,
     ) -> Optional[tuple[int, int, int]]:
         """Best (distance, char_start, char_end) for predicate ``p`` or None."""
@@ -194,24 +195,32 @@ def _match_key(m: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def _scan_alias(
-    low: str, starts: Sequence[int], ends: Sequence[int], alias: str
+    low: str, starts: AbstractSet[int], ends: AbstractSet[int], alias: str
 ) -> Optional[tuple[int, int, int]]:
     m = len(alias)
-    n = len(starts)
-    best: Optional[tuple[int, int, int]] = None
-    for ai in range(n):
-        cs = starts[ai]
-        hi = cs + m + 1
-        bi = bisect_left(ends, cs + m - 1, ai)
-        while bi < n and ends[bi] <= hi:
-            window = low[cs : ends[bi]]
-            if within_one(window, alias):
-                if window == alias:
-                    return (0, cs, ends[bi])
-                if best is None:
-                    best = (1, cs, ends[bi])
-            bi += 1
-    return best
+    i = low.find(alias)
+    while i >= 0:
+        if i in starts and i + m in ends:
+            return (0, i, i + m)
+        i = low.find(alias, i + 1)
+    head, tail = alias[: m // 2], alias[m // 2 :]
+    windows: set[tuple[int, int]] = set()
+    i = low.find(head)
+    while i >= 0:
+        if i in starts:
+            windows.update((i, e) for e in range(i + m - 1, i + m + 2) if e in ends)
+        i = low.find(head, i + 1)
+    i = low.find(tail)
+    while i >= 0:
+        e = i + len(tail)
+        if e in ends:
+            windows.update((a, e) for a in range(e - m - 1, e - m + 2) if a in starts)
+        i = low.find(tail, i + 1)
+    for cs, ce in sorted(windows):
+        # cs < ce: a one-character alias would also admit empty windows.
+        if cs < ce and within_one(low[cs:ce], alias):
+            return (1, cs, ce)
+    return None
 
 
 def _validate_pre_linked(paragraph: Paragraph) -> tuple[tuple[Span, str], ...]:
@@ -234,7 +243,7 @@ class Aligner:
     """Aligns paragraphs against one KB.
 
     Built once per KB: it holds the KB, its alias-trie linker and its
-    predicate matcher, and is picklable so a pool worker can receive it once.
+    predicate matcher.
     """
 
     def __init__(self, kb: KnowledgeBase) -> None:
@@ -259,8 +268,8 @@ class Aligner:
         if len(entity_spans) >= 2:
             kb = self.kb
             low = lower_aligned(text)
-            starts = [a for a, _ in tspans]
-            ends = [b for _, b in tspans]
+            starts = {a for a, _ in tspans}
+            ends = {b for _, b in tspans}
             memo: dict[str, Optional[tuple[int, int, int]]] = {}
             seen: set[tuple[str, str, str]] = set()
             for i, (s_span, s_id) in enumerate(entity_spans):
@@ -319,19 +328,6 @@ class Aligner:
         return result
 
 
-# The aligner of a pool worker, set once by the pool's initializer.
-_WORKER_ALIGNER: Optional[Aligner] = None
-
-
-def _init_worker(aligner: Aligner) -> None:
-    global _WORKER_ALIGNER
-    _WORKER_ALIGNER = aligner
-
-
-def _build_chunk(paragraphs: list[Paragraph]) -> BuildResult:
-    return _WORKER_ALIGNER.build(paragraphs)
-
-
 def build_dataset(
     corpus: Iterable[Paragraph], kb: KnowledgeBase, threads: int = 1
 ) -> BuildResult:
@@ -340,24 +336,10 @@ def build_dataset(
     A paragraph goes to ``deterministic_samples`` when it yields at least one
     emitted triplet and to ``span_samples`` when it has at least one linked
     entity.  A paragraph that fails validation is logged, counted as skipped,
-    and never aborts the run.  Results keep corpus order regardless of
-    ``threads``.
+    and never aborts the run.  Results keep corpus order.  ``threads`` is
+    accepted and has no effect: alignment always runs in this process.
     """
-    paragraphs = list(corpus)
-    aligner = Aligner(kb)
-    if threads <= 1 or len(paragraphs) <= 1:
-        return aligner.build(paragraphs)
-    size = max(1, len(paragraphs) // (threads * 8))
-    chunks = [paragraphs[i : i + size] for i in range(0, len(paragraphs), size)]
-    result = BuildResult([], [], AlignCounters())
-    with ProcessPoolExecutor(
-        max_workers=min(threads, len(chunks)), initializer=_init_worker, initargs=(aligner,)
-    ) as pool:
-        for part in pool.map(_build_chunk, chunks):
-            result.deterministic_samples += part.deterministic_samples
-            result.span_samples += part.span_samples
-            result.counters.merge(part.counters)
-    return result
+    return Aligner(kb).build(corpus)
 
 
 @dataclass

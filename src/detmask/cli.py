@@ -119,7 +119,7 @@ def cmd_build_kb(args) -> int:
 def cmd_align(args) -> int:
     kb = load_kb_dir(args.kb)
     corpus = formats.read_corpus(args.corpus)
-    result = build_dataset(corpus, kb, threads=args.threads)
+    result = build_dataset(corpus, kb)
     formats.write_samples(args.out, result.deterministic_samples)
     out = Path(args.out)
     ssm_out = args.ssm_out or out.with_name(out.stem + ".ssm" + out.suffix)
@@ -321,6 +321,8 @@ def cmd_stats(args) -> int:
     counters = None
     if manifest_path.exists():
         c = formats.read_json(manifest_path).get("counters", {})
+        if not isinstance(c, dict) or any(type(v) is not int for v in c.values()):
+            raise DataError(f"{manifest_path}: counters must be an object of integers")
         counters = AlignCounters(
             paragraphs=c.get("paragraphs_processed", len(samples)),
             skipped=c.get("paragraphs_skipped", 0),
@@ -358,7 +360,8 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True, help="corpus.jsonl")
     p.add_argument("--out", required=True, help="samples.jsonl (deterministic stream)")
     p.add_argument("--ssm-out", help="entity-span stream (default: <out>.ssm.jsonl)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_align)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Union
 
-from .errors import DanglingReference, MalformedLine
+from .errors import DanglingReference, DataError, MalformedLine
 
 EntityId = str
 PredicateId = str
@@ -60,6 +60,8 @@ def _iter_lines(source: Source, name: str) -> Iterator[tuple[int, str]]:
             if not line or line.startswith("#"):
                 continue
             yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name}: not a UTF-8 file: {exc}") from None
     finally:
         if close:
             handle.close()

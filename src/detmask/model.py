@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -103,28 +103,35 @@ class LogEntry:
     l_total: float
 
 
+_BIASES = frozenset({"b1", "b2", "lm_bias"})
+
+
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every ``ModelState`` field under ``config``, in field order."""
+    d, v, h = config.d, config.vocab_size, 4 * config.d
+    return {
+        "tok_emb": (v, d),
+        "pos_emb": (config.max_len, d),
+        "wq": (d, d),
+        "wk": (d, d),
+        "wv": (d, d),
+        "wo": (d, d),
+        "w1": (d, h),
+        "b1": (h,),
+        "w2": (h, d),
+        "b2": (d,),
+        "lm_bias": (v,),
+        "w_cls": (d, 3),
+    }
+
+
 def init(config: ModelConfig) -> ModelState:
     """Fresh parameters: zero-mean normals at scale 0.02, zero biases."""
     rng = np.random.default_rng(config.seed)
-    d, v, h = config.d, config.vocab_size, 4 * config.d
-
-    def normal(*shape: int) -> np.ndarray:
-        return rng.normal(0.0, 0.02, size=shape)
-
-    return ModelState(
-        tok_emb=normal(v, d),
-        pos_emb=normal(config.max_len, d),
-        wq=normal(d, d),
-        wk=normal(d, d),
-        wv=normal(d, d),
-        wo=normal(d, d),
-        w1=normal(d, h),
-        b1=np.zeros(h),
-        w2=normal(h, d),
-        b2=np.zeros(d),
-        lm_bias=np.zeros(v),
-        w_cls=normal(d, 3),
-    )
+    return ModelState(**{
+        name: np.zeros(shape) if name in _BIASES else rng.normal(0.0, 0.02, size=shape)
+        for name, shape in _param_shapes(config).items()
+    })
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -449,8 +456,9 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    A header that is not the expected JSON, a tensor set other than the
-    model's parameters, or a tensor reaching past the end of the file raises
+    A header that is not the expected JSON, a vocabulary with more tokens
+    than the config, a tensor set or shape other than ``_param_shapes`` of
+    the config, or a tensor reaching past the end of the file raises
     ``DataError``.
     """
     with open(path, "rb") as fh:
@@ -472,15 +480,24 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
             vocab = Vocabulary(tuple(toks), {t: i for i, t in enumerate(toks)})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
-    if set(entries) != {f.name for f in fields(ModelState)}:
+    if not all(type(x) is int for x in (config.vocab_size, config.d, config.max_len)):
+        raise DataError(f"{path}: checkpoint config sizes are not integers")
+    if vocab is not None and vocab.size > config.vocab_size:
+        raise DataError(f"{path}: vocabulary has {vocab.size} tokens, "
+                        f"more than the config's {config.vocab_size}")
+    shapes = _param_shapes(config)
+    if set(entries) != set(shapes):
         raise DataError(f"{path}: checkpoint tensors are not the model's parameters")
     tensors: dict[str, np.ndarray] = {}
     for name, (shape, start) in entries.items():
-        if not all(type(x) is int and x >= 0 for x in (*shape, start)):
-            raise DataError(f"{path}: tensor {name!r} has a malformed shape or offset")
-        count = math.prod(shape)
+        if shape != shapes[name]:
+            raise DataError(f"{path}: tensor {name!r} has shape {list(shape)}, "
+                            f"expected {list(shapes[name])}")
+        if type(start) is not int or start < 0:
+            raise DataError(f"{path}: tensor {name!r} has a malformed offset")
+        count = math.prod(shapes[name])
         if start + 8 * count > len(body):
             raise DataError(f"{path}: tensor {name!r} reaches past the end of the file")
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+        tensors[name] = arr.reshape(shapes[name]).astype(np.float64)
     return ModelState(**tensors), config, vocab

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detmask.align import (
     Aligner,
@@ -16,7 +18,7 @@ from detmask.align import (
 from detmask.errors import DataError, EmptyDataset
 from detmask.kb import Triplet, build_kb
 from detmask.tokenizer import lower_aligned, token_spans
-from oracles import align_paragraph_oracle, sample_to_tuples
+from oracles import align_paragraph_oracle, match_predicate_oracle, sample_to_tuples
 from worldgen import make_world
 
 
@@ -40,12 +42,17 @@ def film_kb():
 FILM_TEXT = "War Horse is an American war film directed by Steven Spielberg"
 
 
+def best_match(text, p, kb):
+    """``PredicateMatcher.best`` for ``p`` in ``text``: (distance, start, end) or None."""
+    spans = token_spans(text)
+    return PredicateMatcher(kb).best(
+        lower_aligned(text), {a for a, _ in spans}, {b for _, b in spans}, p
+    )
+
+
 def match_predicate(text, p, kb):
     """The span ``PredicateMatcher.best`` picks for ``p`` in ``text``, or None."""
-    spans = token_spans(text)
-    found = PredicateMatcher(kb).best(
-        lower_aligned(text), [a for a, _ in spans], [b for _, b in spans], p
-    )
+    found = best_match(text, p, kb)
     if found is None:
         return None
     _dist, a, b = found
@@ -126,6 +133,52 @@ class TestMatchPredicate:
         assert span.char_start == 0
 
 
+# Letters, a non-ASCII letter, a capital whose lowercase form is two
+# characters long (so lower_aligned keeps it), a space and punctuation.
+CHARS = "abcAé İ-."
+ALIASES = st.one_of(
+    st.sampled_from(CHARS.replace(" ", "")),
+    st.text(CHARS, min_size=1, max_size=7).map(str.strip).filter(bool),
+    st.lists(st.text("abcé", min_size=1, max_size=3), min_size=2, max_size=3).flatmap(
+        lambda words: st.sampled_from(" -.").map(lambda sep: sep.join(words))),
+)
+
+
+@st.composite
+def planted_alias(draw):
+    """A text holding one alias with at most one edit at, before or after its halfway point."""
+    alias = draw(ALIASES)
+    i = min(max(len(alias) // 2 + draw(st.sampled_from((-1, 0, 1))), 0), len(alias))
+    c = draw(st.sampled_from(CHARS))
+    surface = draw(st.sampled_from((
+        alias,
+        alias[:i] + c + alias[i + 1:],
+        alias[:i] + alias[i + 1:],
+        alias[:i] + c + alias[i:],
+    )))
+    left, right = draw(st.text(CHARS, max_size=8)), draw(st.text(CHARS, max_size=8))
+    return left + surface + right, alias
+
+
+@st.composite
+def matcher_cases(draw):
+    """(text, aliases of one predicate): a planted alias or a free random text."""
+    text, alias = draw(st.one_of(
+        planted_alias(), st.tuples(st.text(CHARS, max_size=20), ALIASES)))
+    extra = draw(st.lists(ALIASES, max_size=1))
+    return text, tuple(dict.fromkeys([alias, *extra]))
+
+
+class TestMatchPredicateProperty:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=matcher_cases())
+    @example(case=("ac-bc-a.", ("éc",)))
+    def test_best_equals_oracle(self, case):
+        text, aliases = case
+        kb = build_kb([], {}, {"P": aliases})
+        assert best_match(text, "P", kb) == match_predicate_oracle(text, "P", kb)
+
+
 class TestAlignParagraph:
     def test_film_example_filters_reverse_direction(self):
         sample, _counts = Aligner(film_kb()).align(Paragraph("d", FILM_TEXT))
@@ -188,8 +241,7 @@ class TestBuildDataset:
     def test_parallel_skip_in_later_chunk_equals_serial(self):
         rng = np.random.default_rng(7)
         kb, corpus = make_world(rng, n_paragraphs=60)
-        # 61 paragraphs over 3 workers make 31 chunks of at most two; the bad
-        # one, at index 50, is in the 26th.
+        # One invalid paragraph late in the corpus, at index 50 of 61.
         bad = Paragraph("bad", "x", pre_linked_spans=((0, 99, "E"),))
         corpus = corpus[:50] + [bad] + corpus[50:]
         serial = build_dataset(corpus, kb, threads=1)

@@ -411,6 +411,51 @@ class TestExitCodes:
         assert main(["stats", "--samples", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("detmask: error:")
 
+    def test_kb_table_not_utf8_is_data_error(self, tmp_path, capsys):
+        paths = write_inputs(tmp_path)
+        with open(paths["entities"], "ab") as fh:
+            fh.write(b"Q\xff\tname\n")
+        code = main(["build-kb", "--triplets", str(paths["triplets"]),
+                     "--entities", str(paths["entities"]),
+                     "--predicates", str(paths["predicates"]), "--out", str(tmp_path / "kb")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_align_manifest_counters_not_integers_is_data_error(self, pipeline, tmp_path,
+                                                                capsys):
+        manifest = read_json(str(pipeline["samples"]) + ".manifest.json")
+        for name, counters in (("string", {**manifest["counters"], "candidate_triplets": "x"}),
+                               ("list", [1])):
+            path = tmp_path / f"{name}.manifest.json"
+            path.write_text(json.dumps({**manifest, "counters": counters}), encoding="utf-8")
+            code = main(["stats", "--samples", str(pipeline["samples"]), "--manifest", str(path)])
+            assert code == 2, name
+            assert capsys.readouterr().err.startswith("detmask: error:"), name
+
+    def test_checkpoint_shape_mismatch_is_data_error(self, pipeline, tmp_path, capsys):
+        blob = pipeline["ckpt"].read_bytes()
+        header_end = blob.index(b"\n")
+        probe = ["--templates", str(pipeline["templates"]), "--facts", str(pipeline["facts"]),
+                 "--out", str(tmp_path / "r.json")]
+
+        def cut_tok_emb(header):
+            entry = next(e for e in header["tensors"] if e["name"] == "tok_emb")
+            entry["shape"][0] = 10
+
+        def add_vocab_token(header):
+            header["vocab"].append("unseen-token")
+
+        def fractional_dim(header):
+            header["config"]["d"] += 0.5
+
+        for edit in (cut_tok_emb, add_vocab_token, fractional_dim):
+            header = json.loads(blob[:header_end])
+            edit(header)
+            ckpt = tmp_path / f"{edit.__name__}.ckpt"
+            ckpt.write_bytes(json.dumps(header).encode("utf-8") + blob[header_end:])
+            assert main(["probe", "--model", str(ckpt), *probe]) == 2, edit.__name__
+            assert capsys.readouterr().err.startswith("detmask: error:"), edit.__name__
+
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:
             main(["--version"])
