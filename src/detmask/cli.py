@@ -36,7 +36,14 @@ from .masking import (
     tokenize_groups,
 )
 from .model import ModelConfig, load_checkpoint, save_checkpoint, train
-from .probe import build_questions, evaluate, filter_leakage, run_model, split_questions
+from .probe import (
+    build_questions,
+    evaluate,
+    filter_leakage,
+    length_batches,
+    run_model,
+    split_questions,
+)
 
 log = logging.getLogger("detmask.cli")
 
@@ -284,7 +291,7 @@ def cmd_probe(args) -> int:
         if v
     }
     manifest.outputs = {"report": str(args.out)}
-    manifest.counters = dict(doc["counts"])
+    manifest.counters = {**doc["counts"], "prediction_batches": len(length_batches(kept))}
     manifest.write(args.out)
     return 0
 

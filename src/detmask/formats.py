@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
 from .errors import DataError, MalformedLine
+from .fileio import write_atomic
 from .kb import Triplet
 from .masking import MaskedSample, MaskScheme, Variant, Vocabulary
 from .model import LogEntry, TrainItem
@@ -343,9 +344,9 @@ def write_train_log(path: PathLike, entries: Iterable[LogEntry]) -> int:
 
 
 def write_json(path: PathLike, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=2, sort_keys=False)
-        fh.write("\n")
+    """Write ``obj`` as indented JSON, replacing ``path`` only once complete."""
+    text = json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def read_json(path: PathLike) -> dict:

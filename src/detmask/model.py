@@ -17,6 +17,14 @@ Three losses over a (keep, drop, random) item:
 
 Total = L_mlm + lambda_con * L_con + lambda_cls * L_cls.  Gradients are exact
 and checked against central finite differences.
+
+The losses read the vocabulary distribution only at the object positions, so
+the LM head (``h2 @ tok_emb.T + lm_bias``) and its softmax run only at those
+rows: for the keep and drop inputs in training, at the mask positions in
+prediction, and not at all for the random input, which the classifier reads
+through ``h2``.  The backward pass takes the head gradient at those rows
+alone.  One forward serves a single sequence or a batch of sequences of one
+length; ``predict_fill_batch`` fills a batch in one pass.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DataError, EmptyMaskSet, NoMask, NonFiniteLoss, SequenceTooLong
+from .fileio import write_atomic
 from .masking import MASK_ID, PAD_ID, UNK_ID, MaskedSample, Vocabulary
 
 _NEG_INF = -1e30
@@ -135,35 +144,42 @@ def init(config: ModelConfig) -> ModelState:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax over the last axis, in place in ``z`` so that the
+    head's rows x V distribution needs no second buffer."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
-def _forward_full(state: ModelState, tokens: Sequence[int], max_len: int) -> dict:
-    n = len(tokens)
+def _forward(state: ModelState, tokens, max_len: int, rows=None) -> dict:
+    """Forward one sequence, or a (B, n) batch of sequences of one length.
+
+    The LM head and its softmax run only at ``rows``, an index into the
+    token array's positions (a position array for one sequence, a pair of
+    batch and position arrays for a batch): ``probs`` holds one vocabulary
+    distribution per indexed row.  With ``rows`` None the head is skipped.
+    """
+    toks = np.asarray(tokens, dtype=np.int64)
+    n = toks.shape[-1]
     if n > max_len:
         raise SequenceTooLong(f"sequence of {n} tokens exceeds max_len {max_len}")
-    toks = np.asarray(tokens, dtype=np.int64)
     d = state.tok_emb.shape[1]
     x = state.tok_emb[toks] + state.pos_emb[:n]
     key_mask = toks == PAD_ID
     q = x @ state.wq
     k = x @ state.wk
     v = x @ state.wv
-    scores = (q @ k.T) / math.sqrt(d)
+    scores = (q @ np.swapaxes(k, -1, -2)) / math.sqrt(d)
     if key_mask.any():
-        scores = scores.copy()
-        scores[:, key_mask] = _NEG_INF
+        scores = np.where(key_mask[..., None, :], _NEG_INF, scores)
     attn = _softmax(scores)
     ctx = attn @ v
     h1 = x + ctx @ state.wo
     pre = h1 @ state.w1 + state.b1
     f = np.maximum(pre, 0.0)
     h2 = h1 + f @ state.w2 + state.b2
-    logits = h2 @ state.tok_emb.T + state.lm_bias
-    probs = _softmax(logits)
-    return {
+    cache = {
         "toks": toks,
         "key_mask": key_mask,
         "x": x,
@@ -176,15 +192,19 @@ def _forward_full(state: ModelState, tokens: Sequence[int], max_len: int) -> dic
         "pre": pre,
         "f": f,
         "h2": h2,
-        "probs": probs,
     }
+    if rows is not None:
+        logits = h2[rows] @ state.tok_emb.T
+        logits += state.lm_bias
+        cache["probs"] = _softmax(logits)
+    return cache
 
 
 def forward(state: ModelState, input_tokens: Sequence[int],
             max_len: Optional[int] = None) -> ForwardOutput:
-    """Contextual embeddings and per-position vocabulary distributions."""
+    """Contextual embeddings and vocabulary distributions at every position."""
     limit = state.pos_emb.shape[0] if max_len is None else max_len
-    cache = _forward_full(state, input_tokens, limit)
+    cache = _forward(state, input_tokens, limit, rows=slice(None))
     return ForwardOutput(embeddings=cache["h2"], probs=cache["probs"])
 
 
@@ -202,12 +222,11 @@ def _zero_grads(state: ModelState) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in state.params().items()}
 
 
-def _backward(state: ModelState, cache: dict, dlogits: np.ndarray,
-              dh2_extra: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+def _backward(state: ModelState, cache: dict, dh2: np.ndarray,
+              grads: dict[str, np.ndarray]) -> None:
+    """Accumulate into ``grads`` the gradients that ``dh2``, the loss gradient
+    at ``h2`` of one sequence, sends back through the block and embeddings."""
     d = state.tok_emb.shape[1]
-    dh2 = dlogits @ state.tok_emb + dh2_extra
-    grads["tok_emb"] += dlogits.T @ cache["h2"]
-    grads["lm_bias"] += dlogits.sum(axis=0)
     grads["b2"] += dh2.sum(axis=0)
     df = dh2 @ state.w2.T
     grads["w2"] += cache["f"].T @ dh2
@@ -264,33 +283,35 @@ def loss_and_grad(
     tgt = np.asarray(keep.targets, dtype=np.int64)
     n_obj = len(pos)
 
-    passes: dict[str, dict] = {"keep": _forward_full(state, keep.input_tokens, max_len)}
+    passes: dict[str, dict] = {"keep": _forward(state, keep.input_tokens, max_len, pos)}
     if drop is not None:
-        passes["drop"] = _forward_full(state, drop.input_tokens, max_len)
+        passes["drop"] = _forward(state, drop.input_tokens, max_len, pos)
     if randv is not None:
-        passes["rand"] = _forward_full(state, randv.input_tokens, max_len)
+        passes["rand"] = _forward(state, randv.input_tokens, max_len)
 
     grads = _zero_grads(state) if want_grad else None
-    dlogits = {name: np.zeros_like(c["probs"]) for name, c in passes.items()}
+    # Loss gradients at the head rows, for the passes whose head gets one;
+    # row i of probs and of dlogits is mask position i.
+    dlogits: dict[str, np.ndarray] = {}
     dh2 = {name: np.zeros_like(c["h2"]) for name, c in passes.items()}
+    rank = np.arange(n_obj)
 
-    p_keep = passes["keep"]["probs"][pos, tgt]
+    p_keep = passes["keep"]["probs"][rank, tgt]
     l_mlm = float(-np.log(p_keep).mean())
     if want_grad and w_mlm:
-        g = passes["keep"]["probs"][pos].copy()
-        g[np.arange(n_obj), tgt] -= 1.0
-        dlogits["keep"][pos] += (w_mlm / n_obj) * g
+        g = passes["keep"]["probs"].copy()
+        g[rank, tgt] -= 1.0
+        dlogits["keep"] = (w_mlm / n_obj) * g
 
     l_con = 0.0
     if drop is not None:
-        p_drop = passes["drop"]["probs"][pos, tgt]
+        p_drop = passes["drop"]["probs"][rank, tgt]
         l_con = float(p_drop.mean() - p_keep.mean())
         if want_grad and w_con:
             for name, sign, pvals in (("drop", 1.0, p_drop), ("keep", -1.0, p_keep)):
-                probs = passes[name]["probs"][pos]
-                jac = -probs * pvals[:, None]
-                jac[np.arange(n_obj), tgt] += pvals
-                dlogits[name][pos] += (sign * w_con / n_obj) * jac
+                jac = -passes[name]["probs"] * pvals[:, None]
+                jac[rank, tgt] += pvals
+                dlogits[name] = dlogits.get(name, 0.0) + (sign * w_con / n_obj) * jac
 
     l_cls = 0.0
     if randv is not None:
@@ -305,15 +326,23 @@ def loss_and_grad(
                 ds[:, label] -= 1.0
                 ds *= w_cls / total
                 grads["w_cls"] += e.T @ ds
-                dh2[name][pos] += ds @ state.w_cls.T
+                np.add.at(dh2[name], pos, ds @ state.w_cls.T)
         l_cls = acc / total
 
     l_total = w_mlm * l_mlm + w_con * l_con + w_cls * l_cls
     if not math.isfinite(l_total):
         raise NonFiniteLoss(-1, l_total)
+    if dlogits:
+        # One product over the head rows of every pass: with a drop pass it
+        # has at least two rows, which numpy multiplies far faster than one.
+        dl = np.concatenate(list(dlogits.values()))
+        grads["tok_emb"] += dl.T @ np.concatenate([passes[name]["h2"][pos] for name in dlogits])
+        grads["lm_bias"] += dl.sum(axis=0)
+        for name, dh in zip(dlogits, np.split(dl @ state.tok_emb, len(dlogits))):
+            np.add.at(dh2[name], pos, dh)
     if want_grad:
         for name, cache in passes.items():
-            _backward(state, cache, dlogits[name], dh2[name], grads)
+            _backward(state, cache, dh2[name], grads)
     return (l_mlm, l_con, l_cls, l_total), grads
 
 
@@ -410,13 +439,22 @@ def predict_fill(state: ModelState, tokens: Sequence[int],
 
     Ties resolve to the lowest token id.
     """
-    mask_positions = [i for i, t in enumerate(tokens) if t == MASK_ID]
-    if not mask_positions:
+    return predict_fill_batch(state, [tokens], max_len)[0]
+
+
+def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]],
+                       max_len: Optional[int] = None) -> list[list[int]]:
+    """``predict_fill`` of each sequence in ``batch``, all of one length, in one pass."""
+    toks = np.asarray(batch, dtype=np.int64)
+    is_mask = toks == MASK_ID
+    if not is_mask.any(axis=1).all():
         raise NoMask("input has no mask positions")
-    output = forward(state, tokens, max_len)
-    probs = output.probs.copy()
+    limit = state.pos_emb.shape[0] if max_len is None else max_len
+    probs = _forward(state, toks, limit, np.nonzero(is_mask))["probs"]
     probs[:, [PAD_ID, MASK_ID, UNK_ID]] = -1.0
-    return [int(np.argmax(probs[p])) for p in mask_positions]
+    # np.nonzero lists the rows sequence by sequence, each in position order.
+    ends = np.cumsum(is_mask.sum(axis=1))[:-1]
+    return [part.tolist() for part in np.split(probs.argmax(axis=1), ends)]
 
 
 CHECKPOINT_FORMAT = "detmask-checkpoint"
@@ -428,7 +466,7 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
     """Write a checkpoint: one JSON header line, then raw little-endian float64.
 
     Tensor offsets are byte positions within the binary section, in the order
-    listed in the header.
+    listed in the header.  The file replaces ``path`` only once complete.
     """
     entries = []
     blobs = []
@@ -446,11 +484,8 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
         "vocab": list(vocab.id_to_token) if vocab is not None else None,
         "tensors": entries,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8"))
-        fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+    write_atomic(path, b"".join([json.dumps(header, ensure_ascii=False).encode("utf-8"),
+                                 b"\n", *blobs]))
 
 
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]]:
@@ -458,8 +493,8 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
 
     A header that is not the expected JSON, a vocabulary with more tokens
     than the config, a tensor set or shape other than ``_param_shapes`` of
-    the config, or a tensor reaching past the end of the file raises
-    ``DataError``.
+    the config, a tensor reaching past the end of the file, or a NaN or
+    infinite value raises ``DataError``.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -499,5 +534,7 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
         if start + 8 * count > len(body):
             raise DataError(f"{path}: tensor {name!r} reaches past the end of the file")
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=start)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: tensor {name!r} holds a non-finite value")
         tensors[name] = arr.reshape(shapes[name]).astype(np.float64)
     return ModelState(**tensors), config, vocab

@@ -26,8 +26,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import BadTemplate, DataError, MissingPrediction
 from .kb import KnowledgeBase, Triplet
 from .masking import MASK_TOKEN, Vocabulary
-from .model import ModelState, predict_fill
+from .model import ModelState, predict_fill_batch
 from .tokenizer import tokens_lower
+
+# Prompts forwarded together.  A batch's activations grow with its size, and
+# this bound keeps the probe's peak memory below that of training.
+PROMPTS_PER_BATCH = 64
 
 
 class RelationType(Enum):
@@ -283,13 +287,31 @@ def evaluate(
                          n1_or_11=n1, nm=nm)
 
 
+def length_batches(questions: Sequence[ClozeQuestion]) -> list[list[ClozeQuestion]]:
+    """Questions grouped by prompt length and cut into batches of at most
+    ``PROMPTS_PER_BATCH``.
+
+    Groups follow the first appearance of their length, so the first prompt
+    too long for the model is still the first one reported.
+    """
+    groups: dict[int, list[ClozeQuestion]] = {}
+    for q in questions:
+        groups.setdefault(len(q.prompt_tokens), []).append(q)
+    return [group[i : i + PROMPTS_PER_BATCH]
+            for group in groups.values() for i in range(0, len(group), PROMPTS_PER_BATCH)]
+
+
 def run_model(
     state: ModelState, vocab: Vocabulary, questions: Sequence[ClozeQuestion]
 ) -> dict[str, list[str]]:
-    """Fill every question's masks with the model; answers as token strings."""
+    """Fill every question's masks with the model; answers as token strings.
+
+    Each of ``length_batches`` is one forward pass; the answers equal those
+    of ``predict_fill`` on one question at a time.
+    """
     predictions: dict[str, list[str]] = {}
-    for q in questions:
-        ids = [vocab.encode(t) for t in q.prompt_tokens]
-        filled = predict_fill(state, ids)
-        predictions[q.question_id] = [vocab.decode(i) for i in filled]
+    for batch in length_batches(questions):
+        ids = [[vocab.encode(t) for t in q.prompt_tokens] for q in batch]
+        for q, filled in zip(batch, predict_fill_batch(state, ids)):
+            predictions[q.question_id] = [vocab.decode(i) for i in filled]
     return predictions

@@ -17,12 +17,19 @@ against.
 ``tokenize_groups_oracle`` restates the object-group rules of masking with
 its own tokenization regex and plain data: nested scans over the triplets,
 roles by rank, and each group's foreign clues rebuilt from the other groups.
+
+``full_head_losses_oracle`` recomputes the model's three losses with the LM
+head and its softmax at every position, attention one query at a time over
+the non-pad keys, and nothing from ``detmask.model``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
+
+import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
 from detmask.kb import KnowledgeBase
@@ -272,3 +279,52 @@ def tokenize_groups_oracle(
             "object_word_count": len(text[k[0]:k[1]].split()),
         })
     return out
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _full_forward(params: dict, tokens: tuple[int, ...], pad_id: int):
+    """(h2, probs) of one sequence, with probs the n x V head softmax of every row."""
+    d = params["tok_emb"].shape[1]
+    x = np.stack([params["tok_emb"][t] + params["pos_emb"][i] for i, t in enumerate(tokens)])
+    q, k, v = x @ params["wq"], x @ params["wk"], x @ params["wv"]
+    keys = [j for j, t in enumerate(tokens) if t != pad_id]
+    h1 = np.empty_like(x)
+    for i in range(len(tokens)):
+        weights = _softmax_rows(np.array([q[i] @ k[j] / math.sqrt(d) for j in keys]))
+        ctx = sum(w * v[j] for w, j in zip(weights, keys))
+        h1[i] = x[i] + ctx @ params["wo"]
+    hidden = np.maximum(h1 @ params["w1"] + params["b1"], 0.0)
+    h2 = h1 + hidden @ params["w2"] + params["b2"]
+    probs = _softmax_rows(h2 @ params["tok_emb"].T + params["lm_bias"])
+    return h2, probs
+
+
+def full_head_losses_oracle(params: dict, item, pad_id: int) -> tuple[float, float, float]:
+    """(L_mlm, L_con, L_cls) of a plain sample or a (keep, drop[, random]) tuple.
+
+    Every member is scored at the keep input's mask positions and targets;
+    L_con and L_cls are 0 when the item has no drop or random member.
+    """
+    members = list(item) if isinstance(item, tuple) else [item]
+    at = list(zip(members[0].mask_positions, members[0].targets))
+    runs = [_full_forward(params, m.input_tokens, pad_id) for m in members]
+
+    def truth(probs) -> list[float]:
+        return [probs[p, t] for p, t in at]
+
+    l_mlm = -sum(math.log(pr) for pr in truth(runs[0][1])) / len(at)
+    l_con = 0.0
+    if len(runs) > 1:
+        l_con = sum(truth(runs[1][1])) / len(at) - sum(truth(runs[0][1])) / len(at)
+    l_cls = 0.0
+    if len(runs) == 3:
+        nll = 0.0
+        for label, (h2, _probs) in enumerate(runs):
+            for p, _t in at:
+                nll -= math.log(_softmax_rows(h2[p] @ params["w_cls"])[label])
+        l_cls = nll / (3 * len(at))
+    return l_mlm, l_con, l_cls

@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
+from detmask import fileio
 from detmask.cli import main
 from detmask.formats import (
     group_items,
+    read_facts,
     read_json,
     read_masked,
     read_samples,
     read_ssm,
+    read_templates,
     read_vocab,
 )
 from detmask.model import load_checkpoint
+from detmask.probe import build_questions, filter_leakage, length_batches
+from test_formats import half_writing_open
 
 ENTITIES = """\
 WarHorse\tWar Horse
@@ -189,6 +195,15 @@ class TestPipelineArtifacts:
         assert splits["n1_or_11"]["questions"] >= 1
         assert splits["out_of_domain"]["facts"] >= 1
         assert doc["counts"]["facts"] == 4
+
+    def test_probe_manifest_counts_prediction_batches(self, pipeline):
+        questions = build_questions(read_templates(pipeline["templates"]),
+                                    read_facts(pipeline["facts"]))
+        kept, _dropped = filter_leakage(questions)
+        doc = read_json(pipeline["report"])
+        counters = read_json(str(pipeline["report"]) + ".manifest.json")["counters"]
+        assert counters == {**doc["counts"], "prediction_batches": len(length_batches(kept))}
+        assert 1 < counters["prediction_batches"] < len(kept)
 
     def test_report_command_prints_summary(self, pipeline, capsys):
         assert main(["report", "--report", str(pipeline["report"])]) == 0
@@ -455,6 +470,49 @@ class TestExitCodes:
             ckpt.write_bytes(json.dumps(header).encode("utf-8") + blob[header_end:])
             assert main(["probe", "--model", str(ckpt), *probe]) == 2, edit.__name__
             assert capsys.readouterr().err.startswith("detmask: error:"), edit.__name__
+
+    def test_non_finite_checkpoint_tensor_is_data_error(self, pipeline, tmp_path, capsys):
+        blob = bytearray(pipeline["ckpt"].read_bytes())
+        header_end = blob.index(b"\n") + 1
+        header = json.loads(blob[:header_end])
+        tok_emb = next(e for e in header["tensors"] if e["name"] == "tok_emb")
+        probe = ["--templates", str(pipeline["templates"]), "--facts", str(pipeline["facts"]),
+                 "--out", str(tmp_path / "r.json")]
+        for name, value in (("nan", float("nan")), ("inf", float("-inf"))):
+            at = header_end + tok_emb["offset"] + 8 * 5
+            blob[at:at + 8] = struct.pack("<d", value)
+            ckpt = tmp_path / f"{name}.ckpt"
+            ckpt.write_bytes(bytes(blob))
+            assert main(["probe", "--model", str(ckpt), *probe]) == 2, name
+            assert "non-finite" in capsys.readouterr().err, name
+            assert not (tmp_path / "r.json").exists(), name
+
+    def test_prompt_longer_than_max_len_is_data_error(self, pipeline, tmp_path, capsys):
+        max_len = load_checkpoint(pipeline["ckpt"])[1].max_len
+        templates = tmp_path / "templates.jsonl"
+        templates.write_text(
+            json.dumps({"relation": "directedBy", "pattern": "[X] was directed by [Y]"}) + "\n"
+            + json.dumps({"relation": "directedBy", "pattern": "[X] " + "so " * max_len + "[Y]"})
+            + "\n", encoding="utf-8")
+        code = main(["probe", "--model", str(pipeline["ckpt"]), "--templates", str(templates),
+                     "--facts", str(pipeline["facts"]), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        # The first long prompt: "war horse", max_len fillers and one mask.
+        assert (f"sequence of {max_len + 3} tokens exceeds max_len {max_len}"
+                in capsys.readouterr().err)
+
+    def test_failed_report_write_keeps_previous_report(self, pipeline, tmp_path, monkeypatch,
+                                                        capsys):
+        report = tmp_path / "report.json"
+        report.write_text("previous\n", encoding="utf-8")
+        monkeypatch.setattr(fileio, "open", half_writing_open, raising=False)
+        code = main(["probe", "--model", str(pipeline["ckpt"]),
+                     "--templates", str(pipeline["templates"]),
+                     "--facts", str(pipeline["facts"]), "--out", str(report)])
+        assert code == 2
+        assert "No space left" in capsys.readouterr().err
+        assert report.read_text(encoding="utf-8") == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:

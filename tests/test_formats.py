@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from detmask import fileio
 from detmask.align import Aligner, Paragraph
 from detmask.errors import MalformedLine
 from detmask.formats import (
@@ -18,6 +20,7 @@ from detmask.formats import (
     read_ssm,
     read_templates,
     read_vocab,
+    write_json,
     write_jsonl,
     write_masked,
     write_samples,
@@ -27,7 +30,30 @@ from detmask.formats import (
 )
 from detmask.kb import Triplet, build_kb
 from detmask.masking import MaskScheme, MaskedSample, Variant, Vocabulary
-from detmask.model import LogEntry
+from detmask.model import LogEntry, ModelConfig, init, load_checkpoint, save_checkpoint
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails as a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def half_writing_open(path, mode="r", *args, **kwargs):
+    """``open`` for ``detmask.fileio`` whose writes fail midway."""
+    return _HalfWriter(open(path, mode, *args, **kwargs))
 
 
 def film_sample():
@@ -224,3 +250,31 @@ class TestSmallFormats:
         write_train_log(path, [LogEntry(0, 1.0, 0.5, 0.25, 1.75)])
         line = json.loads(path.read_text(encoding="utf-8"))
         assert line == {"step": 0, "L_mlm": 1.0, "L_con": 0.5, "L_cls": 0.25, "L_total": 1.75}
+
+
+class TestAtomicWrites:
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = ModelConfig(vocab_size=9, d=4, max_len=6, seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init(cfg), cfg)
+        before = path.read_bytes()
+        monkeypatch.setattr(fileio, "open", half_writing_open, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, init(ModelConfig(vocab_size=9, d=4, max_len=6, seed=2)), cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        state, _cfg, _vocab = load_checkpoint(path)
+        assert np.array_equal(state.tok_emb, init(cfg).tok_emb)
+
+    def test_failed_json_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "open", half_writing_open, raising=False)
+        with pytest.raises(OSError):
+            write_json(tmp_path / "report.json", {"format": "detmask-report", "splits": {}})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_write_replaces_previous_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("previous, and longer than the new document\n", encoding="utf-8")
+        write_json(path, {"a": [1, "é"]})
+        assert path.read_text(encoding="utf-8") == '{\n  "a": [\n    1,\n    "é"\n  ]\n}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -11,6 +11,7 @@ import pytest
 from detmask.errors import (
     DataError,
     EmptyMaskSet,
+    InsufficientContext,
     NoMask,
     NonFiniteLoss,
     SequenceTooLong,
@@ -22,7 +23,9 @@ from detmask.masking import (
     MaskedSample,
     Variant,
     Vocabulary,
+    apply_mask,
     make_classification_triple,
+    make_contrastive_pair,
 )
 from detmask.model import (
     ForwardOutput,
@@ -39,6 +42,7 @@ from detmask.model import (
     save_checkpoint,
     train,
 )
+from oracles import full_head_losses_oracle
 from worldgen import random_tokenized_sample
 
 
@@ -68,8 +72,6 @@ def masked(inputs, positions, targets, variant=Variant.PLAIN) -> MaskedSample:
 def sample_triple(seed: int, vocab_size: int = 30):
     """A classification triple from a generated sample that supports one."""
     rng = np.random.default_rng(seed)
-    from detmask.errors import InsufficientContext
-
     for _ in range(50):
         sample = random_tokenized_sample(rng, vocab_size=vocab_size, max_len=20)
         try:
@@ -211,6 +213,15 @@ class TestGradientCheck:
         keep = masked([3, MASK_ID, 4, PAD_ID, PAD_ID], [1], [5])
         assert finite_diff_check(state, keep, coeffs=(1, 0, 0), **self.CFG) < 1e-4
 
+    def test_repeated_mask_position(self):
+        # Each listed position is one loss term, even when a position repeats.
+        state, _item = self.state_and_item()
+        keep = masked([3, MASK_ID, 4, 5], [1, 1], [5, 6], Variant.KEEP_CLUES)
+        drop = masked([MASK_ID, MASK_ID, 4, 5], [1, 1], [5, 6], Variant.MASK_CLUES)
+        rand = masked([3, MASK_ID, MASK_ID, 5], [1, 1], [5, 6], Variant.MASK_RANDOM)
+        item = (keep, drop, rand)
+        assert finite_diff_check(state, item, coeffs=(1, 1, 1), **self.CFG) < 1e-4
+
     def test_grad_uses_config_weights(self):
         state = init(ModelConfig(vocab_size=10, d=4, seed=7, lambda_con=0.0, lambda_cls=0.0))
         keep = masked([3, MASK_ID, 4], [1], [5])
@@ -220,6 +231,35 @@ class TestGradientCheck:
         _, expected = loss_and_grad(state, (keep, drop), (1.0, 0.0, 0.0), max_len=128)
         for name in g:
             assert np.array_equal(g[name], expected[name]), name
+
+
+class TestFullHeadOracle:
+    """The losses of the mask-row head equal a full n x V head's."""
+
+    def items(self, rng):
+        while True:
+            sample = random_tokenized_sample(rng, vocab_size=30, max_len=20)
+            scheme = (MaskScheme.DETERMINISTIC, MaskScheme.RANDOM_TOKEN,
+                      MaskScheme.WHOLE_WORD)[int(rng.integers(3))]
+            try:
+                return [apply_mask(sample, scheme, rng), make_contrastive_pair(sample),
+                        make_classification_triple(sample, rng)]
+            except InsufficientContext:
+                continue
+
+    def test_losses_match_on_worldgen_items(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for seed in range(12):
+            state = init(ModelConfig(vocab_size=30, d=8, max_len=20, seed=seed))
+            for arr in state.params().values():
+                arr += rng.normal(0.0, 0.5, size=arr.shape)
+            for item in self.items(rng):
+                (l_mlm, l_con, l_cls, _), _ = loss_and_grad(state, item, (1, 1, 1), 20)
+                expected = full_head_losses_oracle(state.params(), item, PAD_ID)
+                assert (l_mlm, l_con, l_cls) == pytest.approx(expected, rel=0, abs=1e-12)
+                checked += 1
+        assert checked == 36
 
 
 class TestTrain:

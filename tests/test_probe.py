@@ -10,7 +10,9 @@ import pytest
 from detmask.errors import BadTemplate, DataError, MissingPrediction
 from detmask.kb import Triplet, build_kb
 from detmask.masking import MASK_TOKEN, Vocabulary
+from detmask.model import ModelConfig, init, predict_fill
 from detmask.probe import (
+    PROMPTS_PER_BATCH,
     ClozeQuestion,
     Fact,
     MetricsReport,
@@ -20,6 +22,7 @@ from detmask.probe import (
     evaluate,
     filter_leakage,
     instantiate,
+    length_batches,
     run_model,
     split_questions,
 )
@@ -262,3 +265,48 @@ class TestRunModel:
         first = vocab.decode(3)
         assert predictions["S1|p|O1#0"] == [first]
         assert predictions["S1|p|O1#1"] == [first, first]
+
+    def questions(self, vocab: Vocabulary) -> list[ClozeQuestion]:
+        """One length group larger than a batch, plus mixed lengths and mask counts."""
+        rng = np.random.default_rng(4)
+        words = vocab.id_to_token[3:]
+        f = fact("S1", "p", "O1", "apple")
+        shapes = [(6, 1)] * (PROMPTS_PER_BATCH + 7)
+        shapes += [(int(rng.integers(2, 12)), int(rng.integers(1, 4))) for _ in range(60)]
+        out = []
+        for i, (n, masks) in enumerate(shapes):
+            masks = min(masks, n)
+            tokens = [words[int(j)] for j in rng.integers(0, len(words), size=n)]
+            for j in rng.choice(n, size=masks, replace=False):
+                tokens[int(j)] = MASK_TOKEN
+            out.append(ClozeQuestion(fact=f, prompt_tokens=tuple(tokens), prompt_id=i))
+        return out
+
+    def per_question(self, state, vocab, questions) -> dict[str, list[str]]:
+        return {
+            q.question_id: [vocab.decode(i) for i in
+                            predict_fill(state, [vocab.encode(t) for t in q.prompt_tokens])]
+            for q in questions
+        }
+
+    def test_batches_equal_per_question_prediction(self):
+        vocab = Vocabulary.from_tokens([f"w{i}" for i in range(40)])
+        state = init(ModelConfig(vocab_size=vocab.size, d=8, max_len=12, seed=3))
+        for arr in state.params().values():
+            arr *= 40.0
+        qs = self.questions(vocab)
+        batches = length_batches(qs)
+        assert max(len(b) for b in batches) == PROMPTS_PER_BATCH
+        assert len({len(q.prompt_tokens) for q in qs}) > 5
+        assert sum(len(b) for b in batches) == len(qs)
+        predictions = run_model(state, vocab, qs)
+        assert predictions == self.per_question(state, vocab, qs)
+        assert len({tuple(p) for p in predictions.values()}) > 20
+
+    def test_batched_ties_resolve_to_lowest_content_id(self):
+        vocab = Vocabulary.from_tokens([f"w{i}" for i in range(40)])
+        state = zero_state(v=vocab.size, d=4, max_len=12)
+        qs = self.questions(vocab)
+        predictions = run_model(state, vocab, qs)
+        assert predictions == self.per_question(state, vocab, qs)
+        assert all(set(p) == {vocab.decode(3)} for p in predictions.values())
