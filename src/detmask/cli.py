@@ -2,10 +2,13 @@
 
 Every stage reads and writes materialized files, so any step can be re-run
 in isolation and outputs can be diffed across runs.  Exit codes: 0 success,
-1 usage error, 2 data error.  Each run writes a RunManifest JSON next to its
-main output recording paths, seed, configuration, timing and counters.
-Logging verbosity comes from the DETMASK_LOG environment variable
-(error, info or debug; default error).
+1 usage error, 2 data error.  ``main`` runs each stage: once a stage that
+returns a ``StageResult`` succeeds, ``main`` writes a manifest JSON next to
+its main output, last of all its files, recording the input paths, seed,
+configuration, counters, ``started`` (when the stage began) and
+``duration_s`` (the whole stage, reading and every write included).  A
+failed stage writes no manifest.  Logging verbosity comes from the
+DETMASK_LOG environment variable (error, info or debug; default error).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from . import __version__, formats
 from .align import AlignCounters, build_dataset, compute_stats
 from .errors import DataError, DetmaskError, EmptyDataset
-from .kb import load_kb, load_kb_dir
+from .kb import load_kb, load_kb_dir, write_kb_dir
 from .masking import (
     MaskScheme,
     Vocabulary,
@@ -47,6 +50,9 @@ from .probe import (
 
 log = logging.getLogger("detmask.cli")
 
+# What a manifest-writing stage returns: main output path, outputs, config, counters.
+StageResult = tuple[object, dict, dict, dict]
+
 
 class UsageError(Exception):
     """Bad flag combination detected after parsing; exits with code 1."""
@@ -67,63 +73,19 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-class _Manifest:
-    def __init__(self, command: str, seed: Optional[int] = None):
-        self.command = command
-        self.seed = seed
-        self.inputs: dict[str, str] = {}
-        self.outputs: dict[str, str] = {}
-        self.config: dict = {}
-        self.counters: dict = {}
-        self._started = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        self._t0 = time.monotonic()
-
-    def write(self, main_output) -> None:
-        doc = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "config": self.config,
-            "started": self._started,
-            "duration_s": round(time.monotonic() - self._t0, 6),
-            "counters": self.counters,
-        }
-        formats.write_json(str(main_output) + ".manifest.json", doc)
-
-
-def cmd_build_kb(args) -> int:
+def cmd_build_kb(args) -> StageResult:
     kb = load_kb(args.triplets, args.entities, args.predicates)
-    manifest = _Manifest("build-kb")
-    manifest.inputs = {
-        "triplets": str(args.triplets),
-        "entities": str(args.entities),
-        "predicates": str(args.predicates),
-    }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "triplets.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for t in sorted(kb.triplets):
-            fh.write(f"{t.subject}\t{t.predicate}\t{t.object}\n")
-    with open(out / "entities.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for eid in sorted(kb.entity_aliases):
-            aliases = kb.entity_aliases[eid]
-            extra = "|".join(aliases[1:])
-            fh.write(f"{eid}\t{aliases[0]}\t{extra}\n" if extra else f"{eid}\t{aliases[0]}\n")
-    with open(out / "predicates.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for pid in sorted(kb.predicate_aliases):
-            fh.write(f"{pid}\t{'|'.join(kb.predicate_aliases[pid])}\n")
-    manifest.outputs = {"kb": str(out)}
-    manifest.counters = {
+    write_kb_dir(kb, out)
+    counters = {
         "triplets": len(kb.triplets),
         "entities": len(kb.entity_aliases),
         "predicates": len(kb.predicate_aliases),
     }
-    manifest.write(out / "kb")
-    return 0
+    return out / "kb", {"kb": str(out)}, {}, counters
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> StageResult:
     kb = load_kb_dir(args.kb)
     corpus = formats.read_corpus(args.corpus)
     result = build_dataset(corpus, kb)
@@ -132,11 +94,7 @@ def cmd_align(args) -> int:
     ssm_out = args.ssm_out or out.with_name(out.stem + ".ssm" + out.suffix)
     formats.write_ssm(ssm_out, result.span_samples)
     c = result.counters
-    manifest = _Manifest("align", args.seed)
-    manifest.inputs = {"kb": str(args.kb), "corpus": str(args.corpus)}
-    manifest.outputs = {"samples": str(args.out), "ssm": str(ssm_out)}
-    manifest.config = {"threads": args.threads}
-    manifest.counters = {
+    counters = {
         "paragraphs_processed": c.paragraphs,
         "paragraphs_skipped": c.skipped,
         "ssm_emitted": len(result.span_samples),
@@ -147,11 +105,11 @@ def cmd_align(args) -> int:
         "unmatched_deterministic_triplets": c.unmatched_deterministic,
         "emitted_triplets": c.emitted_triplets,
     }
-    manifest.write(args.out)
-    return 0
+    outputs = {"samples": str(args.out), "ssm": str(ssm_out)}
+    return args.out, outputs, {"threads": args.threads}, counters
 
 
-def cmd_mask(args) -> int:
+def cmd_mask(args) -> StageResult:
     if (args.scheme is None) == (args.emit is None):
         raise UsageError("exactly one of --scheme or --emit is required")
     samples = formats.read_samples(args.samples) if args.samples else []
@@ -187,23 +145,17 @@ def cmd_mask(args) -> int:
             skipped[type(exc).__name__] += 1
             log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
     formats.write_masked(args.out, out_lines)
-    manifest = _Manifest("mask", args.seed)
-    manifest.inputs = {
-        k: str(v) for k, v in (("samples", args.samples), ("ssm", args.ssm)) if v
-    }
-    manifest.outputs = {"masked": str(args.out), "vocab": str(vocab_path)}
-    manifest.config = {"scheme": args.scheme, "emit": args.emit}
-    manifest.counters = {
+    counters = {
         "groups_processed": groups,
         "lines_emitted": len(out_lines),
         "groups_skipped": sum(skipped.values()),
         "skip_reasons": dict(sorted(skipped.items())),
     }
-    manifest.write(args.out)
-    return 0
+    outputs = {"masked": str(args.out), "vocab": str(vocab_path)}
+    return args.out, outputs, {"scheme": args.scheme, "emit": args.emit}, counters
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> StageResult:
     masked = formats.read_masked(args.data)
     items = formats.group_items(masked)
     vocab = formats.read_vocab(args.vocab)
@@ -228,10 +180,7 @@ def cmd_train(args) -> int:
     save_checkpoint(args.out, state, config, vocab)
     log_path = args.log or str(args.out) + ".log.jsonl"
     formats.write_train_log(log_path, train_log)
-    manifest = _Manifest("train", args.seed)
-    manifest.inputs = {"data": str(args.data), "vocab": str(args.vocab)}
-    manifest.outputs = {"checkpoint": str(args.out), "log": str(log_path)}
-    manifest.config = {
+    run_config = {
         "steps": args.steps,
         "lr": args.lr,
         "dim": args.dim,
@@ -240,17 +189,16 @@ def cmd_train(args) -> int:
         "lambda_cls": args.lambda_cls,
     }
     last = train_log[-1]
-    manifest.counters = {
+    counters = {
         "items": len(items),
         "steps_run": len(train_log),
         "final_L_mlm": last.l_mlm,
         "final_L_total": last.l_total,
     }
-    manifest.write(args.out)
-    return 0
+    return args.out, {"checkpoint": str(args.out), "log": str(log_path)}, run_config, counters
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> StageResult:
     if (args.kb is None) != (args.pretrain is None):
         raise UsageError("--kb and --pretrain must be given together")
     state, _config, vocab = load_checkpoint(args.model)
@@ -278,22 +226,12 @@ def cmd_probe(args) -> int:
         "questions_dropped_leakage": len(dropped),
     }
     formats.write_json(args.out, doc)
-    manifest = _Manifest("probe", args.seed)
-    manifest.inputs = {
-        k: str(v)
-        for k, v in (
-            ("model", args.model),
-            ("templates", args.templates),
-            ("facts", args.facts),
-            ("kb", args.kb),
-            ("pretrain", args.pretrain),
-        )
-        if v
-    }
-    manifest.outputs = {"report": str(args.out)}
-    manifest.counters = {**doc["counts"], "prediction_batches": len(length_batches(kept))}
-    manifest.write(args.out)
-    return 0
+    counters = {**doc["counts"], "prediction_batches": len(length_batches(kept))}
+    return args.out, {"report": str(args.out)}, {}, counters
+
+
+_SPLITS = ("total", "in_domain", "out_of_domain", "n1_or_11", "nm")
+_METRICS = ("accuracy", "consistency", "joint", "facts", "questions")
 
 
 def _fmt_metrics(name: str, m: Optional[dict]) -> str:
@@ -305,24 +243,31 @@ def _fmt_metrics(name: str, m: Optional[dict]) -> str:
     )
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     doc = formats.read_json(args.report)
     if doc.get("format") != "detmask-report":
         raise DataError(f"{args.report} is not a probe report")
     splits = doc.get("splits", {})
-    for name in ("total", "in_domain", "out_of_domain", "n1_or_11", "nm"):
+    counts = doc.get("counts") or {}
+    if not isinstance(splits, dict) or not isinstance(counts, dict):
+        raise DataError(f"{args.report}: 'splits' and 'counts' must be objects")
+    for name in _SPLITS:
+        m = splits.get(name)
+        if m and (not isinstance(m, dict)
+                  or any(type(m.get(k)) not in (int, float) for k in _METRICS)):
+            raise DataError(f"{args.report}: split {name!r} must hold the numbers "
+                            + ", ".join(_METRICS))
+    for name in _SPLITS:
         print(_fmt_metrics(name, splits.get(name)))
-    counts = doc.get("counts")
     if counts:
         print(
             f"questions: built {counts.get('questions_built')}, kept "
             f"{counts.get('questions_kept')}, dropped for leakage "
             f"{counts.get('questions_dropped_leakage')}"
         )
-    return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     samples = formats.read_samples(args.samples)
     manifest_path = Path(args.manifest or str(args.samples) + ".manifest.json")
     counters = None
@@ -347,7 +292,6 @@ def cmd_stats(args) -> int:
     print(f"{'nondeterministic frac':<24}{stats.nondeterministic_fraction:.4f}")
     if counters is None:
         print("(no manifest found: nondeterministic fraction defaults to 0)")
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -360,7 +304,7 @@ def build_parser() -> _Parser:
     p.add_argument("--entities", required=True)
     p.add_argument("--predicates", required=True)
     p.add_argument("--out", required=True, help="output KB directory")
-    p.set_defaults(func=cmd_build_kb)
+    p.set_defaults(func=cmd_build_kb, inputs=("triplets", "entities", "predicates"))
 
     p = sub.add_parser("align", help="align corpus paragraphs against the KB")
     p.add_argument("--kb", required=True, help="KB directory from build-kb")
@@ -369,8 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ssm-out", help="entity-span stream (default: <out>.ssm.jsonl)")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_align)
+    p.set_defaults(func=cmd_align, inputs=("kb", "corpus"))
 
     p = sub.add_parser("mask", help="materialize masked training inputs")
     p.add_argument("--samples", help="samples.jsonl from align")
@@ -381,7 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--emit", choices=["pair", "triple"],
                    help="contrastive pair or classification triple")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_mask)
+    p.set_defaults(func=cmd_mask, inputs=("samples", "ssm"))
 
     p = sub.add_parser("train", help="train the toy masked language model")
     p.add_argument("--data", required=True, help="masked.jsonl")
@@ -396,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-cls", type=float, default=1.0)
     p.add_argument("--log", help="training log path (default: <out>.log.jsonl)")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, inputs=("data", "vocab"))
 
     p = sub.add_parser("probe", help="score a model on multi-prompt cloze questions")
     p.add_argument("--model", required=True, help="checkpoint from train")
@@ -405,8 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report.json")
     p.add_argument("--kb", help="KB directory (enables the split breakdowns)")
     p.add_argument("--pretrain", help="samples.jsonl the model was trained on")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_probe)
+    p.set_defaults(func=cmd_probe, inputs=("model", "templates", "facts", "kb", "pretrain"))
 
     p = sub.add_parser("report", help="pretty-print a probe report")
     p.add_argument("--report", required=True, help="report.json from probe")
@@ -423,17 +365,29 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            main_output, outputs, config, counters = result
+            formats.write_json(f"{main_output}.manifest.json", {
+                "command": args.command,
+                "inputs": {k: str(getattr(args, k)) for k in args.inputs if getattr(args, k)},
+                "outputs": outputs,
+                "seed": getattr(args, "seed", None),
+                "config": config,
+                "started": started,
+                "duration_s": round(time.monotonic() - t0, 6),
+                "counters": counters,
+            })
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
-    except DetmaskError as exc:
+    except (DetmaskError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

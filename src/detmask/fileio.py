@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in the same directory.
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Yield a file for writing in ``mode`` that replaces ``path`` once complete.
 
-    The temporary file replaces ``path`` only once it is complete, so a write
-    that fails or is interrupted leaves the previous file, or none, at
-    ``path``.
+    The file is a temporary file in the same directory (UTF-8 with LF line
+    endings in text mode).  It replaces ``path`` only when the ``with`` block
+    ends without an exception, so a write that fails or is interrupted
+    leaves the previous file, or none, at ``path``.  A symlink at ``path`` is
+    followed: its target is replaced and the link stays.
     """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.lexists(tmp):

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
 from .errors import DataError, MalformedLine
-from .fileio import write_atomic
+from .fileio import atomic_write
 from .kb import Triplet
 from .masking import MaskedSample, MaskScheme, Variant, Vocabulary
 from .model import LogEntry, TrainItem
@@ -43,7 +43,7 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, dict]]:
 
 def write_jsonl(path: PathLike, objects: Iterable[dict]) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for obj in objects:
             fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
@@ -283,7 +283,7 @@ def group_items(masked: Sequence[MaskedSample]) -> list[TrainItem]:
 
 
 def write_vocab(path: PathLike, vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump({"tokens": list(vocab.id_to_token)}, fh, ensure_ascii=False,
                   separators=(",", ":"))
         fh.write("\n")
@@ -345,8 +345,8 @@ def write_train_log(path: PathLike, entries: Iterable[LogEntry]) -> int:
 
 def write_json(path: PathLike, obj: dict) -> None:
     """Write ``obj`` as indented JSON, replacing ``path`` only once complete."""
-    text = json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
-    write_atomic(path, text.encode("utf-8"))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=False) + "\n")
 
 
 def read_json(path: PathLike) -> dict:

@@ -6,6 +6,9 @@ File formats (UTF-8, LF, ``#`` comment lines ignored in all three):
 * ``triplets.tsv``    one ``subject<TAB>predicate<TAB>object`` per line
 * ``entities.tsv``    ``id<TAB>canonical<TAB>alias1|alias2|...`` (third column optional)
 * ``predicates.tsv``  ``id<TAB>alias1|alias2|...``
+
+``load_kb_dir`` reads a directory of the three; ``write_kb_dir`` writes one,
+sorted by id.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Union
 
 from .errors import DanglingReference, DataError, MalformedLine
+from .fileio import atomic_write
 
 EntityId = str
 PredicateId = str
@@ -179,6 +183,23 @@ def load_kb_dir(kb_dir: str | Path) -> KnowledgeBase:
     """Load a KB from a directory holding triplets.tsv, entities.tsv, predicates.tsv."""
     d = Path(kb_dir)
     return load_kb(d / "triplets.tsv", d / "entities.tsv", d / "predicates.tsv")
+
+
+def write_kb_dir(kb: KnowledgeBase, kb_dir: str | Path) -> None:
+    """Write ``kb`` as the three sorted tables ``load_kb_dir`` reads, creating ``kb_dir``."""
+    d = Path(kb_dir)
+    d.mkdir(parents=True, exist_ok=True)
+    with atomic_write(d / "triplets.tsv") as fh:
+        for t in sorted(kb.triplets):
+            fh.write(f"{t.subject}\t{t.predicate}\t{t.object}\n")
+    with atomic_write(d / "entities.tsv") as fh:
+        for eid in sorted(kb.entity_aliases):
+            aliases = kb.entity_aliases[eid]
+            extra = "|".join(aliases[1:])
+            fh.write(f"{eid}\t{aliases[0]}\t{extra}\n" if extra else f"{eid}\t{aliases[0]}\n")
+    with atomic_write(d / "predicates.tsv") as fh:
+        for pid in sorted(kb.predicate_aliases):
+            fh.write(f"{pid}\t{'|'.join(kb.predicate_aliases[pid])}\n")
 
 
 def objects_for(kb: KnowledgeBase, s: EntityId, p: PredicateId) -> frozenset[EntityId]:

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DataError, EmptyMaskSet, NoMask, NonFiniteLoss, SequenceTooLong
-from .fileio import write_atomic
+from .fileio import atomic_write
 from .masking import MASK_ID, PAD_ID, UNK_ID, MaskedSample, Vocabulary
 
 _NEG_INF = -1e30
@@ -468,14 +468,12 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
     Tensor offsets are byte positions within the binary section, in the order
     listed in the header.  The file replaces ``path`` only once complete.
     """
+    params = state.params()
     entries = []
-    blobs = []
     offset = 0
-    for name, arr in state.params().items():
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    for name, arr in params.items():
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(data)
-        offset += len(data)
+        offset += 8 * arr.size
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -484,8 +482,10 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
         "vocab": list(vocab.id_to_token) if vocab is not None else None,
         "tensors": entries,
     }
-    write_atomic(path, b"".join([json.dumps(header, ensure_ascii=False).encode("utf-8"),
-                                 b"\n", *blobs]))
+    with atomic_write(path, "wb") as fh:
+        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+        for arr in params.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]]:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import struct
+import time
 from pathlib import Path
 
 import pytest
 
-from detmask import fileio
+from detmask import cli, fileio, formats
 from detmask.cli import main
 from detmask.formats import (
     group_items,
@@ -205,6 +206,102 @@ class TestPipelineArtifacts:
         assert counters == {**doc["counts"], "prediction_batches": len(length_batches(kept))}
         assert 1 < counters["prediction_batches"] < len(kept)
 
+    def test_manifests_record_each_stage(self, pipeline):
+        root, kb, samples, masked, ckpt, report = (
+            pipeline[k] for k in ("root", "kb", "samples", "masked", "ckpt", "report"))
+        last = json.loads(Path(str(ckpt) + ".log.jsonl").read_text().splitlines()[-1])
+        kept, _dropped = filter_leakage(build_questions(read_templates(pipeline["templates"]),
+                                                        read_facts(pipeline["facts"])))
+        expected = {
+            kb / "kb": {
+                "command": "build-kb",
+                "inputs": {k: str(pipeline[k]) for k in ("triplets", "entities", "predicates")},
+                "outputs": {"kb": str(kb)},
+                "seed": None,
+                "config": {},
+                "counters": {"triplets": 5, "entities": 6, "predicates": 2},
+            },
+            samples: {
+                "command": "align",
+                "inputs": {"kb": str(kb), "corpus": str(pipeline["corpus"])},
+                "outputs": {"samples": str(samples), "ssm": str(root / "samples.ssm.jsonl")},
+                "seed": None,
+                "config": {"threads": 1},
+                "counters": {
+                    "paragraphs_processed": 5, "paragraphs_skipped": 0, "ssm_emitted": 4,
+                    "paragraphs_no_output": 1, "samples_emitted": 3, "candidate_triplets": 5,
+                    "non_deterministic_triplets": 2, "unmatched_deterministic_triplets": 0,
+                    "emitted_triplets": 3,
+                },
+            },
+            masked: {
+                "command": "mask",
+                "inputs": {"samples": str(samples)},
+                "outputs": {"masked": str(masked), "vocab": str(root / "vocab.json")},
+                "seed": 3,
+                "config": {"scheme": None, "emit": "triple"},
+                "counters": {"groups_processed": 3, "lines_emitted": 9, "groups_skipped": 0,
+                             "skip_reasons": {}},
+            },
+            ckpt: {
+                "command": "train",
+                "inputs": {"data": str(masked), "vocab": str(root / "vocab.json")},
+                "outputs": {"checkpoint": str(ckpt), "log": str(ckpt) + ".log.jsonl"},
+                "seed": 0,
+                "config": {"steps": 40, "lr": 0.5, "dim": 8, "max_len": 64,
+                           "lambda_con": 1.0, "lambda_cls": 1.0},
+                "counters": {"items": 3, "steps_run": 40, "final_L_mlm": last["L_mlm"],
+                             "final_L_total": last["L_total"]},
+            },
+            report: {
+                "command": "probe",
+                "inputs": {"model": str(ckpt), "templates": str(pipeline["templates"]),
+                           "facts": str(pipeline["facts"]), "kb": str(kb),
+                           "pretrain": str(samples)},
+                "outputs": {"report": str(report)},
+                "seed": None,
+                "config": {},
+                "counters": {**read_json(report)["counts"],
+                             "prediction_batches": len(length_batches(kept))},
+            },
+        }
+        for main_output, want in expected.items():
+            manifest = read_json(str(main_output) + ".manifest.json")
+            assert list(manifest) == ["command", "inputs", "outputs", "seed", "config",
+                                      "started", "duration_s", "counters"]
+            del manifest["started"], manifest["duration_s"]
+            assert manifest == want, main_output
+
+    def test_manifest_duration_covers_the_whole_stage(self, pipeline, tmp_path, monkeypatch):
+        def slow(read):
+            def slow_read(*args, **kwargs):
+                time.sleep(0.2)
+                return read(*args, **kwargs)
+            return slow_read
+
+        # Each stage's first input read.
+        for module, name in ((cli, "load_kb"), (cli, "load_kb_dir"), (formats, "read_samples"),
+                             (formats, "read_masked"), (cli, "load_checkpoint")):
+            monkeypatch.setattr(module, name, slow(getattr(module, name)))
+        kb, samples, masked = tmp_path / "kb", tmp_path / "samples.jsonl", tmp_path / "masked.jsonl"
+        ckpt, report = tmp_path / "model.ckpt", tmp_path / "report.json"
+        stages = {
+            kb / "kb": ["build-kb", "--triplets", str(pipeline["triplets"]),
+                        "--entities", str(pipeline["entities"]),
+                        "--predicates", str(pipeline["predicates"]), "--out", str(kb)],
+            samples: ["align", "--kb", str(kb), "--corpus", str(pipeline["corpus"]),
+                      "--out", str(samples)],
+            masked: ["mask", "--samples", str(samples), "--out", str(masked), "--emit", "triple"],
+            ckpt: ["train", "--data", str(masked), "--vocab", str(tmp_path / "vocab.json"),
+                   "--out", str(ckpt), "--steps", "1"],
+            report: ["probe", "--model", str(ckpt), "--templates", str(pipeline["templates"]),
+                     "--facts", str(pipeline["facts"]), "--out", str(report)],
+        }
+        for main_output, argv in stages.items():
+            assert main(argv) == 0, argv[0]
+            duration = read_json(str(main_output) + ".manifest.json")["duration_s"]
+            assert duration >= 0.2, (argv[0], duration)
+
     def test_report_command_prints_summary(self, pipeline, capsys):
         assert main(["report", "--report", str(pipeline["report"])]) == 0
         out = capsys.readouterr().out
@@ -392,6 +489,21 @@ class TestExitCodes:
         path.write_text("not json\n", encoding="utf-8")
         assert main(["report", "--report", str(path)]) == 2
         assert capsys.readouterr().err.startswith("detmask: error:")
+
+    def test_malformed_report_is_data_error(self, pipeline, tmp_path, capsys):
+        doc = read_json(pipeline["report"])
+        total = doc["splits"]["total"]
+        no_consistency = {k: v for k, v in total.items() if k != "consistency"}
+        path = tmp_path / "report.json"
+        for name, change in (("splits list", {"splits": [1]}),
+                             ("no consistency", {"splits": {"total": no_consistency}}),
+                             ("text accuracy", {"splits": {"total": {**total, "accuracy": "x"}}}),
+                             ("counts list", {"counts": [1]})):
+            path.write_text(json.dumps({**doc, **change}), encoding="utf-8")
+            assert main(["report", "--report", str(path)]) == 2, name
+            captured = capsys.readouterr()
+            assert captured.err.startswith("detmask: error:"), name
+            assert captured.out == "", name
 
     def test_non_json_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
         vocab = tmp_path / "vocab.json"

@@ -28,7 +28,7 @@ from detmask.formats import (
     write_train_log,
     write_vocab,
 )
-from detmask.kb import Triplet, build_kb
+from detmask.kb import Triplet, build_kb, write_kb_dir
 from detmask.masking import MaskScheme, MaskedSample, Variant, Vocabulary
 from detmask.model import LogEntry, ModelConfig, init, load_checkpoint, save_checkpoint
 
@@ -271,6 +271,36 @@ class TestAtomicWrites:
         with pytest.raises(OSError):
             write_json(tmp_path / "report.json", {"format": "detmask-report", "splits": {}})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target, write", [
+        ("x.jsonl", lambda p: write_jsonl(p, [{"a": 1}])),
+        ("samples.jsonl", lambda p: write_samples(p, [film_sample()])),
+        ("ssm.jsonl", lambda p: write_ssm(p, [film_sample()])),
+        ("masked.jsonl", lambda p: write_masked(p, [masked_sample()])),
+        ("log.jsonl", lambda p: write_train_log(p, [LogEntry(0, 1.0, 0.5, 0.25, 1.75)])),
+        ("vocab.json", lambda p: write_vocab(p, Vocabulary.build(["war horse"]))),
+        ("report.json", lambda p: write_json(p, {"a": 1})),
+        ("kb/triplets.tsv", lambda p: write_kb_dir(
+            build_kb([Triplet("a", "p", "b")], {"a": ("A",), "b": ("B",)}, {"p": ("p",)}),
+            p.parent)),
+    ])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, target, write):
+        path = tmp_path / target
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("previous\n", encoding="utf-8")
+        monkeypatch.setattr(fileio, "open", half_writing_open, raising=False)
+        with pytest.raises(OSError):
+            write(path)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_write_through_symlink_replaces_its_target(self, tmp_path):
+        (tmp_path / "target.jsonl").write_text("previous\n", encoding="utf-8")
+        (tmp_path / "out.jsonl").symlink_to("target.jsonl")
+        write_jsonl(tmp_path / "out.jsonl", [{"a": 1}])
+        assert (tmp_path / "out.jsonl").is_symlink()
+        assert (tmp_path / "target.jsonl").read_text(encoding="utf-8") == '{"a":1}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "target.jsonl"]
 
     def test_json_write_replaces_previous_file(self, tmp_path):
         path = tmp_path / "report.json"
