@@ -7,8 +7,11 @@ returns a ``StageResult`` succeeds, ``main`` writes a manifest JSON next to
 its main output, last of all its files, recording the input paths, seed,
 configuration, counters, ``started`` (when the stage began) and
 ``duration_s`` (the whole stage, reading and every write included).  A
-failed stage writes no manifest.  Logging verbosity comes from the
-DETMASK_LOG environment variable (error, info or debug; default error).
+failed stage writes no manifest.  Each ``cmd_*`` imports the modules of its
+own stage, so ``build-kb``, ``align``, ``stats`` and ``report`` start
+without numpy; ``mask``, ``train`` and ``probe`` load it.  Logging verbosity
+comes from the DETMASK_LOG environment variable (error, info or debug;
+default error).
 """
 
 from __future__ import annotations
@@ -23,30 +26,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import __version__, formats
-from .align import AlignCounters, build_dataset, compute_stats
 from .errors import DataError, DetmaskError, EmptyDataset
-from .kb import load_kb, load_kb_dir, write_kb_dir
-from .masking import (
-    MaskScheme,
-    Vocabulary,
-    apply_mask,
-    make_classification_triple,
-    make_contrastive_pair,
-    tokenize_for_spans,
-    tokenize_groups,
-)
-from .model import ModelConfig, load_checkpoint, save_checkpoint, train
-from .probe import (
-    build_questions,
-    evaluate,
-    filter_leakage,
-    length_batches,
-    run_model,
-    split_questions,
-)
+from .masking import MaskScheme
 
 log = logging.getLogger("detmask.cli")
 
@@ -74,6 +56,8 @@ def _setup_logging() -> None:
 
 
 def cmd_build_kb(args) -> StageResult:
+    from .kb import load_kb, write_kb_dir
+
     kb = load_kb(args.triplets, args.entities, args.predicates)
     out = Path(args.out)
     write_kb_dir(kb, out)
@@ -86,6 +70,9 @@ def cmd_build_kb(args) -> StageResult:
 
 
 def cmd_align(args) -> StageResult:
+    from .align import build_dataset
+    from .kb import load_kb_dir
+
     kb = load_kb_dir(args.kb)
     corpus = formats.read_corpus(args.corpus)
     result = build_dataset(corpus, kb)
@@ -110,6 +97,11 @@ def cmd_align(args) -> StageResult:
 
 
 def cmd_mask(args) -> StageResult:
+    import numpy as np
+
+    from .masking import (Vocabulary, apply_mask, make_classification_triple,
+                          make_contrastive_pair, tokenize_for_spans, tokenize_groups)
+
     if (args.scheme is None) == (args.emit is None):
         raise UsageError("exactly one of --scheme or --emit is required")
     samples = formats.read_samples(args.samples) if args.samples else []
@@ -156,6 +148,8 @@ def cmd_mask(args) -> StageResult:
 
 
 def cmd_train(args) -> StageResult:
+    from .model import ModelConfig, save_checkpoint, train
+
     masked = formats.read_masked(args.data)
     items = formats.group_items(masked)
     vocab = formats.read_vocab(args.vocab)
@@ -199,6 +193,11 @@ def cmd_train(args) -> StageResult:
 
 
 def cmd_probe(args) -> StageResult:
+    from .kb import load_kb_dir
+    from .model import load_checkpoint
+    from .probe import (build_questions, evaluate, filter_leakage, length_batches,
+                        run_model, split_questions)
+
     if (args.kb is None) != (args.pretrain is None):
         raise UsageError("--kb and --pretrain must be given together")
     state, _config, vocab = load_checkpoint(args.model)
@@ -268,6 +267,8 @@ def cmd_report(args) -> None:
 
 
 def cmd_stats(args) -> None:
+    from .align import AlignCounters, compute_stats
+
     samples = formats.read_samples(args.samples)
     manifest_path = Path(args.manifest or str(args.samples) + ".manifest.json")
     counters = None

@@ -14,11 +14,17 @@ def atomic_write(path, mode: str = "w"):
     endings in text mode).  It replaces ``path`` only when the ``with`` block
     ends without an exception, so a write that fails or is interrupted
     leaves the previous file, or none, at ``path``.  A symlink at ``path`` is
-    followed: its target is replaced and the link stays.
+    followed: its target is replaced and the link stays.  A destination that
+    exists and is not a regular file, such as a FIFO or a device, is written
+    straight into, because replacing it would swap it for a regular file.
     """
     path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **text) as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **text) as fh:
             yield fh

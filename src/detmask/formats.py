@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
 from .errors import DataError, MalformedLine
 from .fileio import atomic_write
 from .kb import Triplet
 from .masking import MaskedSample, MaskScheme, Variant, Vocabulary
-from .model import LogEntry, TrainItem
-from .probe import Fact, Template
+
+# Annotations only, so that importing formats loads neither numpy nor the
+# model; the probe readers import their types when called.
+if TYPE_CHECKING:
+    from .model import LogEntry, TrainItem
+    from .probe import Fact, Template
 
 PathLike = Union[str, Path]
 
@@ -297,6 +301,8 @@ def read_vocab(path: PathLike) -> Vocabulary:
 
 
 def read_templates(path: PathLike) -> list[Template]:
+    from .probe import Template
+
     name = str(path)
     out = []
     for line_no, obj in read_jsonl(path):
@@ -310,6 +316,8 @@ def read_templates(path: PathLike) -> list[Template]:
 
 
 def read_facts(path: PathLike) -> list[Fact]:
+    from .probe import Fact
+
     name = str(path)
     out = []
     for line_no, obj in read_jsonl(path):

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .align import AlignedSample, Span, object_groups
 from .errors import InsufficientContext, NoClues, NoMaskableContent
 from .tokenizer import count_words, token_spans, tokens_inside, tokens_lower, word_starts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PAD_ID = 0
 MASK_ID = 1

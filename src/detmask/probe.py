@@ -21,13 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import BadTemplate, DataError, MissingPrediction
 from .kb import KnowledgeBase, Triplet
 from .masking import MASK_TOKEN, Vocabulary
-from .model import ModelState, predict_fill_batch
 from .tokenizer import tokens_lower
+
+if TYPE_CHECKING:
+    from .model import ModelState
 
 # Prompts forwarded together.  A batch's activations grow with its size, and
 # this bound keeps the probe's peak memory below that of training.
@@ -309,9 +311,11 @@ def run_model(
     Each of ``length_batches`` is one forward pass; the answers equal those
     of ``predict_fill`` on one question at a time.
     """
+    from . import model
+
     predictions: dict[str, list[str]] = {}
     for batch in length_batches(questions):
         ids = [[vocab.encode(t) for t in q.prompt_tokens] for q in batch]
-        for q, filled in zip(batch, predict_fill_batch(state, ids)):
+        for q, filled in zip(batch, model.predict_fill_batch(state, ids)):
             predictions[q.question_id] = [vocab.decode(i) for i in filled]
     return predictions

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detmask import cli, fileio, formats
+from detmask import fileio, formats, kb, model
 from detmask.cli import main
 from detmask.formats import (
     group_items,
@@ -280,16 +286,17 @@ class TestPipelineArtifacts:
             return slow_read
 
         # Each stage's first input read.
-        for module, name in ((cli, "load_kb"), (cli, "load_kb_dir"), (formats, "read_samples"),
-                             (formats, "read_masked"), (cli, "load_checkpoint")):
+        for module, name in ((kb, "load_kb"), (kb, "load_kb_dir"), (formats, "read_samples"),
+                             (formats, "read_masked"), (model, "load_checkpoint")):
             monkeypatch.setattr(module, name, slow(getattr(module, name)))
-        kb, samples, masked = tmp_path / "kb", tmp_path / "samples.jsonl", tmp_path / "masked.jsonl"
+        kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
+        masked = tmp_path / "masked.jsonl"
         ckpt, report = tmp_path / "model.ckpt", tmp_path / "report.json"
         stages = {
-            kb / "kb": ["build-kb", "--triplets", str(pipeline["triplets"]),
-                        "--entities", str(pipeline["entities"]),
-                        "--predicates", str(pipeline["predicates"]), "--out", str(kb)],
-            samples: ["align", "--kb", str(kb), "--corpus", str(pipeline["corpus"]),
+            kb_dir / "kb": ["build-kb", "--triplets", str(pipeline["triplets"]),
+                            "--entities", str(pipeline["entities"]),
+                            "--predicates", str(pipeline["predicates"]), "--out", str(kb_dir)],
+            samples: ["align", "--kb", str(kb_dir), "--corpus", str(pipeline["corpus"]),
                       "--out", str(samples)],
             masked: ["mask", "--samples", str(samples), "--out", str(masked), "--emit", "triple"],
             ckpt: ["train", "--data", str(masked), "--vocab", str(tmp_path / "vocab.json"),
@@ -315,6 +322,39 @@ class TestPipelineArtifacts:
         # 2 of 5 candidate triplets were non-deterministic.
         assert "0.4000" in out
         assert "no manifest" not in out
+
+
+class TestStageImports:
+    def test_stages_import_only_what_they_use(self, tmp_path):
+        """build-kb, align, stats and report never load numpy; mask loads no model code."""
+        paths = write_inputs(tmp_path)
+        kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"format": "detmask-report", "splits": {}}), encoding="utf-8")
+        numpy_free = ("numpy", "detmask.model", "detmask.probe")
+        runs = [
+            (["build-kb", "--triplets", str(paths["triplets"]), "--entities",
+              str(paths["entities"]), "--predicates", str(paths["predicates"]),
+              "--out", str(kb_dir)], numpy_free),
+            (["align", "--kb", str(kb_dir), "--corpus", str(paths["corpus"]),
+              "--out", str(samples)], numpy_free),
+            (["stats", "--samples", str(samples)], numpy_free),
+            (["report", "--report", str(report)], numpy_free),
+            (["mask", "--samples", str(samples), "--out", str(tmp_path / "masked.jsonl"),
+              "--emit", "triple"], ("detmask.model", "detmask.probe")),
+        ]
+        code = ("import sys\n"
+                "from detmask.cli import main\n"
+                "assert main(sys.argv[2:]) == 0\n"
+                "loaded = [m for m in sys.argv[1].split(',') if m in sys.modules]\n"
+                "assert not loaded, loaded\n")
+        src = str(Path(fileio.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        for argv, absent in runs:
+            proc = subprocess.run([sys.executable, "-c", code, ",".join(absent), *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
 class TestDeterminism:
@@ -625,6 +665,42 @@ class TestExitCodes:
         assert "No space left" in capsys.readouterr().err
         assert report.read_text(encoding="utf-8") == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["triplets", "corpus", "samples", "masked", "vocab", "ckpt",
+                                 "templates", "facts", "report"]),
+           cut=st.floats(0, 1),
+           flips=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
+                          max_size=4))
+    def test_corrupt_input_exits_zero_or_two(self, pipeline, kind, cut, flips):
+        """A truncated input, or one with flipped bytes, parses or is a data error."""
+        p = {**pipeline, "vocab": pipeline["root"] / "vocab.json"}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            train = ["train", "--data", p["masked"], "--vocab", p["vocab"],
+                     "--out", out / "model.ckpt", "--steps", "1"]
+            probe = ["probe", "--model", p["ckpt"], "--templates", p["templates"],
+                     "--facts", p["facts"], "--out", out / "report.json"]
+            argv = {
+                "triplets": ["build-kb", "--triplets", p["triplets"], "--entities",
+                             p["entities"], "--predicates", p["predicates"], "--out", out / "kb"],
+                "corpus": ["align", "--kb", p["kb"], "--corpus", p["corpus"],
+                           "--out", out / "samples.jsonl"],
+                "samples": ["mask", "--samples", p["samples"], "--out", out / "masked.jsonl",
+                            "--emit", "triple"],
+                "masked": train, "vocab": train,
+                "ckpt": probe, "templates": probe, "facts": probe,
+                "report": ["report", "--report", p["report"]],
+            }[kind]
+            blob = bytearray(p[kind].read_bytes())
+            for at, bits in flips:
+                blob[int(at * len(blob))] ^= bits
+            if not flips:
+                del blob[int(cut * len(blob)):]
+            bad = out / ("bad-" + p[kind].name)
+            bad.write_bytes(bytes(blob))
+            argv = [str(bad) if a == p[kind] else str(a) for a in argv]
+            assert main(argv) in (0, 2), argv
 
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:

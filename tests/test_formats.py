@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -301,6 +304,19 @@ class TestAtomicWrites:
         assert (tmp_path / "out.jsonl").is_symlink()
         assert (tmp_path / "target.jsonl").read_text(encoding="utf-8") == '{"a":1}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "target.jsonl"]
+
+    def test_write_to_fifo_keeps_the_fifo(self, tmp_path):
+        fifo = tmp_path / "out.jsonl"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_jsonl(fifo, [{"a": 1}])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b'{"a":1}\n']
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     def test_json_write_replaces_previous_file(self, tmp_path):
         path = tmp_path / "report.json"
