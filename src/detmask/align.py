@@ -25,7 +25,7 @@ from typing import AbstractSet, Iterable, Optional, Sequence
 from .editdist import within_one
 from .errors import DanglingReference, DataError, EmptyDataset
 from .kb import KnowledgeBase, Triplet, is_deterministic, predicates_between
-from .tokenizer import lower_aligned, token_spans, tokens_inside, tokens_lower
+from .tokenizer import Tokens, lower_aligned, token_spans, tokens_inside, tokens_lower
 
 log = logging.getLogger("detmask.align")
 
@@ -120,9 +120,9 @@ class EntityLinker:
                 node[None] = ent_id if prev is None else min(prev, ent_id)
         self._trie = trie
 
-    def link(self, text: str, spans: Sequence[tuple[int, int]]) -> tuple[tuple[Span, str], ...]:
-        """Entity mentions in ``text``, whose tokens are ``spans``."""
-        toks = [text[a:b].lower() for a, b in spans]
+    def link(self, text: str, tokens: Tokens) -> tuple[tuple[Span, str], ...]:
+        """Entity mentions in ``text``, whose tokens are ``tokens``."""
+        starts, ends, toks = tokens.starts, tokens.ends, tokens.lower
         out: list[tuple[Span, str]] = []
         n = len(toks)
         i = 0
@@ -141,7 +141,7 @@ class EntityLinker:
                 i += 1
                 continue
             last, ent_id = best
-            a, b = spans[i][0], spans[last][1]
+            a, b = starts[i], ends[last]
             out.append((Span(a, b, text[a:b]), ent_id))
             i = last + 1
         return tuple(out)
@@ -259,17 +259,17 @@ class Aligner:
         """
         counts = AlignCounters(paragraphs=1)
         text = paragraph.text
-        tspans = token_spans(text)
+        tokens = token_spans(text)
         if paragraph.pre_linked_spans is not None:
             entity_spans = _validate_pre_linked(paragraph)
         else:
-            entity_spans = self.linker.link(text, tspans)
+            entity_spans = self.linker.link(text, tokens)
         aligned: list[AlignedTriplet] = []
         if len(entity_spans) >= 2:
             kb = self.kb
             low = lower_aligned(text)
-            starts = {a for a, _ in tspans}
-            ends = {b for _, b in tspans}
+            starts = set(tokens.starts)
+            ends = set(tokens.ends)
             memo: dict[str, Optional[tuple[int, int, int]]] = {}
             seen: set[tuple[str, str, str]] = set()
             for i, (s_span, s_id) in enumerate(entity_spans):
@@ -305,28 +305,6 @@ class Aligner:
                         counts.emitted_triplets += 1
         return AlignedSample(paragraph, entity_spans, tuple(aligned)), counts
 
-    def build(self, paragraphs: Iterable[Paragraph]) -> BuildResult:
-        """Align ``paragraphs`` in order and split them into the two streams.
-
-        A paragraph that fails validation is logged, counted as skipped, and
-        never aborts the run.
-        """
-        result = BuildResult([], [], AlignCounters())
-        for paragraph in paragraphs:
-            try:
-                sample, counts = self.align(paragraph)
-            except DataError as exc:
-                result.counters.paragraphs += 1
-                result.counters.skipped += 1
-                log.warning("skipping paragraph %s: %s", paragraph.doc_id, exc)
-                continue
-            result.counters.merge(counts)
-            if sample.aligned:
-                result.deterministic_samples.append(sample)
-            if sample.entity_spans:
-                result.span_samples.append(sample)
-        return result
-
 
 def build_dataset(
     corpus: Iterable[Paragraph], kb: KnowledgeBase, threads: int = 1
@@ -339,7 +317,22 @@ def build_dataset(
     and never aborts the run.  Results keep corpus order.  ``threads`` is
     accepted and has no effect: alignment always runs in this process.
     """
-    return Aligner(kb).build(corpus)
+    aligner = Aligner(kb)
+    result = BuildResult([], [], AlignCounters())
+    for paragraph in corpus:
+        try:
+            sample, counts = aligner.align(paragraph)
+        except DataError as exc:
+            result.counters.paragraphs += 1
+            result.counters.skipped += 1
+            log.warning("skipping paragraph %s: %s", paragraph.doc_id, exc)
+            continue
+        result.counters.merge(counts)
+        if sample.aligned:
+            result.deterministic_samples.append(sample)
+        if sample.entity_spans:
+            result.span_samples.append(sample)
+    return result
 
 
 @dataclass
@@ -347,28 +340,28 @@ class ObjectGroup:
     """Token indices of the triplets in one sample that share an object span."""
 
     span: tuple[int, int]
-    objects: list[int]
+    objects: range
     subjects: set[int]
     predicates: set[int]
 
 
-def object_groups(sample: AlignedSample, spans: Sequence[tuple[int, int]]) -> list[ObjectGroup]:
+def object_groups(sample: AlignedSample, tokens: Tokens) -> list[ObjectGroup]:
     """The sample's triplets grouped by object character span, in first-seen order.
 
     Each group is one masked instance: its subject and predicate tokens are
-    the clues that determine its object.  ``spans`` are the paragraph's token
-    spans; a token belongs to a span only when it lies fully inside it.
+    the clues that determine its object.  ``tokens`` are the paragraph's
+    tokens; a token belongs to a span only when it lies fully inside it.
     """
     groups: dict[tuple[int, int], ObjectGroup] = {}
     for t in sample.aligned:
         key = (t.object_span.char_start, t.object_span.char_end)
         group = groups.get(key)
         if group is None:
-            group = groups[key] = ObjectGroup(key, tokens_inside(spans, *key), set(), set())
+            group = groups[key] = ObjectGroup(key, tokens_inside(tokens, *key), set(), set())
         group.subjects.update(
-            tokens_inside(spans, t.subject_span.char_start, t.subject_span.char_end))
+            tokens_inside(tokens, t.subject_span.char_start, t.subject_span.char_end))
         group.predicates.update(
-            tokens_inside(spans, t.predicate_span.char_start, t.predicate_span.char_end))
+            tokens_inside(tokens, t.predicate_span.char_start, t.predicate_span.char_end))
     return list(groups.values())
 
 
@@ -388,9 +381,9 @@ def compute_stats(
     clue_sum = 0
     object_sum = 0
     for sample in samples:
-        spans = token_spans(sample.paragraph.text)
-        total_tokens += len(spans)
-        for group in object_groups(sample, spans):
+        tokens = token_spans(sample.paragraph.text)
+        total_tokens += len(tokens.starts)
+        for group in object_groups(sample, tokens):
             groups += 1
             object_sum += len(group.objects)
             clue_sum += len(group.subjects | group.predicates)

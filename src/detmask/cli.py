@@ -9,7 +9,8 @@ configuration, counters, ``started`` (when the stage began) and
 ``duration_s`` (the whole stage, reading and every write included).  A
 failed stage writes no manifest.  Each ``cmd_*`` imports the modules of its
 own stage, so ``build-kb``, ``align``, ``stats`` and ``report`` start
-without numpy; ``mask``, ``train`` and ``probe`` load it.  Logging verbosity
+without numpy; ``mask`` loads it only for the modes that draw at random,
+and ``train`` and ``probe`` always load it.  Logging verbosity
 comes from the DETMASK_LOG environment variable (error, info or debug;
 default error).
 """
@@ -97,19 +98,20 @@ def cmd_align(args) -> StageResult:
 
 
 def cmd_mask(args) -> StageResult:
-    import numpy as np
-
     from .masking import (Vocabulary, apply_mask, make_classification_triple,
                           make_contrastive_pair, tokenize_for_spans, tokenize_groups)
+    from .tokenizer import token_spans
 
     if (args.scheme is None) == (args.emit is None):
         raise UsageError("exactly one of --scheme or --emit is required")
     samples = formats.read_samples(args.samples) if args.samples else []
     ssm = formats.read_ssm(args.ssm) if args.ssm else []
-    texts = [s.paragraph.text for s in samples] + [s.paragraph.text for s in ssm]
-    if not texts:
+    # One tokenization per distinct paragraph, shared by the vocabulary and the samples.
+    tokenized = {text: token_spans(text)
+                 for text in dict.fromkeys(s.paragraph.text for s in (*samples, *ssm))}
+    if not tokenized:
         raise EmptyDataset("no input samples (pass --samples and/or --ssm)")
-    vocab = Vocabulary.build(texts)
+    vocab = Vocabulary.build(tokenized.values())
     vocab_path = args.vocab or Path(args.out).with_name("vocab.json")
     formats.write_vocab(vocab_path, vocab)
 
@@ -118,13 +120,20 @@ def cmd_mask(args) -> StageResult:
     groups = 0
     scheme = MaskScheme(args.scheme) if args.scheme else None
     if scheme is MaskScheme.SALIENT_SPAN:
-        pairs = ((s, tokenize_for_spans(s, vocab)) for s in ssm or samples)
+        pairs = ((s, tokenize_for_spans(s, tokenized[s.paragraph.text], vocab))
+                 for s in ssm or samples)
     elif not samples:
         raise UsageError("this mode requires --samples")
     else:
-        pairs = ((s, ts) for s in samples for ts in tokenize_groups(s, vocab))
+        pairs = ((s, ts) for s in samples
+                 for ts in tokenize_groups(s, tokenized[s.paragraph.text], vocab))
+    # Pairs and the object schemes draw nothing; the others seed a Generator per group.
+    draws = args.emit == "triple" or scheme not in (None, MaskScheme.DETERMINISTIC,
+                                                     MaskScheme.OBJECT_SPAN)
+    if draws:
+        from numpy.random import default_rng
     for sample, ts in pairs:
-        rng = np.random.default_rng([args.seed, groups])
+        rng = default_rng([args.seed, groups]) if draws else None
         groups += 1
         try:
             if args.emit == "pair":

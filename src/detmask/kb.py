@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Union
 
@@ -72,10 +73,11 @@ def _iter_lines(source: Source, name: str) -> Iterator[tuple[int, str]]:
 
 
 def _parse_id(value: str, source_name: str, line_no: int, what: str) -> str:
-    value = value.strip()
-    if not value or any(c.isspace() for c in value):
-        raise MalformedLine(source_name, line_no, f"bad {what} id {value!r}")
-    return value
+    # str.split and str.strip share str.isspace's definition of whitespace.
+    parts = value.split()
+    if len(parts) != 1:
+        raise MalformedLine(source_name, line_no, f"bad {what} id {value.strip()!r}")
+    return parts[0]
 
 
 def _parse_alias_field(raw: str) -> list[str]:
@@ -190,7 +192,7 @@ def write_kb_dir(kb: KnowledgeBase, kb_dir: str | Path) -> None:
     d = Path(kb_dir)
     d.mkdir(parents=True, exist_ok=True)
     with atomic_write(d / "triplets.tsv") as fh:
-        for t in sorted(kb.triplets):
+        for t in sorted(kb.triplets, key=attrgetter("subject", "predicate", "object")):
             fh.write(f"{t.subject}\t{t.predicate}\t{t.object}\n")
     with atomic_write(d / "entities.tsv") as fh:
         for eid in sorted(kb.entity_aliases):

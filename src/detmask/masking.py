@@ -3,9 +3,11 @@
 Each aligned sample yields one tokenized sample per distinct object span;
 subject and predicate spans of every triplet sharing that object become its
 clue tokens, while clue tokens of the paragraph's other triplets are tracked
-separately so they are never drawn as "random" context.  Masking replaces a
-token id with the mask sentinel one-for-one, so restoring the targets at the
-mask positions always reconstructs the original sequence.
+separately so they are never drawn as "random" context.  A paragraph's one
+``Tokens`` feeds the vocabulary and its samples, which store their object
+and clue positions.  Masking replaces a token id with the mask sentinel
+one-for-one, so restoring the targets at the mask positions always
+reconstructs the original sequence.
 
 Three families of outputs:
 
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .align import AlignedSample, Span, object_groups
 from .errors import InsufficientContext, NoClues, NoMaskableContent
-from .tokenizer import count_words, token_spans, tokens_inside, tokens_lower, word_starts
+from .tokenizer import Tokens, count_words, tokens_inside
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,11 +74,9 @@ class Vocabulary:
         return cls(ordered, {t: i for i, t in enumerate(ordered)})
 
     @classmethod
-    def build(cls, texts: Iterable[str]) -> "Vocabulary":
-        seen: set[str] = set()
-        for text in texts:
-            seen.update(tokens_lower(text))
-        return cls.from_tokens(seen)
+    def build(cls, tokenized: Iterable[Tokens]) -> "Vocabulary":
+        """The vocabulary of the lowercased tokens of tokenized texts."""
+        return cls.from_tokens(t for tokens in tokenized for t in tokens.lower)
 
     @property
     def size(self) -> int:
@@ -102,21 +102,9 @@ class TokenizedSample:
     # random draws so a "random" input never masks a real clue.
     foreign_clue_positions: frozenset[int] = frozenset()
     object_word_count: int = 0
-
-    def positions(self, role: Role) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r is role)
-
-    @property
-    def object_positions(self) -> tuple[int, ...]:
-        return self.positions(Role.OBJECT)
-
-    @property
-    def clue_positions(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, r in enumerate(self.roles)
-            if r is Role.SUBJECT_CLUE or r is Role.PREDICATE_CLUE
-        )
+    # The positions whose role is Object, and those whose role is a clue, ascending.
+    object_positions: tuple[int, ...] = ()
+    clue_positions: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -133,25 +121,21 @@ def _masked(sample: TokenizedSample, positions: Sequence[int], variant: Variant,
             scheme: MaskScheme) -> MaskedSample:
     order = tuple(sorted(positions))
     inputs = list(sample.tokens)
-    targets = []
+    targets = tuple(inputs[p] for p in order)
     for p in order:
-        targets.append(inputs[p])
         inputs[p] = MASK_ID
-    return MaskedSample(sample.doc_id, tuple(inputs), order, tuple(targets), variant, scheme)
+    return MaskedSample(sample.doc_id, tuple(inputs), order, targets, variant, scheme)
 
 
 def _entity_token_spans(
-    spans: Sequence[tuple[int, int]], entity_spans: Sequence[tuple[Span, str]]
+    tokens: Tokens, entity_spans: Sequence[tuple[Span, str]]
 ) -> tuple[tuple[int, int], ...]:
-    out = []
-    for span, _eid in entity_spans:
-        inside = tokens_inside(list(spans), span.char_start, span.char_end)
-        if inside:
-            out.append((inside[0], inside[-1] + 1))
-    return tuple(out)
+    insides = (tokens_inside(tokens, s.char_start, s.char_end) for s, _eid in entity_spans)
+    return tuple((r.start, r.stop) for r in insides if r)
 
 
-def tokenize_groups(sample: AlignedSample, vocab: Vocabulary) -> list[TokenizedSample]:
+def tokenize_groups(sample: AlignedSample, tokens: Tokens,
+                    vocab: Vocabulary) -> list[TokenizedSample]:
     """One TokenizedSample per distinct object span of an aligned sample.
 
     Triplets sharing the object span pool their subject and predicate tokens
@@ -159,8 +143,8 @@ def tokenize_groups(sample: AlignedSample, vocab: Vocabulary) -> list[TokenizedS
     foreign so random draws can avoid them.  A token takes a role only when it
     lies fully inside the span; straddling tokens stay in the Other role.
     """
-    base = tokenize_for_spans(sample, vocab)
-    groups = object_groups(sample, base.token_spans)
+    base = tokenize_for_spans(sample, tokens, vocab)
+    groups = object_groups(sample, tokens)
     all_clues = set().union(*(g.subjects | g.predicates for g in groups))
     out: list[TokenizedSample] = []
     for g in groups:
@@ -170,35 +154,31 @@ def tokenize_groups(sample: AlignedSample, vocab: Vocabulary) -> list[TokenizedS
                                 (g.subjects, Role.SUBJECT_CLUE), (g.objects, Role.OBJECT)):
             for i in positions:
                 roles[i] = role
-        foreign = all_clues - g.subjects - g.predicates - set(g.objects)
+        own = g.subjects | g.predicates
         a, b = g.span
-        out.append(replace(base, roles=tuple(roles), foreign_clue_positions=frozenset(foreign),
+        out.append(replace(base, roles=tuple(roles), object_positions=tuple(g.objects),
+                           clue_positions=tuple(sorted(own.difference(g.objects))),
+                           foreign_clue_positions=frozenset(all_clues.difference(own, g.objects)),
                            object_word_count=count_words(sample.paragraph.text[a:b])))
     return out
 
 
-def tokenize_for_spans(sample: AlignedSample, vocab: Vocabulary) -> TokenizedSample:
-    """Tokenize a paragraph keeping only its entity spans (span masking input)."""
-    text = sample.paragraph.text
-    spans = token_spans(text)
+def tokenize_for_spans(sample: AlignedSample, tokens: Tokens,
+                       vocab: Vocabulary) -> TokenizedSample:
+    """A paragraph with its ``tokens``, keeping only its entity spans (span masking input)."""
     return TokenizedSample(
         doc_id=sample.paragraph.doc_id,
-        tokens=tuple(vocab.encode(t) for t in tokens_lower(text)),
-        token_spans=tuple(spans),
-        roles=(Role.OTHER,) * len(spans),
-        word_boundaries=tuple(word_starts(text, spans)),
-        entity_token_spans=_entity_token_spans(spans, sample.entity_spans),
+        tokens=tuple(map(vocab.encode, tokens.lower)),
+        token_spans=tuple(zip(tokens.starts, tokens.ends)),
+        roles=(Role.OTHER,) * len(tokens.starts),
+        word_boundaries=tuple(tokens.word_starts),
+        entity_token_spans=_entity_token_spans(tokens, sample.entity_spans),
     )
 
 
-def _words(sample: TokenizedSample) -> list[list[int]]:
-    words: list[list[int]] = []
-    for i in range(len(sample.tokens)):
-        if sample.word_boundaries[i] or not words:
-            words.append([i])
-        else:
-            words[-1].append(i)
-    return words
+def _words(sample: TokenizedSample) -> list[range]:
+    starts = [i for i, first in enumerate(sample.word_boundaries) if first or i == 0]
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(sample.tokens)])]
 
 
 def _choose(rng: np.random.Generator, candidates: Sequence, k: int) -> list:
@@ -207,13 +187,13 @@ def _choose(rng: np.random.Generator, candidates: Sequence, k: int) -> list:
 
 
 def apply_mask(sample: TokenizedSample, scheme: MaskScheme,
-               rng: np.random.Generator) -> MaskedSample:
+               rng: Optional[np.random.Generator]) -> MaskedSample:
     """Mask ``sample`` under one scheme; counts are tied to the object span.
 
     Random-token masking draws as many positions as the object has tokens;
     whole-word masking draws as many whole words as the object surface has
     space-separated words; span masking picks one linked entity span; the
-    object schemes mask exactly the object tokens.
+    object schemes mask exactly the object tokens and leave ``rng`` unused.
     """
     objects = sample.object_positions
     if scheme in (MaskScheme.DETERMINISTIC, MaskScheme.OBJECT_SPAN):
@@ -250,8 +230,7 @@ def make_contrastive_pair(sample: TokenizedSample) -> tuple[MaskedSample, Masked
     if not clues:
         raise NoClues("sample has no clue tokens")
     keep = _masked(sample, objects, Variant.KEEP_CLUES, MaskScheme.DETERMINISTIC)
-    drop = _masked(sample, tuple(objects) + tuple(clues), Variant.MASK_CLUES,
-                   MaskScheme.DETERMINISTIC)
+    drop = _masked(sample, objects + clues, Variant.MASK_CLUES, MaskScheme.DETERMINISTIC)
     return keep, drop
 
 
@@ -265,17 +244,12 @@ def make_classification_triple(
     any triplet in the paragraph.
     """
     keep, drop = make_contrastive_pair(sample)
-    clues = sample.clue_positions
-    eligible = [
-        i
-        for i, r in enumerate(sample.roles)
-        if r is Role.OTHER and i not in sample.foreign_clue_positions
-    ]
+    clues, foreign = sample.clue_positions, sample.foreign_clue_positions
+    eligible = [i for i, r in enumerate(sample.roles) if r is Role.OTHER and i not in foreign]
     if len(eligible) < len(clues):
-        raise InsufficientContext(
-            f"need {len(clues)} maskable context tokens, have {len(eligible)}"
-        )
+        raise InsufficientContext(f"need {len(clues)} maskable context tokens, "
+                                  f"have {len(eligible)}")
     randoms = _choose(rng, eligible, len(clues))
-    randv = _masked(sample, tuple(sample.object_positions) + tuple(randoms),
+    randv = _masked(sample, sample.object_positions + tuple(randoms),
                     Variant.MASK_RANDOM, MaskScheme.DETERMINISTIC)
     return keep, drop, randv

@@ -444,13 +444,17 @@ def predict_fill(state: ModelState, tokens: Sequence[int],
 
 def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]],
                        max_len: Optional[int] = None) -> list[list[int]]:
-    """``predict_fill`` of each sequence in ``batch``, all of one length, in one pass."""
+    """``predict_fill`` of each sequence in ``batch``, all of one length, in one pass;
+    parameters so large that the forward pass overflows raise ``DataError``."""
     toks = np.asarray(batch, dtype=np.int64)
     is_mask = toks == MASK_ID
     if not is_mask.any(axis=1).all():
         raise NoMask("input has no mask positions")
     limit = state.pos_emb.shape[0] if max_len is None else max_len
-    probs = _forward(state, toks, limit, np.nonzero(is_mask))["probs"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _forward(state, toks, limit, np.nonzero(is_mask))["probs"]
+    if not np.isfinite(probs).all():
+        raise DataError("non-finite activations: the model's parameters overflow its forward pass")
     probs[:, [PAD_ID, MASK_ID, UNK_ID]] = -1.0
     # np.nonzero lists the rows sequence by sequence, each in position order.
     ends = np.cumsum(is_mask.sum(axis=1))[:-1]

@@ -8,17 +8,52 @@ offsets always refer to the original string.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import ne
+from typing import NamedTuple
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+# Captured, so that ``split`` returns the skipped gaps and the tokens alternately.
+_TOKEN_RE = re.compile(r"(\w+|[^\w\s])")
 
 
-def token_spans(text: str) -> list[tuple[int, int]]:
-    """Return (char_start, char_end) for every token, left to right."""
-    return [m.span() for m in _TOKEN_RE.finditer(text)]
+class Tokens(NamedTuple):
+    """The tokens of one text in about 24 bytes a token, so that a stage can
+    hold a corpus: int64 arrays of character offsets, and the token texts
+    joined by spaces and lowercased in one call.  No token holds whitespace,
+    and a space is neither cased nor case-ignorable, so that equals lowering
+    each token alone (a final sigma included).
+    """
+
+    starts: array
+    ends: array
+    joined_lower: str
+
+    @property
+    def lower(self) -> list[str]:
+        return self.joined_lower.split(" ") if self.starts else []
+
+    @property
+    def word_starts(self) -> list[bool]:
+        """Whether each token begins a whitespace-delimited word: the first
+        token and every token that does not start where the previous one ends,
+        since the regex skips only whitespace (``\\s`` is ``str.isspace``).
+        Punctuation glued to a word (the period in "film.") belongs to it."""
+        return list(map(ne, self.starts, [-1, *self.ends]))
+
+
+def token_spans(text: str) -> Tokens:
+    """The tokens of ``text``, left to right, from one regex pass: the running
+    lengths of the gap, token, gap, ... pieces are the token offsets."""
+    pieces = _TOKEN_RE.split(text)
+    offsets = list(accumulate(map(len, pieces)))
+    return Tokens(array("q", offsets[0:-1:2]), array("q", offsets[1::2]),
+                  " ".join(pieces[1::2]).lower())
 
 
 def tokens_lower(text: str) -> list[str]:
-    """Lowercased token strings of ``text``."""
+    """Lowercased token strings of ``text``, each token lowered alone."""
     return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
 
 
@@ -35,29 +70,12 @@ def lower_aligned(text: str) -> str:
     return "".join(c.lower() if len(c.lower()) == 1 else c for c in text)
 
 
-def word_starts(text: str, spans: list[tuple[int, int]]) -> list[bool]:
-    """Flag tokens that begin a whitespace-delimited word.
-
-    A token starts a word when it is the first token or when any whitespace
-    separates it from the previous token.  Punctuation glued to a word (e.g.
-    the period in "film.") belongs to that word.
-    """
-    flags: list[bool] = []
-    prev_end = None
-    for start, _end in spans:
-        if prev_end is None:
-            flags.append(True)
-        else:
-            flags.append(any(c.isspace() for c in text[prev_end:start]))
-        prev_end = _end
-    return flags
-
-
 def count_words(surface: str) -> int:
     """Number of whitespace-separated chunks in ``surface``."""
     return len(surface.split())
 
 
-def tokens_inside(spans: list[tuple[int, int]], start: int, end: int) -> list[int]:
-    """Indices of tokens lying fully inside [start, end)."""
-    return [i for i, (a, b) in enumerate(spans) if a >= start and b <= end]
+def tokens_inside(tokens: Tokens, start: int, end: int) -> range:
+    """Indices of tokens lying fully inside [start, end): one range, found by bisection."""
+    first = bisect_left(tokens.starts, start)
+    return range(first, max(first, bisect_right(tokens.ends, end)))

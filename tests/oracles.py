@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed: full dynamic-programming edit
 distance, exhaustive window scans without the length band, linear scans of
 the triplet list instead of indexes.  The only contract shared with the
-engine is the tokenizer and the offset-preserving lowercasing, which define
-what a candidate window IS; the search itself is exhaustive.
+engine is the token regex (copied here as ``token_spans_oracle``), the
+per-token and the offset-preserving lowercasing, which define what a
+candidate window IS; the search itself is exhaustive.
 
 Predicate matching still scores every token-run window against every alias
 with a full, unbanded edit-distance DP.  It just does not start that DP over
@@ -15,8 +16,11 @@ the independent recursive reference that this sweep is itself checked
 against.
 
 ``tokenize_groups_oracle`` restates the object-group rules of masking with
-its own tokenization regex and plain data: nested scans over the triplets,
-roles by rank, and each group's foreign clues rebuilt from the other groups.
+plain data: nested scans over the triplets, roles by rank, and each group's
+foreign clues rebuilt from the other groups.  Its token lookups are full
+scans where the tokenizer compares offsets and bisects:
+``word_starts_oracle`` looks for whitespace in every gap between tokens, and
+``tokens_inside_oracle`` tests every token against the range.
 
 ``full_head_losses_oracle`` recomputes the model's three losses with the LM
 head and its softmax at every position, attention one query at a time over
@@ -33,7 +37,14 @@ import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
 from detmask.kb import KnowledgeBase
-from detmask.tokenizer import lower_aligned, token_spans, tokens_lower
+from detmask.tokenizer import lower_aligned, tokens_lower
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def token_spans_oracle(text: str) -> list[tuple[int, int]]:
+    """(start, end) of every token, by this module's own copy of the token regex."""
+    return [m.span() for m in _TOKEN_RE.finditer(text)]
 
 
 def levenshtein_oracle(a: str, b: str) -> int:
@@ -60,7 +71,7 @@ def levenshtein_oracle(a: str, b: str) -> int:
 
 def link_entities_oracle(text: str, kb: KnowledgeBase) -> list[tuple[int, int, str]]:
     """All alias matches enumerated up front, then greedy left-to-right."""
-    spans = token_spans(text)
+    spans = token_spans_oracle(text)
     toks = tokens_lower(text)
     matches: list[tuple[int, int, str]] = []  # (start_tok, end_tok, entity_id)
     for eid, aliases in kb.entity_aliases.items():
@@ -122,7 +133,7 @@ def match_predicate_oracle(
     token), and windows of distance < 2 compete on (distance, start, length).
     """
     low = lower_aligned(text)
-    spans = token_spans(text)
+    spans = token_spans_oracle(text)
     best_key = None
     best = None
     for alias in kb.predicate_aliases[p]:
@@ -213,8 +224,18 @@ def consistency_oracle(answer_groups: list[list[tuple[str, ...]]]) -> float:
     return agree / pairs if pairs else 0.0
 
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _ROLE_RANK = {"other": 0, "predicate_clue": 1, "subject_clue": 2, "object": 3}
+
+
+def word_starts_oracle(text: str, spans: list[tuple[int, int]]) -> list[bool]:
+    """True for the first token and for every token with whitespace before it."""
+    return [i == 0 or any(c.isspace() for c in text[spans[i - 1][1]:a])
+            for i, (a, _b) in enumerate(spans)]
+
+
+def tokens_inside_oracle(spans: list[tuple[int, int]], start: int, end: int) -> list[int]:
+    """Indices of the tokens lying fully inside [start, end), by a full scan."""
+    return [i for i, (a, b) in enumerate(spans) if a >= start and b <= end]
 
 
 def tokenize_groups_oracle(
@@ -229,11 +250,10 @@ def tokenize_groups_oracle(
     a role.  Roles are the ``Role`` values as strings.
     """
     text = sample.paragraph.text
-    spans = [m.span() for m in _TOKEN_RE.finditer(text)]
+    spans = token_spans_oracle(text)
 
     def inside(span) -> list[int]:
-        return [i for i, (a, b) in enumerate(spans)
-                if a >= span.char_start and b <= span.char_end]
+        return tokens_inside_oracle(spans, span.char_start, span.char_end)
 
     def key(t) -> tuple[int, int]:
         return (t.object_span.char_start, t.object_span.char_end)
@@ -270,13 +290,13 @@ def tokenize_groups_oracle(
             "tokens": tuple(token_to_id.get(text[a:b].lower(), unk_id) for a, b in spans),
             "token_spans": tuple(spans),
             "roles": tuple(roles),
-            "word_boundaries": tuple(
-                i == 0 or any(c.isspace() for c in text[spans[i - 1][1]:a])
-                for i, (a, _b) in enumerate(spans)
-            ),
+            "word_boundaries": tuple(word_starts_oracle(text, spans)),
             "entity_token_spans": tuple(entity_token_spans),
             "foreign_clue_positions": frozenset(foreign),
             "object_word_count": len(text[k[0]:k[1]].split()),
+            "object_positions": tuple(i for i, r in enumerate(roles) if r == "object"),
+            "clue_positions": tuple(i for i, r in enumerate(roles)
+                                    if r in ("subject_clue", "predicate_clue")),
         })
     return out
 

@@ -40,6 +40,7 @@ from detmask.model import (
     train,
 )
 from detmask.probe import Fact, Template, build_questions, evaluate, instantiate, run_model
+from detmask.tokenizer import token_spans
 from oracles import align_paragraph_oracle, sample_to_tuples
 from worldgen import make_world, random_tokenized_sample
 
@@ -296,12 +297,12 @@ def _fact_world():
                 )
             )
         corpora.append(paragraphs)
-    vocab = Vocabulary.build([p.text for c in corpora for p in c])
+    vocab = Vocabulary.build(token_spans(p.text) for c in corpora for p in c)
     pools = []
     for paragraphs in corpora:
         result = build_dataset(paragraphs, kb)
         assert len(result.deterministic_samples) == len(combos)
-        pools.append([tokenize_groups(s, vocab)[0] for s in result.deterministic_samples])
+        pools.append([tokenize_groups(s, token_spans(s.paragraph.text), vocab)[0] for s in result.deterministic_samples])
     order = np.random.default_rng(7).permutation(len(combos))
     return vocab, pools, tuple(int(i) for i in order[:160]), tuple(int(i) for i in order[160:])
 
@@ -397,9 +398,9 @@ def test_deterministic_pretraining_yields_more_consistent_probe_answers():
                 f"{FILLERS[f1]} s{i} {predicates[k]} {objects[k]} {FILLERS[f2]}",
             )
         )
-    vocab = Vocabulary.build([p.text for p in paragraphs])
+    vocab = Vocabulary.build(token_spans(p.text) for p in paragraphs)
     result = build_dataset(paragraphs, kb)
-    samples = [tokenize_groups(s, vocab)[0] for s in result.deterministic_samples]
+    samples = [tokenize_groups(s, token_spans(s.paragraph.text), vocab)[0] for s in result.deterministic_samples]
     assert len(samples) == len(combos)
 
     templates = [

@@ -44,10 +44,8 @@ FILM_TEXT = "War Horse is an American war film directed by Steven Spielberg"
 
 def best_match(text, p, kb):
     """``PredicateMatcher.best`` for ``p`` in ``text``: (distance, start, end) or None."""
-    spans = token_spans(text)
-    return PredicateMatcher(kb).best(
-        lower_aligned(text), {a for a, _ in spans}, {b for _, b in spans}, p
-    )
+    tokens = token_spans(text)
+    return PredicateMatcher(kb).best(lower_aligned(text), set(tokens.starts), set(tokens.ends), p)
 
 
 def match_predicate(text, p, kb):

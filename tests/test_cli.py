@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -326,7 +327,8 @@ class TestPipelineArtifacts:
 
 class TestStageImports:
     def test_stages_import_only_what_they_use(self, tmp_path):
-        """build-kb, align, stats and report never load numpy; mask loads no model code."""
+        """build-kb, align, stats and report never load numpy; mask loads no model
+        code, and numpy only in the modes that draw at random."""
         paths = write_inputs(tmp_path)
         kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
         report = tmp_path / "report.json"
@@ -342,6 +344,10 @@ class TestStageImports:
             (["report", "--report", str(report)], numpy_free),
             (["mask", "--samples", str(samples), "--out", str(tmp_path / "masked.jsonl"),
               "--emit", "triple"], ("detmask.model", "detmask.probe")),
+            (["mask", "--samples", str(samples), "--out", str(tmp_path / "pairs.jsonl"),
+              "--emit", "pair"], numpy_free),
+            (["mask", "--samples", str(samples), "--out", str(tmp_path / "objects.jsonl"),
+              "--scheme", "deterministic"], numpy_free),
         ]
         code = ("import sys\n"
                 "from detmask.cli import main\n"
@@ -638,6 +644,20 @@ class TestExitCodes:
             assert main(["probe", "--model", str(ckpt), *probe]) == 2, name
             assert "non-finite" in capsys.readouterr().err, name
             assert not (tmp_path / "r.json").exists(), name
+
+    def test_overflowing_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
+        """Finite but huge parameters overflow the forward pass: exit 2, no warning."""
+        state, config, vocab = load_checkpoint(pipeline["ckpt"])
+        state.tok_emb[...] = 1e200
+        ckpt = tmp_path / "huge.ckpt"
+        model.save_checkpoint(ckpt, state, config, vocab)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["probe", "--model", str(ckpt), "--templates", str(pipeline["templates"]),
+                         "--facts", str(pipeline["facts"]), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "non-finite activations" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_prompt_longer_than_max_len_is_data_error(self, pipeline, tmp_path, capsys):
         max_len = load_checkpoint(pipeline["ckpt"])[1].max_len

@@ -34,6 +34,7 @@ from detmask.formats import (
 from detmask.kb import Triplet, build_kb, write_kb_dir
 from detmask.masking import MaskScheme, MaskedSample, Variant, Vocabulary
 from detmask.model import LogEntry, ModelConfig, init, load_checkpoint, save_checkpoint
+from detmask.tokenizer import token_spans
 
 
 class _HalfWriter:
@@ -226,7 +227,7 @@ class TestGroupItems:
 
 class TestSmallFormats:
     def test_vocab_round_trip(self, tmp_path):
-        vocab = Vocabulary.build(["war horse", "jaws"])
+        vocab = Vocabulary.build(map(token_spans, ["war horse", "jaws"]))
         path = tmp_path / "vocab.json"
         write_vocab(path, vocab)
         assert read_vocab(path) == vocab
@@ -281,7 +282,7 @@ class TestAtomicWrites:
         ("ssm.jsonl", lambda p: write_ssm(p, [film_sample()])),
         ("masked.jsonl", lambda p: write_masked(p, [masked_sample()])),
         ("log.jsonl", lambda p: write_train_log(p, [LogEntry(0, 1.0, 0.5, 0.25, 1.75)])),
-        ("vocab.json", lambda p: write_vocab(p, Vocabulary.build(["war horse"]))),
+        ("vocab.json", lambda p: write_vocab(p, Vocabulary.build(map(token_spans, ["war horse"])))),
         ("report.json", lambda p: write_json(p, {"a": 1})),
         ("kb/triplets.tsv", lambda p: write_kb_dir(
             build_kb([Triplet("a", "p", "b")], {"a": ("A",), "b": ("B",)}, {"p": ("p",)}),

@@ -47,6 +47,18 @@ class TestLoading:
         with pytest.raises(MalformedLine):
             load_kb(io.StringIO("A b\tp\tC\n"), io.StringIO(ENTITIES), io.StringIO(PREDICATES))
 
+    def test_id_whitespace_is_str_isspace(self):
+        """Padding of any Unicode whitespace is stripped; whitespace inside an id
+        is an error that names the stripped id."""
+        kb = load_kb(io.StringIO("\u2003A\x1f\tdirectedBy\tB\u00a0\n"),
+                     io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+        assert kb.triplets == frozenset({Triplet("A", "directedBy", "B")})
+        for bad in ("A\x1cb", "A\u00a0b", "\u2003"):
+            with pytest.raises(MalformedLine) as info:
+                load_kb(io.StringIO(f" {bad} \tdirectedBy\tB\n"),
+                        io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+            assert str(info.value) == f"triplets.tsv:1: bad subject id {bad.strip()!r}"
+
     def test_duplicate_entity_id_rejected(self):
         with pytest.raises(MalformedLine):
             load_kb(

@@ -32,6 +32,7 @@ from detmask.masking import (
     tokenize_for_spans,
     tokenize_groups,
 )
+from detmask.tokenizer import token_spans
 from oracles import tokenize_groups_oracle
 from worldgen import make_world, random_tokenized_sample
 
@@ -52,7 +53,17 @@ def film_sample():
 
 def plain(text, vocab):
     """``text`` tokenized with every role Other and no entity spans."""
-    return tokenize_for_spans(AlignedSample(Paragraph("d", text), (), ()), vocab)
+    return tokenize_for_spans(AlignedSample(Paragraph("d", text), (), ()), token_spans(text), vocab)
+
+
+def groups_of(sample, vocab):
+    """``tokenize_groups`` of ``sample`` with its paragraph's tokens."""
+    return tokenize_groups(sample, token_spans(sample.paragraph.text), vocab)
+
+
+def role_scan(tok, *roles):
+    """Positions whose role is one of ``roles``, by a scan of every role."""
+    return tuple(i for i, r in enumerate(tok.roles) if r in roles)
 
 
 def unmask(masked) -> tuple[int, ...]:
@@ -76,7 +87,7 @@ class TestVocabulary:
         assert v.encode("absent") == UNK_ID
 
     def test_build_from_texts_lowercases(self):
-        v = Vocabulary.build(["War Horse", "war film."])
+        v = Vocabulary.build(map(token_spans, ["War Horse", "war film."]))
         assert v.encode("war") != UNK_ID
         assert v.encode("War") == UNK_ID
         assert v.encode(".") != UNK_ID
@@ -90,24 +101,24 @@ class TestVocabulary:
 class TestTokenize:
     def test_film_roles(self):
         sample = film_sample()
-        vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize_groups(sample, vocab)[0]
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
+        tok = groups_of(sample, vocab)[0]
         assert len(tok.tokens) == 11
-        assert tok.positions(Role.SUBJECT_CLUE) == (0, 1)
-        assert tok.positions(Role.PREDICATE_CLUE) == (7, 8)
+        assert role_scan(tok, Role.SUBJECT_CLUE) == (0, 1)
+        assert role_scan(tok, Role.PREDICATE_CLUE) == (7, 8)
         assert tok.object_positions == (9, 10)
         # The second "war" is plain context even though the word matches.
         assert tok.roles[5] is Role.OTHER
         assert tok.object_word_count == 2
 
     def test_tokens_encode_lowercased_surface(self):
-        vocab = Vocabulary.build([FILM_TEXT])
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = plain(FILM_TEXT, vocab)
         assert tok.tokens[0] == vocab.encode("war")
         assert all(r is Role.OTHER for r in tok.roles)
 
     def test_punctuation_is_its_own_token(self):
-        vocab = Vocabulary.build(["War Horse."])
+        vocab = Vocabulary.build(map(token_spans, ["War Horse."]))
         tok = plain("War Horse.", vocab)
         assert [vocab.decode(t) for t in tok.tokens] == ["war", "horse", "."]
         assert tok.token_spans == ((0, 3), (4, 9), (9, 10))
@@ -124,8 +135,8 @@ class TestTokenize:
             object_span=Span(46, 51, FILM_TEXT[46:51]),
             edit_distance=0,
         )
-        vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize_groups(AlignedSample(sample.paragraph, (), (clipped,)), vocab)[0]
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
+        tok = groups_of(AlignedSample(sample.paragraph, (), (clipped,)), vocab)[0]
         assert tok.object_positions == ()
 
 
@@ -141,15 +152,15 @@ class TestTokenizeGroups:
 
     def test_one_group_per_object_span(self):
         sample = self.kb_two_objects()
-        vocab = Vocabulary.build([sample.paragraph.text])
-        groups = tokenize_groups(sample, vocab)
+        vocab = Vocabulary.build(map(token_spans, [sample.paragraph.text]))
+        groups = groups_of(sample, vocab)
         assert len(groups) == 2
         assert [g.object_positions for g in groups] == [(2,), (6,)]
 
     def test_foreign_clues_exclude_own_roles(self):
         sample = self.kb_two_objects()
-        vocab = Vocabulary.build([sample.paragraph.text])
-        first, second = tokenize_groups(sample, vocab)
+        vocab = Vocabulary.build(map(token_spans, [sample.paragraph.text]))
+        first, second = groups_of(sample, vocab)
         # Group one: subject alpha(0), predicate guards(1), object beta(2).
         # The other group's clue "beta"(2) overlaps this object, so only
         # "rules"(5) stays foreign.
@@ -161,15 +172,15 @@ class TestTokenizeGroups:
 
     def test_entity_spans_recorded(self):
         sample = film_sample()
-        vocab = Vocabulary.build([FILM_TEXT])
-        (group,) = tokenize_groups(sample, vocab)
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
+        (group,) = groups_of(sample, vocab)
         assert (0, 2) in group.entity_token_spans
         assert (9, 11) in group.entity_token_spans
 
     def test_tokenize_for_spans_has_no_roles(self):
         sample = film_sample()
-        vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize_for_spans(sample, vocab)
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
+        tok = tokenize_for_spans(sample, token_spans(FILM_TEXT), vocab)
         assert all(r is Role.OTHER for r in tok.roles)
         assert tok.entity_token_spans
         assert tok.tokens == plain(FILM_TEXT, vocab).tokens
@@ -186,7 +197,7 @@ class TestTokenizeGroups:
         for _ in range(20):
             kb, corpus = make_world(rng, n_paragraphs=20)
             # Half the texts only, so some tokens encode as unknown.
-            vocab = Vocabulary.build(p.text for p in corpus[::2])
+            vocab = Vocabulary.build(token_spans(p.text) for p in corpus[::2])
             for sample in build_dataset(corpus, kb).deterministic_samples:
                 heads = {}
                 for t in sample.aligned:
@@ -198,7 +209,7 @@ class TestTokenizeGroups:
                                        third.object_span, 0)
                 for s in (sample, replace(sample, aligned=sample.aligned + (extra,))):
                     got = [{f.name: getattr(ts, f.name) for f in fields(ts)}
-                           for ts in tokenize_groups(s, vocab)]
+                           for ts in groups_of(s, vocab)]
                     for g in got:
                         g["roles"] = tuple(r.value for r in g["roles"])
                     assert got == tokenize_groups_oracle(s, vocab.token_to_id, UNK_ID)
@@ -206,11 +217,32 @@ class TestTokenizeGroups:
         assert checked >= 80
 
 
+class TestStoredPositions:
+    def test_stored_positions_equal_role_scans(self):
+        """On the larger random worlds of acceptance 1/9, every group's stored
+        object and clue positions are the positions its roles mark."""
+        rng = np.random.default_rng(777)
+        checked = 0
+        for _ in range(10):
+            kb, corpus = make_world(rng, n_entities=int(rng.integers(10, 17)),
+                                    n_predicates=int(rng.integers(4, 8)),
+                                    n_triplets=int(rng.integers(30, 71)),
+                                    n_paragraphs=int(rng.integers(10, 21)))
+            vocab = Vocabulary.build(token_spans(p.text) for p in corpus)
+            for sample in build_dataset(corpus, kb).deterministic_samples:
+                for tok in groups_of(sample, vocab):
+                    assert tok.object_positions == role_scan(tok, Role.OBJECT)
+                    assert tok.clue_positions == role_scan(
+                        tok, Role.SUBJECT_CLUE, Role.PREDICATE_CLUE)
+                    checked += 1
+        assert checked >= 100
+
+
 class TestApplyMask:
     def group(self):
         sample = film_sample()
-        vocab = Vocabulary.build([FILM_TEXT])
-        return tokenize_groups(sample, vocab)[0]
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
+        return groups_of(sample, vocab)[0]
 
     def test_deterministic_masks_exactly_object(self):
         tok = self.group()
@@ -249,7 +281,7 @@ class TestApplyMask:
         assert (covered[0], covered[-1] + 1) in tok.entity_token_spans
 
     def test_no_object_raises(self):
-        vocab = Vocabulary.build([FILM_TEXT])
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = plain(FILM_TEXT, vocab)
         for scheme in (
             MaskScheme.DETERMINISTIC,
@@ -261,7 +293,7 @@ class TestApplyMask:
                 apply_mask(tok, scheme, np.random.default_rng(0))
 
     def test_no_entity_spans_raises_for_salient(self):
-        vocab = Vocabulary.build([FILM_TEXT])
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = plain(FILM_TEXT, vocab)
         with pytest.raises(NoMaskableContent):
             apply_mask(tok, MaskScheme.SALIENT_SPAN, np.random.default_rng(0))
@@ -277,8 +309,8 @@ class TestApplyMask:
 class TestContrastivePair:
     def test_keep_and_drop_shapes(self):
         sample = film_sample()
-        vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize_groups(sample, vocab)[0]
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
+        tok = groups_of(sample, vocab)[0]
         keep, drop = make_contrastive_pair(tok)
         assert keep.mask_positions == tok.object_positions
         assert set(drop.mask_positions) == set(tok.object_positions) | set(tok.clue_positions)
@@ -297,6 +329,7 @@ class TestContrastivePair:
             token_spans=((0, 1), (2, 3), (4, 5)),
             roles=(Role.OTHER, Role.OBJECT, Role.OTHER),
             word_boundaries=(True, True, True),
+            object_positions=(1,),
         )
         with pytest.raises(NoClues):
             make_contrastive_pair(tok)
@@ -308,6 +341,7 @@ class TestContrastivePair:
             token_spans=((0, 1), (2, 3)),
             roles=(Role.SUBJECT_CLUE, Role.OTHER),
             word_boundaries=(True, True),
+            clue_positions=(0,),
         )
         with pytest.raises(NoMaskableContent):
             make_contrastive_pair(tok)
@@ -316,8 +350,8 @@ class TestContrastivePair:
 class TestClassificationTriple:
     def test_budget_parity_and_separation(self):
         sample = film_sample()
-        vocab = Vocabulary.build([FILM_TEXT])
-        tok = tokenize_groups(sample, vocab)[0]
+        vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
+        tok = groups_of(sample, vocab)[0]
         a, b, c = make_classification_triple(tok, np.random.default_rng(7))
         assert len(a.mask_positions) == len(tok.object_positions)
         assert len(b.mask_positions) == len(c.mask_positions)
@@ -334,6 +368,8 @@ class TestClassificationTriple:
             token_spans=((0, 1), (2, 3), (4, 5), (6, 7)),
             roles=(Role.SUBJECT_CLUE, Role.PREDICATE_CLUE, Role.OBJECT, Role.OTHER),
             word_boundaries=(True, True, True, True),
+            object_positions=(2,),
+            clue_positions=(0, 1),
         )
         # Two clues but only one Other token.
         with pytest.raises(InsufficientContext):
@@ -347,6 +383,8 @@ class TestClassificationTriple:
             roles=(Role.SUBJECT_CLUE, Role.OBJECT, Role.OTHER, Role.OTHER, Role.OTHER),
             word_boundaries=(True,) * 5,
             foreign_clue_positions=frozenset({2, 3}),
+            object_positions=(1,),
+            clue_positions=(0,),
         )
         for seed in range(20):
             _a, _b, c = make_classification_triple(tok, np.random.default_rng(seed))

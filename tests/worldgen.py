@@ -168,4 +168,6 @@ def random_tokenized_sample(
         entity_token_spans=tuple(entity_spans),
         foreign_clue_positions=foreign,
         object_word_count=word_count,
+        object_positions=tuple(range(object_start, object_start + object_len)),
+        clue_positions=tuple(sorted(clue_ids)),
     )
