@@ -49,6 +49,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers of at least ``low``."""
+
+    def int_(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    int_.__name__ = "int"  # argparse names the type in "invalid int value"
+    return int_
+
+
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("DETMASK_LOG", "error").lower(), logging.ERROR
@@ -340,9 +353,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="masked.jsonl")
     p.add_argument("--vocab", required=True, help="vocab.json")
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=_int_at_least(1), default=500)
     p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--dim", type=int, default=16, help="embedding dimension")
+    p.add_argument("--dim", type=_int_at_least(2), default=16, help="embedding dimension")
     p.add_argument("--max-len", type=int, default=64,
                    help="position table size (grows to fit the data)")
     p.add_argument("--lambda-con", type=float, default=1.0)

@@ -78,8 +78,8 @@ def read_corpus(path: PathLike) -> list[Paragraph]:
                 if (
                     not isinstance(item, list)
                     or len(item) != 3
-                    or not isinstance(item[0], int)
-                    or not isinstance(item[1], int)
+                    or type(item[0]) is not int
+                    or type(item[1]) is not int
                     or not isinstance(item[2], str)
                 ):
                     raise MalformedLine(name, line_no,
@@ -122,7 +122,8 @@ def _int_list(obj: dict, key: str, name: str, line_no: int) -> tuple[int, ...]:
 
 
 def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
-    if len(bounds) != 2 or not all(isinstance(b, int) for b in bounds):
+    if not (isinstance(bounds, list) and len(bounds) == 2
+            and type(bounds[0]) is int and type(bounds[1]) is int):
         raise MalformedLine(name, line_no, "span must be [start, end]")
     a, b = bounds
     if not (0 <= a < b <= len(text)):
@@ -133,7 +134,7 @@ def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
 def _entities(obj: dict, text: str, name: str, line_no: int) -> tuple[tuple[Span, str], ...]:
     entities = []
     for item in _require(obj, "entities", list, name, line_no):
-        if not isinstance(item, list) or len(item) != 3:
+        if not isinstance(item, list) or len(item) != 3 or not isinstance(item[2], str):
             raise MalformedLine(name, line_no, "entities entries must be [start, end, id]")
         entities.append((_span(text, item[:2], name, line_no), item[2]))
     return tuple(entities)
@@ -294,10 +295,7 @@ def write_vocab(path: PathLike, vocab: Vocabulary) -> None:
 
 
 def read_vocab(path: PathLike) -> Vocabulary:
-    tokens = read_json(path).get("tokens")
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise DataError(f"{path}: 'tokens' must be a list of strings")
-    return Vocabulary(tuple(tokens), {t: i for i, t in enumerate(tokens)})
+    return Vocabulary.from_stored(read_json(path).get("tokens"), path)
 
 
 def read_templates(path: PathLike) -> list[Template]:

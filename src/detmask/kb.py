@@ -7,17 +7,16 @@ File formats (UTF-8, LF, ``#`` comment lines ignored in all three):
 * ``entities.tsv``    ``id<TAB>canonical<TAB>alias1|alias2|...`` (third column optional)
 * ``predicates.tsv``  ``id<TAB>alias1|alias2|...``
 
-``load_kb_dir`` reads a directory of the three; ``write_kb_dir`` writes one,
-sorted by id.
+Each loader reads one table from a file path.  ``load_kb_dir`` reads a
+directory of the three; ``write_kb_dir`` writes one, sorted by id.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DanglingReference, DataError, MalformedLine
 from .fileio import atomic_write
@@ -25,8 +24,6 @@ from .fileio import atomic_write
 EntityId = str
 PredicateId = str
 AliasTable = Mapping[str, tuple[str, ...]]
-
-Source = Union[str, Path, IO[str], Iterable[str]]
 
 
 @dataclass(frozen=True, order=True)
@@ -51,25 +48,17 @@ class KnowledgeBase:
     so_index: dict[tuple[EntityId, EntityId], tuple[PredicateId, ...]] = field(repr=False)
 
 
-def _iter_lines(source: Source, name: str) -> Iterator[tuple[int, str]]:
+def _iter_lines(path: str | Path, name: str) -> Iterator[tuple[int, str]]:
     """Yield (line_no, content) for non-empty, non-comment lines."""
-    if isinstance(source, (str, Path)):
-        handle: IO[str] = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    else:
-        handle = source if isinstance(source, io.TextIOBase) else iter(source)  # type: ignore[assignment]
-        close = False
-    try:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, line
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{name}: not a UTF-8 file: {exc}") from None
-    finally:
-        if close:
-            handle.close()
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        try:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line or line.startswith("#"):
+                    continue
+                yield line_no, line
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{name}: not a UTF-8 file: {exc}") from None
 
 
 def _parse_id(value: str, source_name: str, line_no: int, what: str) -> str:
@@ -84,10 +73,10 @@ def _parse_alias_field(raw: str) -> list[str]:
     return [a.strip() for a in raw.split("|") if a.strip()]
 
 
-def load_entity_aliases(source: Source, name: str = "entities.tsv") -> dict[str, tuple[str, ...]]:
+def load_entity_aliases(path: str | Path, name: str = "entities.tsv") -> dict[str, tuple[str, ...]]:
     """Parse the entity alias table; the canonical name leads each alias list."""
     table: dict[str, tuple[str, ...]] = {}
-    for line_no, line in _iter_lines(source, name):
+    for line_no, line in _iter_lines(path, name):
         fields = line.split("\t")
         if len(fields) not in (2, 3):
             raise MalformedLine(name, line_no, f"expected 2 or 3 tab-separated fields, got {len(fields)}")
@@ -106,9 +95,9 @@ def load_entity_aliases(source: Source, name: str = "entities.tsv") -> dict[str,
     return table
 
 
-def load_predicate_aliases(source: Source, name: str = "predicates.tsv") -> dict[str, tuple[str, ...]]:
+def load_predicate_aliases(path: str | Path, name: str = "predicates.tsv") -> dict[str, tuple[str, ...]]:
     table: dict[str, tuple[str, ...]] = {}
-    for line_no, line in _iter_lines(source, name):
+    for line_no, line in _iter_lines(path, name):
         fields = line.split("\t")
         if len(fields) != 2:
             raise MalformedLine(name, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
@@ -123,11 +112,11 @@ def load_predicate_aliases(source: Source, name: str = "predicates.tsv") -> dict
     return table
 
 
-def load_triplets(source: Source, name: str = "triplets.tsv") -> list[Triplet]:
+def load_triplets(path: str | Path, name: str = "triplets.tsv") -> list[Triplet]:
     """Parse triplet lines; duplicates are dropped, order of first occurrence kept."""
     out: list[Triplet] = []
     seen: set[Triplet] = set()
-    for line_no, line in _iter_lines(source, name):
+    for line_no, line in _iter_lines(path, name):
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLine(name, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
@@ -168,16 +157,13 @@ def build_kb(
     )
 
 
-def load_kb(
-    triplet_source: Source,
-    entity_alias_source: Source,
-    predicate_alias_source: Source,
-) -> KnowledgeBase:
-    """Load and index a KB from the three tabular sources."""
+def load_kb(triplets_path: str | Path, entities_path: str | Path,
+            predicates_path: str | Path) -> KnowledgeBase:
+    """Load and index a KB from the three table files."""
     return build_kb(
-        load_triplets(triplet_source),
-        load_entity_aliases(entity_alias_source),
-        load_predicate_aliases(predicate_alias_source),
+        load_triplets(triplets_path),
+        load_entity_aliases(entities_path),
+        load_predicate_aliases(predicates_path),
     )
 
 

@@ -4,10 +4,11 @@ Each aligned sample yields one tokenized sample per distinct object span;
 subject and predicate spans of every triplet sharing that object become its
 clue tokens, while clue tokens of the paragraph's other triplets are tracked
 separately so they are never drawn as "random" context.  A paragraph's one
-``Tokens`` feeds the vocabulary and its samples, which store their object
-and clue positions.  Masking replaces a token id with the mask sentinel
-one-for-one, so restoring the targets at the mask positions always
-reconstructs the original sequence.
+``Tokens`` feeds the vocabulary and its samples.  Each sample stores its
+group as ascending position lists: the object tokens, and the clue tokens
+that are not also object tokens; every other token is context.  Masking
+replaces a token id with the mask sentinel one-for-one, so restoring the
+targets at the mask positions always reconstructs the original sequence.
 
 Three families of outputs:
 
@@ -24,7 +25,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .align import AlignedSample, Span, object_groups
-from .errors import InsufficientContext, NoClues, NoMaskableContent
+from .errors import DataError, InsufficientContext, NoClues, NoMaskableContent
 from .tokenizer import Tokens, count_words, tokens_inside
 
 if TYPE_CHECKING:
@@ -37,13 +38,6 @@ PAD_TOKEN = "<pad>"
 MASK_TOKEN = "<mask>"
 UNK_TOKEN = "<unk>"
 _RESERVED = (PAD_TOKEN, MASK_TOKEN, UNK_TOKEN)
-
-
-class Role(Enum):
-    OTHER = "other"
-    SUBJECT_CLUE = "subject_clue"
-    PREDICATE_CLUE = "predicate_clue"
-    OBJECT = "object"
 
 
 class MaskScheme(Enum):
@@ -74,6 +68,21 @@ class Vocabulary:
         return cls(ordered, {t: i for i, t in enumerate(ordered)})
 
     @classmethod
+    def from_stored(cls, tokens, source) -> "Vocabulary":
+        """The vocabulary of a stored token list, ids in list order: distinct
+        strings, the three sentinels first, then at least one content token.
+        Any other list raises ``DataError`` naming ``source``."""
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError(f"{source}: vocabulary tokens must be a list of strings")
+        if tuple(tokens[:3]) != _RESERVED or len(tokens) < 4:
+            raise DataError(f"{source}: vocabulary must start with {', '.join(_RESERVED)} "
+                            "and hold at least one content token")
+        index = {t: i for i, t in enumerate(tokens)}
+        if len(index) != len(tokens):
+            raise DataError(f"{source}: vocabulary repeats a token")
+        return cls(tuple(tokens), index)
+
+    @classmethod
     def build(cls, tokenized: Iterable[Tokens]) -> "Vocabulary":
         """The vocabulary of the lowercased tokens of tokenized texts."""
         return cls.from_tokens(t for tokens in tokenized for t in tokens.lower)
@@ -93,8 +102,6 @@ class Vocabulary:
 class TokenizedSample:
     doc_id: str
     tokens: tuple[int, ...]
-    token_spans: tuple[tuple[int, int], ...]
-    roles: tuple[Role, ...]
     word_boundaries: tuple[bool, ...]
     # Token-index ranges [start, end) of linked entity spans, for span masking.
     entity_token_spans: tuple[tuple[int, int], ...] = ()
@@ -102,7 +109,7 @@ class TokenizedSample:
     # random draws so a "random" input never masks a real clue.
     foreign_clue_positions: frozenset[int] = frozenset()
     object_word_count: int = 0
-    # The positions whose role is Object, and those whose role is a clue, ascending.
+    # The group's object positions, and its clue positions that are not objects, ascending.
     object_positions: tuple[int, ...] = ()
     clue_positions: tuple[int, ...] = ()
 
@@ -140,23 +147,17 @@ def tokenize_groups(sample: AlignedSample, tokens: Tokens,
 
     Triplets sharing the object span pool their subject and predicate tokens
     into the group's clue set; clue tokens of the other groups are recorded as
-    foreign so random draws can avoid them.  A token takes a role only when it
-    lies fully inside the span; straddling tokens stay in the Other role.
+    foreign so random draws can avoid them.  A span claims only the tokens
+    lying fully inside it; a token that is an object is never also a clue.
     """
     base = tokenize_for_spans(sample, tokens, vocab)
     groups = object_groups(sample, tokens)
     all_clues = set().union(*(g.subjects | g.predicates for g in groups))
     out: list[TokenizedSample] = []
     for g in groups:
-        roles = list(base.roles)
-        # Later roles take precedence: Object over SubjectClue over PredicateClue.
-        for positions, role in ((g.predicates, Role.PREDICATE_CLUE),
-                                (g.subjects, Role.SUBJECT_CLUE), (g.objects, Role.OBJECT)):
-            for i in positions:
-                roles[i] = role
         own = g.subjects | g.predicates
         a, b = g.span
-        out.append(replace(base, roles=tuple(roles), object_positions=tuple(g.objects),
+        out.append(replace(base, object_positions=tuple(g.objects),
                            clue_positions=tuple(sorted(own.difference(g.objects))),
                            foreign_clue_positions=frozenset(all_clues.difference(own, g.objects)),
                            object_word_count=count_words(sample.paragraph.text[a:b])))
@@ -169,8 +170,6 @@ def tokenize_for_spans(sample: AlignedSample, tokens: Tokens,
     return TokenizedSample(
         doc_id=sample.paragraph.doc_id,
         tokens=tuple(map(vocab.encode, tokens.lower)),
-        token_spans=tuple(zip(tokens.starts, tokens.ends)),
-        roles=(Role.OTHER,) * len(tokens.starts),
         word_boundaries=tuple(tokens.word_starts),
         entity_token_spans=_entity_token_spans(tokens, sample.entity_spans),
     )
@@ -240,12 +239,14 @@ def make_classification_triple(
     """The three classifier inputs: clues kept, clues masked, random context masked.
 
     The third input masks the object plus exactly as many uniformly chosen
-    Other-role tokens as there are clue tokens, never touching clue tokens of
-    any triplet in the paragraph.
+    context tokens as there are clue tokens: ascending positions that are
+    neither the group's object or clues nor a clue of any other triplet in
+    the paragraph.
     """
     keep, drop = make_contrastive_pair(sample)
-    clues, foreign = sample.clue_positions, sample.foreign_clue_positions
-    eligible = [i for i, r in enumerate(sample.roles) if r is Role.OTHER and i not in foreign]
+    clues = sample.clue_positions
+    taken = sample.foreign_clue_positions.union(sample.object_positions, clues)
+    eligible = [i for i in range(len(sample.tokens)) if i not in taken]
     if len(eligible) < len(clues):
         raise InsufficientContext(f"need {len(clues)} maskable context tokens, "
                                   f"have {len(eligible)}")

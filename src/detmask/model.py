@@ -15,8 +15,8 @@ Three losses over a (keep, drop, random) item:
 * L_cls   mean cross-entropy of the 3-way variant classifier over the object
           position embeddings of all three inputs.
 
-Total = L_mlm + lambda_con * L_con + lambda_cls * L_cls.  Gradients are exact
-and checked against central finite differences.
+Total = L_mlm + lambda_con * L_con + lambda_cls * L_cls.  Gradients are exact;
+the test suite checks them against central finite differences.
 
 The losses read the vocabulary distribution only at the object positions, so
 the LM head (``h2 @ tok_emb.T + lm_bias``) and its softmax run only at those
@@ -95,12 +95,6 @@ class ModelState:
             "lm_bias": self.lm_bias,
             "w_cls": self.w_cls,
         }
-
-
-@dataclass(frozen=True)
-class ForwardOutput:
-    embeddings: np.ndarray  # (n, d) contextual vectors
-    probs: np.ndarray  # (n, vocab) rows summing to 1
 
 
 @dataclass(frozen=True)
@@ -198,24 +192,6 @@ def _forward(state: ModelState, tokens, max_len: int, rows=None) -> dict:
         logits += state.lm_bias
         cache["probs"] = _softmax(logits)
     return cache
-
-
-def forward(state: ModelState, input_tokens: Sequence[int],
-            max_len: Optional[int] = None) -> ForwardOutput:
-    """Contextual embeddings and vocabulary distributions at every position."""
-    limit = state.pos_emb.shape[0] if max_len is None else max_len
-    cache = _forward(state, input_tokens, limit, rows=slice(None))
-    return ForwardOutput(embeddings=cache["h2"], probs=cache["probs"])
-
-
-def avg_truth_prob(output: ForwardOutput, mask_positions: Sequence[int],
-                   targets: Sequence[int]) -> float:
-    """Arithmetic mean of the probability given to each target at its position."""
-    if len(mask_positions) == 0:
-        raise EmptyMaskSet("no mask positions to average over")
-    pos = np.asarray(mask_positions, dtype=np.int64)
-    tgt = np.asarray(targets, dtype=np.int64)
-    return float(output.probs[pos, tgt].mean())
 
 
 def _zero_grads(state: ModelState) -> dict[str, np.ndarray]:
@@ -346,58 +322,6 @@ def loss_and_grad(
     return (l_mlm, l_con, l_cls, l_total), grads
 
 
-def grad(state: ModelState, item: TrainItem, config: ModelConfig) -> dict[str, np.ndarray]:
-    """d L_total / d theta at the configured loss weights."""
-    _losses, grads = loss_and_grad(
-        state, item, (1.0, config.lambda_con, config.lambda_cls), config.max_len
-    )
-    return grads
-
-
-def finite_diff_check(
-    state: ModelState,
-    item: TrainItem,
-    eps: float = 1e-5,
-    coeffs: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    max_len: int = 128,
-    min_coords: int = 200,
-    seed: int = 0,
-) -> float:
-    """Max relative error of analytic gradients against central differences.
-
-    Samples at least ``min_coords`` coordinates spread over every parameter
-    group in proportion to its size (small groups are checked exhaustively).
-    """
-    if not 0 < eps <= 1e-3:
-        raise ValueError("eps must be in (0, 1e-3]")
-    _losses, grads = loss_and_grad(state, item, coeffs, max_len)
-    params = state.params()
-    total = sum(arr.size for arr in params.values())
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name, arr in params.items():
-        share = max(8, math.ceil(min_coords * arr.size / total))
-        if arr.size <= share:
-            picks = np.arange(arr.size)
-        else:
-            picks = rng.choice(arr.size, size=share, replace=False)
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for idx in picks:
-            idx = int(idx)
-            original = flat[idx]
-            flat[idx] = original + eps
-            (_, _, _, up), _ = loss_and_grad(state, item, coeffs, max_len, want_grad=False)
-            flat[idx] = original - eps
-            (_, _, _, down), _ = loss_and_grad(state, item, coeffs, max_len, want_grad=False)
-            flat[idx] = original
-            numeric = (up - down) / (2.0 * eps)
-            analytic = gflat[idx]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-            worst = max(worst, err)
-    return worst
-
-
 def train(
     config: ModelConfig,
     items: Iterable[TrainItem],
@@ -495,10 +419,11 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    A header that is not the expected JSON, a vocabulary with more tokens
-    than the config, a tensor set or shape other than ``_param_shapes`` of
-    the config, a tensor reaching past the end of the file, or a NaN or
-    infinite value raises ``DataError``.
+    A header that is not the expected JSON, a vocabulary that
+    ``Vocabulary.from_stored`` rejects or with more tokens than the config,
+    a tensor set or shape other than ``_param_shapes`` of the config, a
+    tensor reaching past the end of the file, or a NaN or infinite value
+    raises ``DataError``.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -514,9 +439,7 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
         entries = {e["name"]: (tuple(e["shape"]), e["offset"]) for e in header["tensors"]}
         config = ModelConfig(**header["config"])
         toks = header.get("vocab")
-        vocab = None
-        if toks is not None:
-            vocab = Vocabulary(tuple(toks), {t: i for i, t in enumerate(toks)})
+        vocab = None if toks is None else Vocabulary.from_stored(toks, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
     if not all(type(x) is int for x in (config.vocab_size, config.d, config.max_len)):

@@ -75,10 +75,6 @@ class ClozeQuestion:
         return f"{s}|{p}|{o}#{self.prompt_id}"
 
     @property
-    def mask_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.prompt_tokens) if t == MASK_TOKEN)
-
-    @property
     def gold_tokens(self) -> tuple[str, ...]:
         return tuple(tokens_lower(self.fact.object_surface))
 
@@ -110,18 +106,6 @@ class MetricsReport:
     out_of_domain: Optional[SplitMetrics] = None
     n1_or_11: Optional[SplitMetrics] = None
     nm: Optional[SplitMetrics] = None
-
-    @property
-    def accuracy(self) -> float:
-        return self.total.accuracy
-
-    @property
-    def consistency(self) -> float:
-        return self.total.consistency
-
-    @property
-    def joint(self) -> float:
-        return self.total.joint
 
     def to_dict(self) -> dict:
         splits = {

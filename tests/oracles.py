@@ -21,10 +21,17 @@ foreign clues rebuilt from the other groups.  Its token lookups are full
 scans where the tokenizer compares offsets and bisects:
 ``word_starts_oracle`` looks for whitespace in every gap between tokens, and
 ``tokens_inside_oracle`` tests every token against the range.
+``context_positions_oracle`` scans every position for the pool that the
+random member of a triple draws from.
 
 ``full_head_losses_oracle`` recomputes the model's three losses with the LM
 head and its softmax at every position, attention one query at a time over
-the non-pad keys, and nothing from ``detmask.model``.
+the non-pad keys, and nothing from ``detmask.model``; its ``_full_forward``
+also gives the tests the contextual embeddings and every position's
+vocabulary distribution of one sequence.
+
+``finite_diff_check`` compares ``model.loss_and_grad``'s analytic gradients
+with central differences of its own losses.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
 from detmask.kb import KnowledgeBase
+from detmask.model import ModelState, TrainItem, loss_and_grad
 from detmask.tokenizer import lower_aligned, tokens_lower
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -238,6 +246,14 @@ def tokens_inside_oracle(spans: list[tuple[int, int]], start: int, end: int) -> 
     return [i for i, (a, b) in enumerate(spans) if a >= start and b <= end]
 
 
+def context_positions_oracle(sample) -> list[int]:
+    """Positions the random member of a triple may mask: every token that is
+    none of the group's objects and clues nor another group's clue."""
+    taken = (set(sample.object_positions) | set(sample.clue_positions)
+             | sample.foreign_clue_positions)
+    return [i for i in range(len(sample.tokens)) if i not in taken]
+
+
 def tokenize_groups_oracle(
     sample: AlignedSample, token_to_id: dict[str, int], unk_id: int
 ) -> list[dict]:
@@ -247,7 +263,8 @@ def tokenize_groups_oracle(
     (object over subject clue over predicate clue over other), and only when
     it lies fully inside that span.  Foreign clues are the subject and
     predicate tokens of every other group, minus the tokens this group gives
-    a role.  Roles are the ``Role`` values as strings.
+    a role.  The object positions are the object-role tokens and the clue
+    positions the subject- and predicate-clue tokens.
     """
     text = sample.paragraph.text
     spans = token_spans_oracle(text)
@@ -288,8 +305,6 @@ def tokenize_groups_oracle(
         out.append({
             "doc_id": sample.paragraph.doc_id,
             "tokens": tuple(token_to_id.get(text[a:b].lower(), unk_id) for a, b in spans),
-            "token_spans": tuple(spans),
-            "roles": tuple(roles),
             "word_boundaries": tuple(word_starts_oracle(text, spans)),
             "entity_token_spans": tuple(entity_token_spans),
             "foreign_clue_positions": frozenset(foreign),
@@ -348,3 +363,47 @@ def full_head_losses_oracle(params: dict, item, pad_id: int) -> tuple[float, flo
                 nll -= math.log(_softmax_rows(h2[p] @ params["w_cls"])[label])
         l_cls = nll / (3 * len(at))
     return l_mlm, l_con, l_cls
+
+
+def finite_diff_check(
+    state: ModelState,
+    item: TrainItem,
+    eps: float = 1e-5,
+    coeffs: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    max_len: int = 128,
+    min_coords: int = 200,
+    seed: int = 0,
+) -> float:
+    """Max relative error of analytic gradients against central differences.
+
+    Samples at least ``min_coords`` coordinates spread over every parameter
+    group in proportion to its size (small groups are checked exhaustively).
+    """
+    if not 0 < eps <= 1e-3:
+        raise ValueError("eps must be in (0, 1e-3]")
+    _losses, grads = loss_and_grad(state, item, coeffs, max_len)
+    params = state.params()
+    total = sum(arr.size for arr in params.values())
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name, arr in params.items():
+        share = max(8, math.ceil(min_coords * arr.size / total))
+        if arr.size <= share:
+            picks = np.arange(arr.size)
+        else:
+            picks = rng.choice(arr.size, size=share, replace=False)
+        flat = arr.reshape(-1)
+        gflat = grads[name].reshape(-1)
+        for idx in picks:
+            idx = int(idx)
+            original = flat[idx]
+            flat[idx] = original + eps
+            (_, _, _, up), _ = loss_and_grad(state, item, coeffs, max_len, want_grad=False)
+            flat[idx] = original - eps
+            (_, _, _, down), _ = loss_and_grad(state, item, coeffs, max_len, want_grad=False)
+            flat[idx] = original
+            numeric = (up - down) / (2.0 * eps)
+            analytic = gflat[idx]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+            worst = max(worst, err)
+    return worst

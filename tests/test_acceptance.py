@@ -23,25 +23,24 @@ from detmask.errors import InsufficientContext
 from detmask.formats import write_samples
 from detmask.kb import Triplet, build_kb
 from detmask.masking import (
+    PAD_ID,
     MaskScheme,
-    Role,
     Vocabulary,
     apply_mask,
     make_classification_triple,
     make_contrastive_pair,
     tokenize_groups,
 )
-from detmask.model import (
-    ModelConfig,
-    avg_truth_prob,
-    finite_diff_check,
-    forward,
-    init,
-    train,
-)
+from detmask.model import ModelConfig, init, train
 from detmask.probe import Fact, Template, build_questions, evaluate, instantiate, run_model
 from detmask.tokenizer import token_spans
-from oracles import align_paragraph_oracle, sample_to_tuples
+from oracles import (
+    _full_forward,
+    align_paragraph_oracle,
+    context_positions_oracle,
+    finite_diff_check,
+    sample_to_tuples,
+)
 from worldgen import make_world, random_tokenized_sample
 
 FILLERS = (
@@ -204,11 +203,7 @@ def test_masking_budgets_hold_across_ten_thousand_samples():
         check(set(drop.mask_positions)
               == set(sample.object_positions) | set(sample.clue_positions))
 
-        eligible = [
-            i
-            for i, role in enumerate(sample.roles)
-            if role is Role.OTHER and i not in sample.foreign_clue_positions
-        ]
+        eligible = context_positions_oracle(sample)
         if len(eligible) < len(sample.clue_positions):
             try:
                 make_classification_triple(sample, mask_rng)
@@ -322,12 +317,9 @@ def test_contrastive_training_separates_kept_and_dropped_clue_inputs():
     state, _ = train(config, train_items, steps=5000, lr=0.12)
     wins = 0
     for keep, drop in held_out:
-        p_keep = avg_truth_prob(
-            forward(state, keep.input_tokens), keep.mask_positions, keep.targets
-        )
-        p_drop = avg_truth_prob(
-            forward(state, drop.input_tokens), keep.mask_positions, keep.targets
-        )
+        at = (list(keep.mask_positions), list(keep.targets))
+        p_keep = _full_forward(state.params(), keep.input_tokens, PAD_ID)[1][at].mean()
+        p_drop = _full_forward(state.params(), drop.input_tokens, PAD_ID)[1][at].mean()
         wins += p_keep > p_drop
     rate = wins / len(held_out)
     ok = rate >= 0.90
@@ -357,7 +349,7 @@ def test_classifier_labels_input_conditions_on_held_out_facts():
     total = 0
     for keep, drop, randomized in held_out:
         for label, masked in enumerate((keep, drop, randomized)):
-            hidden = forward(state, masked.input_tokens).embeddings
+            hidden, _probs = _full_forward(state.params(), masked.input_tokens, PAD_ID)
             logits = hidden[list(keep.mask_positions)] @ state.w_cls
             shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs = (shifted / shifted.sum(axis=1, keepdims=True)).mean(axis=0)
@@ -424,7 +416,7 @@ def test_deterministic_pretraining_yields_more_consistent_probe_answers():
             config = ModelConfig(vocab_size=vocab.size, d=16, max_len=8, seed=seed)
             state, _ = train(config, items, steps=3000, lr=0.1)
             report = evaluate(questions, run_model(state, vocab, questions))
-            scores[scheme].append(report.consistency)
+            scores[scheme].append(report.total.consistency)
     det = median(scores[MaskScheme.DETERMINISTIC])
     rnd = median(scores[MaskScheme.RANDOM_TOKEN])
     elapsed = time.perf_counter() - started
@@ -498,7 +490,7 @@ def test_probe_metrics_match_hand_computed_fixtures():
                 predictions[question.question_id] = answer.split()
         report = evaluate(questions, predictions)
         expected = tuple(n / d if d else 0.0 for n, d in (acc, cons, joint))
-        got = (report.accuracy, report.consistency, report.joint)
+        got = (report.total.accuracy, report.total.consistency, report.total.joint)
         if got != expected:
             failures.append(f"{name}: expected {expected}, got {got}")
     ok = not failures

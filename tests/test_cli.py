@@ -559,6 +559,73 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("detmask: error:")
 
+    def test_malformed_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        for tokens, message in ((["<pad>", "<mask>", "<unk>"], "must start with"),
+                                (["a", "b", "c", "d"], "must start with"),
+                                (["<pad>", "<mask>", "<unk>", "a", "a"], "repeats a token")):
+            vocab.write_text(json.dumps({"tokens": tokens}), encoding="utf-8")
+            code = main(["train", "--data", str(pipeline["masked"]), "--vocab", str(vocab),
+                         "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
+            assert code == 2, tokens
+            assert message in capsys.readouterr().err, tokens
+            assert not (tmp_path / "m.ckpt").exists(), tokens
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dim", "1", "argument --dim: must be at least 2, got 1"),
+        ("--steps", "0", "argument --steps: must be at least 1, got 0"),
+    ], ids=["dim", "steps"])
+    def test_out_of_range_train_flag_is_usage_error(self, tmp_path, capsys, flag, value,
+                                                    message):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", "x", "--vocab", "y", "--out", str(tmp_path / "m.ckpt"),
+                  flag, value])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert err.splitlines()[-1] == f"detmask train: error: {message}"
+
+    def test_boolean_corpus_offset_is_data_error(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({
+            "doc_id": "a", "text": "War Horse is a film directed by Steven Spielberg.",
+            "entity_spans": [[False, 9, "A"], [22, 38, "B"]]}) + "\n", encoding="utf-8")
+        code = main(["align", "--kb", str(pipeline["kb"]), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "s.jsonl")])
+        assert code == 2
+        assert "entity_spans entries" in capsys.readouterr().err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_malformed_sample_offset_is_data_error(self, pipeline, tmp_path, capsys):
+        """Offsets that are booleans or not a list, and entity ids that are not
+        strings, fail ``stats`` and ``mask`` with exit 2."""
+        first, *rest = pipeline["samples"].read_text(encoding="utf-8").splitlines()
+
+        def false_entity_start(obj):
+            obj["entities"][0][0] = False
+
+        def true_subject_end(obj):
+            obj["triplets"][0]["s_span"][1] = True
+
+        def integer_object_span(obj):
+            obj["triplets"][0]["o_span"] = 5
+
+        def integer_entity_id(obj):
+            obj["entities"][0][2] = 7
+
+        for edit in (false_entity_start, true_subject_end, integer_object_span,
+                     integer_entity_id):
+            obj = json.loads(first)
+            edit(obj)
+            bad = tmp_path / f"{edit.__name__}.jsonl"
+            bad.write_text("\n".join([json.dumps(obj), *rest]) + "\n", encoding="utf-8")
+            for argv in (["stats", "--samples", str(bad)],
+                         ["mask", "--samples", str(bad), "--out", str(tmp_path / "m.jsonl"),
+                          "--emit", "pair"]):
+                assert main(argv) == 2, (edit.__name__, argv[0])
+                assert capsys.readouterr().err.startswith("detmask: error:"), edit.__name__
+            assert not (tmp_path / "m.jsonl").exists(), edit.__name__
+
     def test_corpus_not_utf8_is_data_error(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_bytes(b'{"doc_id": "a", "text": "x\xff"}\n')

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
@@ -24,60 +22,56 @@ ENTITIES = "A\tWar Horse\nB\tSteven Spielberg\tSpielberg\nC\tJaws\nD\tOther Cut\
 PREDICATES = "directedBy\tdirected by|director\n"
 
 
-def small_kb():
-    return load_kb(io.StringIO(TRIPLETS), io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+def load_tables(tmp_path, triplets=TRIPLETS, entities=ENTITIES, predicates=PREDICATES):
+    """``load_kb`` of the three tables, written to files under ``tmp_path``."""
+    paths = []
+    for name, text in (("triplets", triplets), ("entities", entities),
+                       ("predicates", predicates)):
+        paths.append(tmp_path / f"{name}.tsv")
+        paths[-1].write_text(text, encoding="utf-8")
+    return load_kb(*paths)
 
 
 class TestLoading:
-    def test_round_trip_counts(self):
-        kb = small_kb()
+    def test_round_trip_counts(self, tmp_path):
+        kb = load_tables(tmp_path)
         assert len(kb.triplets) == 3  # duplicate line collapsed
         assert kb.entity_aliases["B"] == ("Steven Spielberg", "Spielberg")
         assert kb.predicate_aliases["directedBy"] == ("directed by", "director")
 
-    def test_comments_and_blanks_ignored(self):
-        kb = small_kb()
+    def test_comments_and_blanks_ignored(self, tmp_path):
+        kb = load_tables(tmp_path)
         assert Triplet("A", "directedBy", "B") in kb.triplets
 
-    def test_malformed_field_count(self):
+    def test_malformed_field_count(self, tmp_path):
         with pytest.raises(MalformedLine):
-            load_kb(io.StringIO("A\tB\n"), io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+            load_tables(tmp_path, triplets="A\tB\n")
 
-    def test_malformed_id_with_space(self):
+    def test_malformed_id_with_space(self, tmp_path):
         with pytest.raises(MalformedLine):
-            load_kb(io.StringIO("A b\tp\tC\n"), io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+            load_tables(tmp_path, triplets="A b\tp\tC\n")
 
-    def test_id_whitespace_is_str_isspace(self):
+    def test_id_whitespace_is_str_isspace(self, tmp_path):
         """Padding of any Unicode whitespace is stripped; whitespace inside an id
         is an error that names the stripped id."""
-        kb = load_kb(io.StringIO("\u2003A\x1f\tdirectedBy\tB\u00a0\n"),
-                     io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+        kb = load_tables(tmp_path, triplets="\u2003A\x1f\tdirectedBy\tB\u00a0\n")
         assert kb.triplets == frozenset({Triplet("A", "directedBy", "B")})
         for bad in ("A\x1cb", "A\u00a0b", "\u2003"):
             with pytest.raises(MalformedLine) as info:
-                load_kb(io.StringIO(f" {bad} \tdirectedBy\tB\n"),
-                        io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+                load_tables(tmp_path, triplets=f" {bad} \tdirectedBy\tB\n")
             assert str(info.value) == f"triplets.tsv:1: bad subject id {bad.strip()!r}"
 
-    def test_duplicate_entity_id_rejected(self):
+    def test_duplicate_entity_id_rejected(self, tmp_path):
         with pytest.raises(MalformedLine):
-            load_kb(
-                io.StringIO(TRIPLETS),
-                io.StringIO(ENTITIES + "A\tAgain\n"),
-                io.StringIO(PREDICATES),
-            )
+            load_tables(tmp_path, entities=ENTITIES + "A\tAgain\n")
 
-    def test_dangling_entity(self):
+    def test_dangling_entity(self, tmp_path):
         with pytest.raises(DanglingReference):
-            load_kb(
-                io.StringIO("A\tdirectedBy\tZZZ\n"),
-                io.StringIO(ENTITIES),
-                io.StringIO(PREDICATES),
-            )
+            load_tables(tmp_path, triplets="A\tdirectedBy\tZZZ\n")
 
-    def test_dangling_predicate(self):
+    def test_dangling_predicate(self, tmp_path):
         with pytest.raises(DanglingReference):
-            load_kb(io.StringIO("A\tnope\tB\n"), io.StringIO(ENTITIES), io.StringIO(PREDICATES))
+            load_tables(tmp_path, triplets="A\tnope\tB\n")
 
     def test_load_dir(self, tmp_path):
         (tmp_path / "triplets.tsv").write_text(TRIPLETS, encoding="utf-8")
@@ -86,32 +80,32 @@ class TestLoading:
         kb = load_kb_dir(tmp_path)
         assert len(kb.triplets) == 3
 
-    def test_idempotent_load(self):
-        a, b = small_kb(), small_kb()
+    def test_idempotent_load(self, tmp_path):
+        a, b = load_tables(tmp_path), load_tables(tmp_path)
         assert a.triplets == b.triplets
         assert a.sp_index == b.sp_index
 
 
 class TestQueries:
-    def test_objects_exact_set(self):
-        kb = small_kb()
+    def test_objects_exact_set(self, tmp_path):
+        kb = load_tables(tmp_path)
         assert objects_for(kb, "C", "directedBy") == frozenset({"B", "D"})
 
-    def test_unknown_pair_empty(self):
-        kb = small_kb()
+    def test_unknown_pair_empty(self, tmp_path):
+        kb = load_tables(tmp_path)
         assert objects_for(kb, "D", "directedBy") == frozenset()
 
-    def test_deterministic_single_object(self):
-        kb = small_kb()
+    def test_deterministic_single_object(self, tmp_path):
+        kb = load_tables(tmp_path)
         assert is_deterministic(kb, "A", "directedBy")
 
-    def test_two_objects_not_deterministic(self):
-        kb = small_kb()
+    def test_two_objects_not_deterministic(self, tmp_path):
+        kb = load_tables(tmp_path)
         assert not is_deterministic(kb, "C", "directedBy")
 
-    def test_zero_objects_not_deterministic(self):
+    def test_zero_objects_not_deterministic(self, tmp_path):
         # No ground truth in the KB means nothing can be masked.
-        kb = small_kb()
+        kb = load_tables(tmp_path)
         assert not is_deterministic(kb, "D", "directedBy")
 
     def test_predicates_between_sorted(self):

@@ -1,4 +1,4 @@
-"""Role tagging, masking schemes, contrastive pairs, classifier triples."""
+"""Object and clue positions, masking schemes, contrastive pairs, classifier triples."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from detmask.masking import (
     PAD_ID,
     UNK_ID,
     MaskScheme,
-    Role,
     TokenizedSample,
     Variant,
     Vocabulary,
@@ -33,7 +32,7 @@ from detmask.masking import (
     tokenize_groups,
 )
 from detmask.tokenizer import token_spans
-from oracles import tokenize_groups_oracle
+from oracles import context_positions_oracle, tokenize_groups_oracle
 from worldgen import make_world, random_tokenized_sample
 
 FILM_TEXT = "War Horse is an American war film directed by Steven Spielberg"
@@ -52,18 +51,13 @@ def film_sample():
 
 
 def plain(text, vocab):
-    """``text`` tokenized with every role Other and no entity spans."""
+    """``text`` tokenized with no object, no clues and no entity spans."""
     return tokenize_for_spans(AlignedSample(Paragraph("d", text), (), ()), token_spans(text), vocab)
 
 
 def groups_of(sample, vocab):
     """``tokenize_groups`` of ``sample`` with its paragraph's tokens."""
     return tokenize_groups(sample, token_spans(sample.paragraph.text), vocab)
-
-
-def role_scan(tok, *roles):
-    """Positions whose role is one of ``roles``, by a scan of every role."""
-    return tuple(i for i, r in enumerate(tok.roles) if r in roles)
 
 
 def unmask(masked) -> tuple[int, ...]:
@@ -104,24 +98,25 @@ class TestTokenize:
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = groups_of(sample, vocab)[0]
         assert len(tok.tokens) == 11
-        assert role_scan(tok, Role.SUBJECT_CLUE) == (0, 1)
-        assert role_scan(tok, Role.PREDICATE_CLUE) == (7, 8)
+        # Subject "war horse" and predicate "directed by" are the clues.
+        assert tok.clue_positions == (0, 1, 7, 8)
         assert tok.object_positions == (9, 10)
         # The second "war" is plain context even though the word matches.
-        assert tok.roles[5] is Role.OTHER
+        assert 5 in context_positions_oracle(tok)
         assert tok.object_word_count == 2
 
     def test_tokens_encode_lowercased_surface(self):
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = plain(FILM_TEXT, vocab)
         assert tok.tokens[0] == vocab.encode("war")
-        assert all(r is Role.OTHER for r in tok.roles)
+        assert tok.object_positions == tok.clue_positions == ()
 
     def test_punctuation_is_its_own_token(self):
         vocab = Vocabulary.build(map(token_spans, ["War Horse."]))
         tok = plain("War Horse.", vocab)
         assert [vocab.decode(t) for t in tok.tokens] == ["war", "horse", "."]
-        assert tok.token_spans == ((0, 3), (4, 9), (9, 10))
+        tokens = token_spans("War Horse.")
+        assert list(zip(tokens.starts, tokens.ends)) == [(0, 3), (4, 9), (9, 10)]
         assert tok.word_boundaries == (True, True, False)
 
     def test_straddled_span_leaves_role_other(self):
@@ -181,7 +176,7 @@ class TestTokenizeGroups:
         sample = film_sample()
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = tokenize_for_spans(sample, token_spans(FILM_TEXT), vocab)
-        assert all(r is Role.OTHER for r in tok.roles)
+        assert tok.object_positions == tok.clue_positions == ()
         assert tok.entity_token_spans
         assert tok.tokens == plain(FILM_TEXT, vocab).tokens
 
@@ -210,8 +205,6 @@ class TestTokenizeGroups:
                 for s in (sample, replace(sample, aligned=sample.aligned + (extra,))):
                     got = [{f.name: getattr(ts, f.name) for f in fields(ts)}
                            for ts in groups_of(s, vocab)]
-                    for g in got:
-                        g["roles"] = tuple(r.value for r in g["roles"])
                     assert got == tokenize_groups_oracle(s, vocab.token_to_id, UNK_ID)
                     checked += 1
         assert checked >= 80
@@ -220,7 +213,7 @@ class TestTokenizeGroups:
 class TestStoredPositions:
     def test_stored_positions_equal_role_scans(self):
         """On the larger random worlds of acceptance 1/9, every group's stored
-        object and clue positions are the positions its roles mark."""
+        object and clue positions are those of the oracle's role scan."""
         rng = np.random.default_rng(777)
         checked = 0
         for _ in range(10):
@@ -230,10 +223,10 @@ class TestStoredPositions:
                                     n_paragraphs=int(rng.integers(10, 21)))
             vocab = Vocabulary.build(token_spans(p.text) for p in corpus)
             for sample in build_dataset(corpus, kb).deterministic_samples:
-                for tok in groups_of(sample, vocab):
-                    assert tok.object_positions == role_scan(tok, Role.OBJECT)
-                    assert tok.clue_positions == role_scan(
-                        tok, Role.SUBJECT_CLUE, Role.PREDICATE_CLUE)
+                expected = tokenize_groups_oracle(sample, vocab.token_to_id, UNK_ID)
+                for tok, scan in zip(groups_of(sample, vocab), expected, strict=True):
+                    assert tok.object_positions == scan["object_positions"]
+                    assert tok.clue_positions == scan["clue_positions"]
                     checked += 1
         assert checked >= 100
 
@@ -326,8 +319,6 @@ class TestContrastivePair:
         tok = TokenizedSample(
             doc_id="x",
             tokens=(5, 6, 7),
-            token_spans=((0, 1), (2, 3), (4, 5)),
-            roles=(Role.OTHER, Role.OBJECT, Role.OTHER),
             word_boundaries=(True, True, True),
             object_positions=(1,),
         )
@@ -338,8 +329,6 @@ class TestContrastivePair:
         tok = TokenizedSample(
             doc_id="x",
             tokens=(5, 6),
-            token_spans=((0, 1), (2, 3)),
-            roles=(Role.SUBJECT_CLUE, Role.OTHER),
             word_boundaries=(True, True),
             clue_positions=(0,),
         )
@@ -365,8 +354,6 @@ class TestClassificationTriple:
         tok = TokenizedSample(
             doc_id="x",
             tokens=(5, 6, 7, 8),
-            token_spans=((0, 1), (2, 3), (4, 5), (6, 7)),
-            roles=(Role.SUBJECT_CLUE, Role.PREDICATE_CLUE, Role.OBJECT, Role.OTHER),
             word_boundaries=(True, True, True, True),
             object_positions=(2,),
             clue_positions=(0, 1),
@@ -379,8 +366,6 @@ class TestClassificationTriple:
         tok = TokenizedSample(
             doc_id="x",
             tokens=(5, 6, 7, 8, 9),
-            token_spans=((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)),
-            roles=(Role.SUBJECT_CLUE, Role.OBJECT, Role.OTHER, Role.OTHER, Role.OTHER),
             word_boundaries=(True,) * 5,
             foreign_clue_positions=frozenset({2, 3}),
             object_positions=(1,),
@@ -428,11 +413,7 @@ class TestRandomSampleProperties:
                 assert (a, b) in sample.entity_token_spans
                 assert span.mask_positions == tuple(range(a, b))
 
-            eligible = [
-                i
-                for i, r in enumerate(sample.roles)
-                if r is Role.OTHER and i not in sample.foreign_clue_positions
-            ]
+            eligible = context_positions_oracle(sample)
             if len(eligible) < len(sample.clue_positions):
                 with pytest.raises(InsufficientContext):
                     make_classification_triple(sample, mask_rng)

@@ -28,21 +28,17 @@ from detmask.masking import (
     make_contrastive_pair,
 )
 from detmask.model import (
-    ForwardOutput,
     ModelConfig,
     ModelState,
-    avg_truth_prob,
-    finite_diff_check,
-    forward,
-    grad,
     init,
     load_checkpoint,
     loss_and_grad,
     predict_fill,
+    predict_fill_batch,
     save_checkpoint,
     train,
 )
-from oracles import full_head_losses_oracle
+from oracles import finite_diff_check, full_head_losses_oracle
 from worldgen import random_tokenized_sample
 
 
@@ -106,38 +102,59 @@ class TestInit:
             ModelConfig(vocab_size=3)
 
 
+def head_probs(state: ModelState, tokens) -> np.ndarray:
+    """The model's vocabulary distribution at every position of ``tokens``:
+    entry (i, t) is exp(-L_mlm) of filling position i with token t."""
+    out = np.empty((len(tokens), state.tok_emb.shape[0]))
+    for i, t in np.ndindex(out.shape):
+        (l_mlm, _, _, _), _ = loss_and_grad(state, masked(tokens, [i], [t]), (1, 0, 0),
+                                            state.pos_emb.shape[0], want_grad=False)
+        out[i, t] = math.exp(-l_mlm)
+    return out
+
+
 class TestForward:
     def test_rows_sum_to_one(self):
         state = init(ModelConfig(vocab_size=12, d=4, max_len=10, seed=2))
-        out = forward(state, [3, 4, 5, 1])
-        assert out.probs.shape == (4, 12)
-        np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(out.probs >= 0)
+        probs = head_probs(state, [3, 4, 5, 1])
+        assert probs.shape == (4, 12)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(probs >= 0)
 
     def test_zero_state_is_uniform(self):
-        out = forward(zero_state(), [3, 1, 4])
-        np.testing.assert_array_equal(out.probs, np.full((3, 6), 1 / 6))
+        probs = head_probs(zero_state(), [3, 1, 4])
+        np.testing.assert_allclose(probs, np.full((3, 6), 1 / 6), rtol=0, atol=1e-15)
 
     def test_pad_keys_do_not_affect_other_positions(self):
         state = init(ModelConfig(vocab_size=12, d=4, max_len=10, seed=3))
-        short = forward(state, [3, 4, 5])
-        padded = forward(state, [3, 4, 5, PAD_ID, PAD_ID])
-        np.testing.assert_array_equal(short.probs, padded.probs[:3])
-        np.testing.assert_array_equal(short.embeddings, padded.embeddings[:3])
+        short, padded = [3, 4, 5], [3, 4, 5, PAD_ID, PAD_ID]
+        np.testing.assert_array_equal(head_probs(state, short), head_probs(state, padded)[:3])
+        # The classifier reads the contextual embedding at each position.
+        for i in range(3):
+            l_cls = [loss_and_grad(state, (masked(toks, [i], [3]),) * 3, (0, 0, 1), 10,
+                                   want_grad=False)[0][2] for toks in (short, padded)]
+            assert l_cls[0] == l_cls[1]
 
     def test_sequence_too_long(self):
         state = init(ModelConfig(vocab_size=12, d=4, max_len=4, seed=0))
         with pytest.raises(SequenceTooLong):
-            forward(state, [3] * 5, max_len=4)
+            loss_and_grad(state, masked([3] * 5, [0], [3]), (1, 0, 0), max_len=4)
+        with pytest.raises(SequenceTooLong):
+            predict_fill_batch(state, [[3, 3, 3, 3, MASK_ID]], max_len=4)
 
     def test_avg_truth_prob(self):
-        out = ForwardOutput(
-            embeddings=np.zeros((2, 2)),
-            probs=np.array([[0.2, 0.8], [0.5, 0.5]]),
-        )
-        assert avg_truth_prob(out, (0, 1), (1, 0)) == pytest.approx(0.65)
+        # L_con is the arithmetic mean of the truth probabilities at the keep
+        # input's mask positions under drop, minus the same under keep.
+        state = init(ModelConfig(vocab_size=12, d=4, max_len=10, seed=4))
+        keep = masked([3, MASK_ID, MASK_ID, 5], [1, 2], [6, 7])
+        drop = masked([MASK_ID, MASK_ID, MASK_ID, 5], [1, 2], [6, 7])
+        (_, l_con, _, _), _ = loss_and_grad(state, (keep, drop), (1, 1, 0), 10, want_grad=False)
+        rows, tgt = [1, 2], [6, 7]
+        expected = (head_probs(state, drop.input_tokens)[rows, tgt].mean()
+                    - head_probs(state, keep.input_tokens)[rows, tgt].mean())
+        assert l_con == pytest.approx(expected, abs=1e-15)
         with pytest.raises(EmptyMaskSet):
-            avg_truth_prob(out, (), ())
+            loss_and_grad(state, masked([3, 4], [], []), (1, 0, 0), 10)
 
 
 class TestLossValues:
@@ -223,14 +240,15 @@ class TestGradientCheck:
         assert finite_diff_check(state, item, coeffs=(1, 1, 1), **self.CFG) < 1e-4
 
     def test_grad_uses_config_weights(self):
-        state = init(ModelConfig(vocab_size=10, d=4, seed=7, lambda_con=0.0, lambda_cls=0.0))
+        # One training step moves the weights by lr times the gradient at the
+        # config's loss weights.
+        config = ModelConfig(vocab_size=10, d=4, seed=7, lambda_con=0.0, lambda_cls=0.0)
         keep = masked([3, MASK_ID, 4], [1], [5])
         drop = masked([MASK_ID, MASK_ID, 4], [1], [5])
-        g = grad(state, (keep, drop), ModelConfig(vocab_size=10, d=4, seed=7,
-                                                  lambda_con=0.0, lambda_cls=0.0))
-        _, expected = loss_and_grad(state, (keep, drop), (1.0, 0.0, 0.0), max_len=128)
-        for name in g:
-            assert np.array_equal(g[name], expected[name]), name
+        trained, _log = train(config, [(keep, drop)], steps=1, lr=0.5)
+        _, expected = loss_and_grad(init(config), (keep, drop), (1.0, 0.0, 0.0), max_len=128)
+        for name, arr in init(config).params().items():
+            assert np.array_equal(trained.params()[name], arr - 0.5 * expected[name]), name
 
 
 class TestFullHeadOracle:
@@ -366,3 +384,17 @@ class TestCheckpoint:
         save_checkpoint(path, init(cfg), cfg)
         _state, _cfg, vocab = load_checkpoint(path)
         assert vocab is None
+
+    def test_stored_vocabulary_is_validated(self, tmp_path):
+        cfg = ModelConfig(vocab_size=9, d=4, max_len=6)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init(cfg), cfg, Vocabulary.from_tokens(["apple", "pear"]))
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        for tokens, message in ((["<pad>", "<mask>", "<unk>"], "must start with"),
+                                (["a", "b", "c", "d"], "must start with"),
+                                (["<pad>", "<mask>", "<unk>", "a", "a"], "repeats a token")):
+            header = json.loads(header_line)
+            header["vocab"] = tokens
+            path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+            with pytest.raises(DataError, match=message):
+                load_checkpoint(path)

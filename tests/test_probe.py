@@ -48,7 +48,7 @@ class TestInstantiate:
         assert q.prompt_tokens == (
             "marie", "curie", "is", "a", "citizen", "of", MASK_TOKEN, ".",
         )
-        assert q.mask_positions == (6,)
+        assert [i for i, t in enumerate(q.prompt_tokens) if t == MASK_TOKEN] == [6]
         assert q.gold_tokens == ("poland",)
 
     def test_multi_token_object_gets_one_mask_per_token(self):
@@ -135,9 +135,9 @@ class TestEvaluate:
     def test_worked_example(self):
         questions, predictions = self.worked_example()
         report = evaluate(questions, predictions)
-        assert report.accuracy == pytest.approx(4 / 6)
-        assert report.consistency == pytest.approx(2 / 3)
-        assert report.joint == pytest.approx(1 / 2)
+        assert report.total.accuracy == pytest.approx(4 / 6)
+        assert report.total.consistency == pytest.approx(2 / 3)
+        assert report.total.joint == pytest.approx(1 / 2)
         assert report.total.n_facts == 2
         assert report.total.n_questions == 6
         assert report.total.n_pairs == 6
@@ -150,7 +150,7 @@ class TestEvaluate:
     def test_predictions_lowercased(self):
         f = fact("S1", "p", "O1", "alpha")
         report = evaluate([question(f, 0)], {"S1|p|O1#0": ["ALPHA"]})
-        assert report.accuracy == 1.0
+        assert report.total.accuracy == 1.0
 
     def test_single_prompt_fact_has_no_pairs(self):
         f1 = fact("S1", "p", "O1", "alpha")
@@ -163,15 +163,16 @@ class TestEvaluate:
         }
         report = evaluate(questions, predictions)
         assert report.total.n_pairs == 1
-        assert report.consistency == 0.0
-        assert report.joint == 0.0
+        assert report.total.consistency == 0.0
+        assert report.total.joint == 0.0
 
     def test_all_correct(self):
         f = fact("S1", "p", "O1", "alpha")
         questions = [question(f, i) for i in range(4)]
         predictions = {q.question_id: ["alpha"] for q in questions}
         report = evaluate(questions, predictions)
-        assert (report.accuracy, report.consistency, report.joint) == (1.0, 1.0, 1.0)
+        total = report.total
+        assert (total.accuracy, total.consistency, total.joint) == (1.0, 1.0, 1.0)
 
     def test_missing_prediction_raises(self):
         f = fact("S1", "p", "O1", "alpha")
@@ -180,7 +181,7 @@ class TestEvaluate:
 
     def test_empty_question_list(self):
         report = evaluate([], {})
-        assert report.accuracy == report.consistency == report.joint == 0.0
+        assert report.total.accuracy == report.total.consistency == report.total.joint == 0.0
         assert report.in_domain is None
 
     def test_splits_require_full_labels(self):
@@ -230,7 +231,7 @@ class TestConsistencyAgainstOracle:
                     predictions[q.question_id] = list(answer)
                 groups.append(answers)
             report = evaluate(questions, predictions)
-            assert report.consistency == pytest.approx(consistency_oracle(groups))
+            assert report.total.consistency == pytest.approx(consistency_oracle(groups))
 
 
 class TestSplitQuestions:

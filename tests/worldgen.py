@@ -12,7 +12,7 @@ import numpy as np
 
 from detmask.align import Paragraph
 from detmask.kb import KnowledgeBase, Triplet, build_kb
-from detmask.masking import Role, TokenizedSample
+from detmask.masking import TokenizedSample
 
 ENTITY_WORDS = [
     "arden", "briar", "calder", "dorne", "elvan", "ferris", "galen", "harrow",
@@ -129,30 +129,23 @@ def make_world(
 def random_tokenized_sample(
     rng: np.random.Generator, vocab_size: int = 30, max_len: int = 36
 ) -> TokenizedSample:
-    """A role-tagged sample with one object span, clues, and spare context."""
+    """A sample with one object span, clues, and spare context."""
     n = int(rng.integers(8, max_len))
     tokens = tuple(int(rng.integers(3, vocab_size)) for _ in range(n))
-    roles = [Role.OTHER] * n
     object_len = int(rng.integers(1, 4))
     object_start = int(rng.integers(0, n - object_len))
-    for i in range(object_start, object_start + object_len):
-        roles[i] = Role.OBJECT
-    spare = [i for i in range(n) if roles[i] is Role.OTHER]
+    objects = range(object_start, object_start + object_len)
+    spare = [i for i in range(n) if i not in objects]
     order = rng.permutation(len(spare))
     n_clues = int(rng.integers(1, max(2, len(spare) // 2)))
     clue_ids = [spare[int(i)] for i in order[:n_clues]]
-    for j, idx in enumerate(clue_ids):
-        roles[idx] = Role.SUBJECT_CLUE if j % 2 == 0 else Role.PREDICATE_CLUE
     rest = [spare[int(i)] for i in order[n_clues:]]
     n_foreign = int(rng.integers(0, max(1, len(rest) // 3) + 1))
     foreign = frozenset(rest[:n_foreign])
     bounds = [True] + [bool(rng.random() < 0.7) for _ in range(n - 1)]
-    spans = []
-    cursor = 0
-    for i in range(n):
-        width = int(rng.integers(1, 7))
-        spans.append((cursor, cursor + width))
-        cursor += width + (1 if (i + 1 < n and bounds[i + 1]) else 0)
+    # One character width per token, unused, keeps each seed's samples fixed.
+    for _ in range(n):
+        rng.integers(1, 7)
     words = sum(bounds)
     word_count = int(rng.integers(1, min(3, words) + 1))
     entity_spans = []
@@ -162,12 +155,10 @@ def random_tokenized_sample(
     return TokenizedSample(
         doc_id="synthetic",
         tokens=tokens,
-        token_spans=tuple(spans),
-        roles=tuple(roles),
         word_boundaries=tuple(bounds),
         entity_token_spans=tuple(entity_spans),
         foreign_clue_positions=foreign,
         object_word_count=word_count,
-        object_positions=tuple(range(object_start, object_start + object_len)),
+        object_positions=tuple(objects),
         clue_positions=tuple(sorted(clue_ids)),
     )
