@@ -22,6 +22,7 @@ import logging
 import os
 import sys
 import time
+from array import array
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -169,21 +170,34 @@ def cmd_mask(args) -> StageResult:
     return args.out, outputs, {"scheme": args.scheme, "emit": args.emit}, counters
 
 
+def _check_token_ids(masked, vocab, args) -> int:
+    """The longest input in ``masked``; any input id or target outside the
+    vocabulary raises ``DataError``.  Every id goes into one int64 array, which
+    numpy checks in one pass."""
+    import numpy as np
+
+    ids = array("q")
+    longest = 0
+    for m in masked:
+        ids.extend(m.input_tokens)
+        ids.extend(m.targets)
+        longest = max(longest, len(m.input_tokens))
+    ids = np.frombuffer(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
+        bad = next(m for m in masked
+                   if not all(0 <= i < vocab.size for i in (*m.input_tokens, *m.targets)))
+        raise DataError(f"{args.data}: {bad.doc_id} has a token id outside the "
+                        f"{vocab.size}-token vocabulary {args.vocab}")
+    return longest
+
+
 def cmd_train(args) -> StageResult:
     from .model import ModelConfig, save_checkpoint, train
 
     masked = formats.read_masked(args.data)
     items = formats.group_items(masked)
     vocab = formats.read_vocab(args.vocab)
-    for m in masked:
-        ids = m.input_tokens + m.targets
-        if ids and (min(ids) < 0 or max(ids) >= vocab.size):
-            raise DataError(f"{args.data}: {m.doc_id} has a token id outside the "
-                            f"{vocab.size}-token vocabulary {args.vocab}")
-    longest = 0
-    for item in items:
-        members = (item,) if not isinstance(item, tuple) else item
-        longest = max(longest, max(len(m.input_tokens) for m in members))
+    longest = _check_token_ids(masked, vocab, args)
     config = ModelConfig(
         vocab_size=vocab.size,
         d=args.dim,

@@ -8,6 +8,7 @@ files.  Readers validate shape eagerly and report the offending line.
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
@@ -114,11 +115,18 @@ def write_samples(path: PathLike, samples: Iterable[AlignedSample]) -> int:
     return write_jsonl(path, (_sample_to_dict(s) for s in samples))
 
 
-def _int_list(obj: dict, key: str, name: str, line_no: int) -> tuple[int, ...]:
+def _int_list(obj: dict, key: str, name: str, line_no: int) -> list[int]:
     values = _require(obj, key, list, name, line_no)
-    if not all(type(v) is int for v in values):
+    if not {int}.issuperset(map(type, values)):
         raise MalformedLine(name, line_no, f"key {key!r} must be a list of integers")
-    return tuple(values)
+    return values
+
+
+def _int64_array(obj: dict, key: str, name: str, line_no: int) -> array:
+    try:
+        return array("q", _int_list(obj, key, name, line_no))
+    except OverflowError:
+        raise MalformedLine(name, line_no, f"key {key!r} must hold 64-bit integers") from None
 
 
 def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
@@ -224,6 +232,7 @@ def write_masked(path: PathLike, samples: Iterable[MaskedSample]) -> int:
 
 
 def read_masked(path: PathLike) -> list[MaskedSample]:
+    """The samples of a masked file, each line's input ids as an int64 array."""
     name = str(path)
     out: list[MaskedSample] = []
     for line_no, obj in read_jsonl(path):
@@ -233,9 +242,9 @@ def read_masked(path: PathLike) -> list[MaskedSample]:
             scheme = MaskScheme(_require(obj, "scheme", str, name, line_no))
         except ValueError as exc:
             raise MalformedLine(name, line_no, str(exc)) from None
-        ids = _int_list(obj, "input_ids", name, line_no)
-        positions = _int_list(obj, "mask_positions", name, line_no)
-        targets = _int_list(obj, "targets", name, line_no)
+        ids = _int64_array(obj, "input_ids", name, line_no)
+        positions = tuple(_int_list(obj, "mask_positions", name, line_no))
+        targets = tuple(_int64_array(obj, "targets", name, line_no))
         if len(positions) != len(targets):
             raise MalformedLine(name, line_no, "mask_positions and targets differ in length")
         if not all(0 <= p < len(ids) for p in positions):
@@ -258,7 +267,8 @@ def group_items(masked: Sequence[MaskedSample]) -> list[TrainItem]:
 
     A keep_clues line followed by a mask_clues line (and optionally a
     mask_random line) for the same doc forms one tuple; plain lines stand
-    alone.
+    alone.  The inputs of one tuple are one paragraph, so a tuple whose
+    inputs differ in length raises ``DataError``.
     """
     items: list[TrainItem] = []
     i = 0
@@ -271,16 +281,18 @@ def group_items(masked: Sequence[MaskedSample]) -> list[TrainItem]:
             and masked[i + 1].variant is Variant.MASK_CLUES
             and masked[i + 1].doc_id == m.doc_id
         ):
+            size = 2
             if (
                 i + 2 < n
                 and masked[i + 2].variant is Variant.MASK_RANDOM
                 and masked[i + 2].doc_id == m.doc_id
             ):
-                items.append((m, masked[i + 1], masked[i + 2]))
-                i += 3
-            else:
-                items.append((m, masked[i + 1]))
-                i += 2
+                size = 3
+            group = tuple(masked[i:i + size])
+            if any(len(g.input_tokens) != len(m.input_tokens) for g in group):
+                raise DataError(f"{m.doc_id}: the inputs of a contrastive group differ in length")
+            items.append(group)
+            i += size
         else:
             items.append(m)
             i += 1

@@ -20,6 +20,7 @@ Three families of outputs:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
@@ -117,7 +118,8 @@ class TokenizedSample:
 @dataclass(frozen=True)
 class MaskedSample:
     doc_id: str
-    input_tokens: tuple[int, ...]
+    # int64 ids, 8 bytes each: a corpus's masked inputs repeat every paragraph.
+    input_tokens: array
     mask_positions: tuple[int, ...]
     targets: tuple[int, ...]
     variant: Variant
@@ -127,11 +129,11 @@ class MaskedSample:
 def _masked(sample: TokenizedSample, positions: Sequence[int], variant: Variant,
             scheme: MaskScheme) -> MaskedSample:
     order = tuple(sorted(positions))
-    inputs = list(sample.tokens)
+    inputs = array("q", sample.tokens)
     targets = tuple(inputs[p] for p in order)
     for p in order:
         inputs[p] = MASK_ID
-    return MaskedSample(sample.doc_id, tuple(inputs), order, targets, variant, scheme)
+    return MaskedSample(sample.doc_id, inputs, order, targets, variant, scheme)
 
 
 def _entity_token_spans(

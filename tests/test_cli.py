@@ -104,6 +104,73 @@ def write_inputs(root: Path) -> dict[str, Path]:
     return paths
 
 
+# Values an edit may write into a masked line: ids around the small world's
+# range, ids past 64 bits, and every other JSON kind.
+JSON_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1]),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from(["p1", "p2", "plain", "keep_clues", "mask_clues", "mask_random",
+                     "deterministic", "salient_span"]),
+    st.text(max_size=4),
+    st.none(),
+)
+
+# One edit of a value inside a valid masked line (index taken modulo the line
+# count): set a list element, resize a list (padding with the value), replace
+# the whole value, cut the input short with the mask positions still inside
+# it, or rewrite one of the line's digits and minus signs.
+MASKED_EDITS = st.tuples(
+    st.integers(0, 8),
+    st.sampled_from(["input_ids", "mask_positions", "targets", "doc_id", "variant", "scheme"]),
+    st.one_of(
+        st.tuples(st.just("element"), st.floats(0, 1, exclude_max=True), JSON_VALUES),
+        st.tuples(st.just("length"), st.integers(0, 40), JSON_VALUES),
+        st.tuples(st.just("value"), st.just(0), JSON_VALUES),
+        st.tuples(st.just("cut"), st.integers(0, 12), st.none()),
+        st.tuples(st.just("digit"), st.floats(0, 1, exclude_max=True),
+                  st.sampled_from("0123456789-")),
+    ),
+)
+
+
+def cut_input(obj: dict, n: int) -> None:
+    """Keep the first ``n`` input ids of a masked line, and the mask positions
+    (with their targets) that still index them, if those lists are intact."""
+    lists = obj["input_ids"], obj["mask_positions"], obj["targets"]
+    if all(isinstance(v, list) and all(type(x) is int for x in v) for v in lists):
+        kept = [(p, t) for p, t in zip(obj["mask_positions"], obj["targets"]) if p < n]
+        obj["input_ids"] = obj["input_ids"][:n]
+        obj["mask_positions"] = [p for p, _t in kept]
+        obj["targets"] = [t for _p, t in kept]
+
+
+def edit_masked_lines(lines: list[str], edits: list[tuple]) -> list[str]:
+    """``lines`` after ``MASKED_EDITS`` edits: the value edits, then the digit rewrites."""
+    objs = [json.loads(line) for line in lines]
+    for line_no, key, (kind, at, value) in edits:
+        obj = objs[line_no % len(objs)]
+        old = obj[key]
+        if kind == "element" and isinstance(old, list) and old:
+            old[int(at * len(old))] = value
+        elif kind == "length" and isinstance(old, list):
+            obj[key] = (old + [value] * at)[:at]
+        elif kind == "cut":
+            cut_input(obj, at)
+        elif kind != "digit":
+            obj[key] = value
+    out = [json.dumps(obj) for obj in objs]
+    for line_no, _key, (kind, at, char) in edits:
+        if kind == "digit":
+            line = out[line_no % len(out)]
+            spots = [i for i, c in enumerate(line) if c.isdigit() or c == "-"]
+            i = spots[int(at * len(spots))]
+            out[line_no % len(out)] = line[:i] + char + line[i + 1:]
+    return out
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run the whole chain once; tests inspect the artifacts."""
@@ -363,6 +430,31 @@ class TestStageImports:
             assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
+class TestTracedStage:
+    def test_traced_train_writes_a_trace(self, pipeline, tmp_path):
+        """The benchmark's tracer (perfbench/tracer.py, run as it is) completes
+        the small world's train stage and writes a trace with its row counts."""
+        tracer = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+        trace = tmp_path / "train.trace.json"
+        src = str(Path(fileio.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        argv = ["train", "--data", str(pipeline["masked"]),
+                "--vocab", str(pipeline["root"] / "vocab.json"),
+                "--out", str(tmp_path / "model.ckpt"), "--steps", "9", "--dim", "8"]
+        proc = subprocess.run([sys.executable, str(tracer), str(trace), *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(trace.read_text(encoding="utf-8"))
+        assert doc["exit_code"] == 0
+        mask_rows, positions = doc["rows"]
+        assert 0 < mask_rows < positions
+        assert doc["bytes"]["formats.read_masked"] == pipeline["masked"].stat().st_size
+        steps = [s for s in doc["spans"] if s[0] == "model.loss_and_grad"]
+        assert len(steps) == 9
+        assert "write_s" in json.loads(Path(str(trace) + ".exit").read_text(encoding="utf-8"))
+
+
 class TestDeterminism:
     def test_align_byte_identical_across_runs_and_threads(self, tmp_path):
         paths = write_inputs(tmp_path)
@@ -529,6 +621,23 @@ class TestExitCodes:
         size = read_vocab(pipeline["root"] / "vocab.json").size
         assert self.train_on_edited_masked(pipeline, tmp_path, "input_ids", size) == 2
         assert capsys.readouterr().err.startswith("detmask: error:")
+
+    @pytest.mark.parametrize("key, value", [("input_ids", -1), ("targets", -1),
+                                            ("targets", "size")])
+    def test_token_id_outside_vocabulary_range_is_data_error(self, pipeline, tmp_path, capsys,
+                                                              key, value):
+        size = read_vocab(pipeline["root"] / "vocab.json").size
+        value = size if value == "size" else value
+        assert self.train_on_edited_masked(pipeline, tmp_path, key, value) == 2
+        assert "outside the" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("input_ids", 2 ** 63), ("input_ids", -2 ** 63 - 1),
+                                            ("targets", 2 ** 63)])
+    def test_token_id_beyond_int64_is_data_error(self, pipeline, tmp_path, capsys, key, value):
+        assert self.train_on_edited_masked(pipeline, tmp_path, key, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"detmask: error: {tmp_path / 'masked.jsonl'}:1: ")
+        assert "64-bit" in err
 
     def test_report_on_non_json_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -788,6 +897,20 @@ class TestExitCodes:
             bad.write_bytes(bytes(blob))
             argv = [str(bad) if a == p[kind] else str(a) for a in argv]
             assert main(argv) in (0, 2), argv
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(MASKED_EDITS, min_size=1, max_size=3))
+    def test_edited_masked_values_exit_zero_or_two(self, pipeline, edits):
+        """Valid JSON with edited values trains or is a data error, never a crash."""
+        lines = edit_masked_lines(
+            pipeline["masked"].read_text(encoding="utf-8").splitlines(), edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "masked.jsonl"
+            bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv = ["train", "--data", str(bad), "--vocab", str(pipeline["root"] / "vocab.json"),
+                    "--out", str(Path(tmp) / "m.ckpt"), "--steps", str(len(lines)),
+                    "--dim", "4"]
+            assert main(argv) in (0, 2), lines
 
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import stat
 import threading
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -71,7 +74,8 @@ def film_sample():
 
 
 def masked_sample(variant=Variant.PLAIN, doc_id="d") -> MaskedSample:
-    return MaskedSample(doc_id, (3, 1, 4), (1,), (5,), variant, MaskScheme.DETERMINISTIC)
+    return MaskedSample(doc_id, array("q", (3, 1, 4)), (1,), (5,), variant,
+                        MaskScheme.DETERMINISTIC)
 
 
 class TestJsonl:
@@ -163,6 +167,33 @@ class TestMasked:
         originals = [masked_sample(v) for v in Variant]
         write_masked(path, originals)
         assert read_masked(path) == originals
+
+    def test_input_ids_stored_as_int64_arrays(self, tmp_path):
+        """About 20k ids past the small-int cache: read back equal, at most 16
+        traced bytes per id (a tuple of such ints takes about 38)."""
+        rng = random.Random(7)
+        originals = []
+        for i in range(134):
+            ids = [rng.randrange(257, 5000) for _ in range(150)]
+            positions = tuple(sorted(rng.sample(range(150), 2)))
+            originals.append(MaskedSample(f"doc{i // 2}", array("q", ids), positions,
+                                          tuple(ids[p] for p in positions),
+                                          (Variant.KEEP_CLUES, Variant.MASK_CLUES)[i % 2],
+                                          MaskScheme.DETERMINISTIC))
+        path = tmp_path / "masked.jsonl"
+        write_masked(path, originals)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = read_masked(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_ids = sum(len(m.input_tokens) for m in loaded)
+        assert n_ids == 20100
+        assert held / n_ids <= 16, f"{held / n_ids:.1f} traced bytes per id"
+        assert loaded == originals
+        assert all(m.input_tokens.typecode == "q" for m in loaded)
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "masked.jsonl"
