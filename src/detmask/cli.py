@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -61,6 +62,17 @@ def _int_at_least(low: int):
 
     int_.__name__ = "int"  # argparse names the type in "invalid int value"
     return int_
+
+
+def _finite_float(text: str) -> float:
+    """An argparse ``type`` for floats other than NaN and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _setup_logging() -> None:
@@ -368,12 +380,12 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True, help="vocab.json")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--steps", type=_int_at_least(1), default=500)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--lr", type=_finite_float, default=0.5)
     p.add_argument("--dim", type=_int_at_least(2), default=16, help="embedding dimension")
     p.add_argument("--max-len", type=int, default=64,
                    help="position table size (grows to fit the data)")
-    p.add_argument("--lambda-con", type=float, default=1.0)
-    p.add_argument("--lambda-cls", type=float, default=1.0)
+    p.add_argument("--lambda-con", type=_finite_float, default=1.0)
+    p.add_argument("--lambda-cls", type=_finite_float, default=1.0)
     p.add_argument("--log", help="training log path (default: <out>.log.jsonl)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train, inputs=("data", "vocab"))

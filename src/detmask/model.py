@@ -36,7 +36,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DataError, EmptyMaskSet, NoMask, NonFiniteLoss, SequenceTooLong
+from .errors import (DataError, DetmaskError, EmptyMaskSet, NoMask, NonFiniteLoss,
+                     SequenceTooLong)
 from .fileio import atomic_write
 from .masking import MASK_ID, PAD_ID, UNK_ID, MaskedSample, Vocabulary
 
@@ -245,11 +246,14 @@ def loss_and_grad(
     coeffs: tuple[float, float, float],
     max_len: int,
     want_grad: bool = True,
+    grads: Optional[dict[str, np.ndarray]] = None,
 ) -> tuple[tuple[float, float, float, float], Optional[dict[str, np.ndarray]]]:
     """Losses and exact parameter gradients of the weighted total.
 
     ``coeffs`` weights (mlm, con, cls) in the total; a zero weight skips that
-    component's gradient so each can be checked in isolation.
+    component's gradient so each can be checked in isolation.  The gradients
+    go into ``grads``, one buffer per parameter zeroed here, when it is given,
+    and into fresh buffers otherwise.
     """
     w_mlm, w_con, w_cls = coeffs
     keep, drop, randv = _unpack(item)
@@ -265,7 +269,13 @@ def loss_and_grad(
     if randv is not None:
         passes["rand"] = _forward(state, randv.input_tokens, max_len)
 
-    grads = _zero_grads(state) if want_grad else None
+    if not want_grad:
+        grads = None
+    elif grads is None:
+        grads = _zero_grads(state)
+    else:
+        for buf in grads.values():
+            buf.fill(0.0)
     # Loss gradients at the head rows, for the passes whose head gets one;
     # row i of probs and of dlogits is mask position i.
     dlogits: dict[str, np.ndarray] = {}
@@ -311,8 +321,11 @@ def loss_and_grad(
     if dlogits:
         # One product over the head rows of every pass: with a drop pass it
         # has at least two rows, which numpy multiplies far faster than one.
+        # Nothing has reached the tok_emb gradient yet, so the V x d product
+        # is written straight into its buffer.
         dl = np.concatenate(list(dlogits.values()))
-        grads["tok_emb"] += dl.T @ np.concatenate([passes[name]["h2"][pos] for name in dlogits])
+        np.matmul(dl.T, np.concatenate([passes[name]["h2"][pos] for name in dlogits]),
+                  out=grads["tok_emb"])
         grads["lm_bias"] += dl.sum(axis=0)
         for name, dh in zip(dlogits, np.split(dl @ state.tok_emb, len(dlogits))):
             np.add.at(dh2[name], pos, dh)
@@ -331,7 +344,10 @@ def train(
     """Plain gradient descent cycling through the items one at a time.
 
     Deterministic given the config seed and item order.  Raises NonFiniteLoss
-    with the offending step index if any loss leaves the reals.
+    with the offending step index if any loss leaves the reals, and
+    DetmaskError if the last update leaves a parameter non-finite.  One set of
+    gradient buffers serves every step, and each update scales its gradient
+    in place: ``g * lr`` is the same number as ``lr * g``.
     """
     data = list(items)
     if not data:
@@ -340,20 +356,25 @@ def train(
         raise ValueError("steps must be at least 1")
     state = init(config)
     coeffs = (1.0, config.lambda_con, config.lambda_cls)
+    params = state.params()
+    grads = _zero_grads(state)
     log: list[LogEntry] = []
     for step in range(steps):
         item = data[step % len(data)]
         try:
-            (l_mlm, l_con, l_cls, l_total), grads = loss_and_grad(
-                state, item, coeffs, config.max_len
+            (l_mlm, l_con, l_cls, l_total), _ = loss_and_grad(
+                state, item, coeffs, config.max_len, grads=grads
             )
         except NonFiniteLoss as exc:
             raise NonFiniteLoss(step, exc.value) from None
         log.append(LogEntry(step, l_mlm, l_con, l_cls, l_total))
         if lr:
-            params = state.params()
             for name, g in grads.items():
-                params[name] -= lr * g
+                g *= lr
+                params[name] -= g
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise DetmaskError(f"parameter {name!r} is non-finite after step {steps - 1}")
     return state, log
 
 

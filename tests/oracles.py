@@ -32,6 +32,10 @@ vocabulary distribution of one sequence.
 
 ``finite_diff_check`` compares ``model.loss_and_grad``'s analytic gradients
 with central differences of its own losses.
+
+``train_oracle`` is the training loop at its plainest: fresh gradients from
+``model.loss_and_grad`` on every step and a ``p -= lr * g`` update, with no
+buffer reuse and no in-place scaling.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
 from detmask.kb import KnowledgeBase
-from detmask.model import ModelState, TrainItem, loss_and_grad
+from detmask.model import ModelConfig, ModelState, TrainItem, init, loss_and_grad
 from detmask.tokenizer import lower_aligned, tokens_lower
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -407,3 +411,14 @@ def finite_diff_check(
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
             worst = max(worst, err)
     return worst
+
+
+def train_oracle(config: ModelConfig, items: list, steps: int, lr: float) -> ModelState:
+    """Gradient descent over ``items`` in turn, as ``model.train`` defines it."""
+    state = init(config)
+    coeffs = (1.0, config.lambda_con, config.lambda_cls)
+    for step in range(steps):
+        _losses, grads = loss_and_grad(state, items[step % len(items)], coeffs, config.max_len)
+        for name, arr in state.params().items():
+            arr -= lr * grads[name]
+    return state

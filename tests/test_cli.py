@@ -12,6 +12,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -433,15 +434,21 @@ class TestStageImports:
 class TestTracedStage:
     def test_traced_train_writes_a_trace(self, pipeline, tmp_path):
         """The benchmark's tracer (perfbench/tracer.py, run as it is) completes
-        the small world's train stage and writes a trace with its row counts."""
+        the small world's train stage and writes a trace with its row counts,
+        and the checkpoint and log it leaves are those of an untraced run."""
         tracer = Path(__file__).parents[1] / "perfbench" / "tracer.py"
         trace = tmp_path / "train.trace.json"
         src = str(Path(fileio.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        ckpt, log = tmp_path / "model.ckpt", tmp_path / "model.ckpt.log.jsonl"
         argv = ["train", "--data", str(pipeline["masked"]),
                 "--vocab", str(pipeline["root"] / "vocab.json"),
-                "--out", str(tmp_path / "model.ckpt"), "--steps", "9", "--dim", "8"]
+                "--out", str(ckpt), "--steps", "9", "--dim", "8"]
+        assert main(argv) == 0
+        untraced = ckpt.read_bytes(), log.read_bytes()
+        ckpt.unlink()
+        log.unlink()
         proc = subprocess.run([sys.executable, str(tracer), str(trace), *argv], env=env,
                               cwd=tmp_path, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -453,6 +460,7 @@ class TestTracedStage:
         steps = [s for s in doc["spans"] if s[0] == "model.loss_and_grad"]
         assert len(steps) == 9
         assert "write_s" in json.loads(Path(str(trace) + ".exit").read_text(encoding="utf-8"))
+        assert (ckpt.read_bytes(), log.read_bytes()) == untraced
 
 
 class TestDeterminism:
@@ -693,6 +701,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "Traceback" not in err
         assert err.splitlines()[-1] == f"detmask train: error: {message}"
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                             ("--lambda-con", "-inf"), ("--lambda-cls", "nan")])
+    def test_non_finite_train_flag_is_usage_error(self, pipeline, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", str(pipeline["masked"]),
+                  "--vocab", str(pipeline["root"] / "vocab.json"),
+                  "--out", str(tmp_path / "m.ckpt"), "--steps", "1", f"{flag}={value}"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (f"detmask train: error: argument {flag}: "
+                                        f"must be finite, got {value}")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_non_finite_trained_parameters_are_data_error(self, pipeline, tmp_path, capsys):
+        # Finite flags with a finite first loss, whose one update overflows
+        # the parameters: no checkpoint and no log.
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(pipeline["masked"]),
+                         "--vocab", str(pipeline["root"] / "vocab.json"),
+                         "--out", str(tmp_path / "m.ckpt"), "--steps", "1",
+                         "--lr", "1e300", "--lambda-cls", "1e300"])
+        assert code == 2
+        assert "non-finite after step 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+        assert not (tmp_path / "m.ckpt.log.jsonl").exists()
 
     def test_boolean_corpus_offset_is_data_error(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from detmask.errors import (
     DataError,
+    DetmaskError,
     EmptyMaskSet,
     InsufficientContext,
     NoMask,
@@ -38,7 +40,7 @@ from detmask.model import (
     save_checkpoint,
     train,
 )
-from oracles import finite_diff_check, full_head_losses_oracle
+from oracles import finite_diff_check, full_head_losses_oracle, train_oracle
 from worldgen import random_tokenized_sample
 
 
@@ -320,6 +322,54 @@ class TestTrain:
         cfg = ModelConfig(vocab_size=10, d=8)
         with pytest.raises(EmptyMaskSet):
             train(cfg, [], steps=1, lr=0.1)
+
+    def test_non_finite_last_update_raises(self):
+        # The loss of the only step is finite; the update that follows is not.
+        cfg = ModelConfig(vocab_size=10, d=8, max_len=8, seed=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DetmaskError, match="non-finite after step 0"):
+                train(cfg, self.items(), steps=1, lr=math.inf)
+
+    def mixed_items(self):
+        """A classification triple, a contrastive pair and a plain sample."""
+        triple = sample_triple(5)
+        return [triple, triple[:2],
+                masked([3, MASK_ID, MASK_ID, 5, 6], [1, 2], [7, 8], Variant.PLAIN)]
+
+    @pytest.mark.parametrize("lr", [0.0, 0.3])
+    def test_matches_reference_loop_bit_for_bit(self, lr):
+        # Reused gradient buffers and in-place updates give the same bits as
+        # fresh gradients and p -= lr * g, over two passes through the items.
+        items = self.mixed_items()
+        cfg = ModelConfig(vocab_size=30, d=8, max_len=20, seed=2,
+                          lambda_con=0.7, lambda_cls=1.3)
+        steps = 2 * len(items) + 1
+        trained, _log = train(cfg, items, steps=steps, lr=lr)
+        expected = train_oracle(cfg, items, steps, lr)
+        for name, arr in trained.params().items():
+            assert np.array_equal(arr, expected.params()[name]), name
+
+    def test_peak_memory_holds_one_gradient_set(self):
+        # At a wide vocabulary the V x d arrays dominate: training holds the
+        # parameters and one set of gradients, and never a V x d temporary on
+        # top of them.  The activations of a step stay under three quarters of
+        # a V x d array (about 0.4 of one here), so the bound leaves a margin
+        # on both sides of a one-array temporary.
+        vocab, d = 4608, 64
+        cfg = ModelConfig(vocab_size=vocab, d=d, max_len=20, seed=1)
+        items = self.mixed_items()
+        param_bytes = sum(arr.nbytes for arr in init(cfg).params().values())
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train(cfg, items, steps=6, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - 2 * param_bytes < 3 * (8 * vocab * d) // 4
 
 
 class TestPredictFill:
