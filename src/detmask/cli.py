@@ -141,7 +141,6 @@ def cmd_mask(args) -> StageResult:
     vocab_path = args.vocab or Path(args.out).with_name("vocab.json")
     formats.write_vocab(vocab_path, vocab)
 
-    out_lines = []
     skipped: Counter = Counter()
     groups = 0
     scheme = MaskScheme(args.scheme) if args.scheme else None
@@ -158,23 +157,31 @@ def cmd_mask(args) -> StageResult:
                                                      MaskScheme.OBJECT_SPAN)
     if draws:
         from numpy.random import default_rng
-    for sample, ts in pairs:
-        rng = default_rng([args.seed, groups]) if draws else None
-        groups += 1
-        try:
-            if args.emit == "pair":
-                out_lines.extend(make_contrastive_pair(ts))
-            elif args.emit == "triple":
-                out_lines.extend(make_classification_triple(ts, rng))
-            else:
-                out_lines.append(apply_mask(ts, scheme, rng))
-        except DataError as exc:
-            skipped[type(exc).__name__] += 1
-            log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
-    formats.write_masked(args.out, out_lines)
+
+    def masked_lines():
+        """Each output line as soon as it is made; a group that raises
+        ``DataError`` is skipped whole and counted."""
+        nonlocal groups
+        for sample, ts in pairs:
+            rng = default_rng([args.seed, groups]) if draws else None
+            groups += 1
+            try:
+                if args.emit == "pair":
+                    made = make_contrastive_pair(ts)
+                elif args.emit == "triple":
+                    made = make_classification_triple(ts, rng)
+                else:
+                    made = (apply_mask(ts, scheme, rng),)
+            except DataError as exc:
+                skipped[type(exc).__name__] += 1
+                log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
+                continue
+            yield from made
+
+    lines_emitted = formats.write_masked(args.out, masked_lines())
     counters = {
         "groups_processed": groups,
-        "lines_emitted": len(out_lines),
+        "lines_emitted": lines_emitted,
         "groups_skipped": sum(skipped.values()),
         "skip_reasons": dict(sorted(skipped.items())),
     }
@@ -241,7 +248,7 @@ def cmd_train(args) -> StageResult:
 
 
 def cmd_probe(args) -> StageResult:
-    from .kb import load_kb_dir
+    from .kb import load_unique_object_flags
     from .model import load_checkpoint
     from .probe import (build_questions, evaluate, filter_leakage, length_batches,
                         run_model, split_questions)
@@ -254,11 +261,8 @@ def cmd_probe(args) -> StageResult:
     templates = formats.read_templates(args.templates)
     facts = formats.read_facts(args.facts)
     if args.kb:
-        kb = load_kb_dir(args.kb)
-        pretraining = {
-            t.triplet for s in formats.read_samples(args.pretrain) for t in s.aligned
-        }
-        facts = split_questions(facts, kb, pretraining)
+        facts = split_questions(facts, load_unique_object_flags(args.kb),
+                                formats.read_sample_triplets(args.pretrain))
     questions = build_questions(templates, facts)
     kept, dropped = filter_leakage(questions)
     if not kept:

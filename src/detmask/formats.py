@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
 from .errors import DataError, MalformedLine
 from .fileio import atomic_write
-from .kb import Triplet
+from .kb import Triplet, _parse_id
 from .masking import MaskedSample, MaskScheme, Variant, Vocabulary
 
 # Annotations only, so that importing formats loads neither numpy nor the
@@ -148,9 +148,18 @@ def _entities(obj: dict, text: str, name: str, line_no: int) -> tuple[tuple[Span
     return tuple(entities)
 
 
-def read_samples(path: PathLike) -> list[AlignedSample]:
+def _triplet(item: dict, name: str, line_no: int) -> Triplet:
+    """The triplet of a sample line's entry; its ids follow the KB's id rule."""
+    ids = []
+    for key, what in (("s", "subject"), ("p", "predicate"), ("o", "object")):
+        if not isinstance(item[key], str):
+            raise MalformedLine(name, line_no, f"triplet {what} id must be a string")
+        ids.append(_parse_id(item[key], name, line_no, what))
+    return Triplet(*ids)
+
+
+def _iter_samples(path: PathLike) -> Iterator[AlignedSample]:
     name = str(path)
-    out: list[AlignedSample] = []
     for line_no, obj in read_jsonl(path):
         doc_id = _require(obj, "doc_id", str, name, line_no)
         text = _require(obj, "text", str, name, line_no)
@@ -166,21 +175,31 @@ def read_samples(path: PathLike) -> list[AlignedSample]:
                 raise MalformedLine(name, line_no, "edit_distance must be an integer")
             triplets.append(
                 AlignedTriplet(
-                    triplet=Triplet(item["s"], item["p"], item["o"]),
+                    triplet=_triplet(item, name, line_no),
                     subject_span=_span(text, item["s_span"], name, line_no),
                     predicate_span=_span(text, item["p_span"], name, line_no),
                     object_span=_span(text, item["o_span"], name, line_no),
                     edit_distance=item["edit_distance"],
                 )
             )
-        out.append(
-            AlignedSample(
-                paragraph=Paragraph(doc_id=doc_id, text=text),
-                entity_spans=entities,
-                aligned=tuple(triplets),
-            )
+        yield AlignedSample(
+            paragraph=Paragraph(doc_id=doc_id, text=text),
+            entity_spans=entities,
+            aligned=tuple(triplets),
         )
-    return out
+
+
+def read_samples(path: PathLike) -> list[AlignedSample]:
+    """Every sample of an aligned file; a malformed line raises ``DataError``.
+
+    A triplet's ids must be strings that follow the KB's id rule."""
+    return list(_iter_samples(path))
+
+
+def read_sample_triplets(path: PathLike) -> set[Triplet]:
+    """The triplets aligned in ``path``, read one sample at a time with every
+    check of ``read_samples``."""
+    return {t.triplet for sample in _iter_samples(path) for t in sample.aligned}
 
 
 def write_ssm(path: PathLike, samples: Iterable[AlignedSample]) -> int:

@@ -9,6 +9,8 @@ File formats (UTF-8, LF, ``#`` comment lines ignored in all three):
 
 Each loader reads one table from a file path.  ``load_kb_dir`` reads a
 directory of the three; ``write_kb_dir`` writes one, sorted by id.
+``load_unique_object_flags`` reads a directory with the same checks but keeps
+only one flag per predicate, for the probe's relation split.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import DanglingReference, DataError, MalformedLine
 from .fileio import atomic_write
@@ -112,23 +114,31 @@ def load_predicate_aliases(path: str | Path, name: str = "predicates.tsv") -> di
     return table
 
 
-def load_triplets(path: str | Path, name: str = "triplets.tsv") -> list[Triplet]:
-    """Parse triplet lines; duplicates are dropped, order of first occurrence kept."""
-    out: list[Triplet] = []
-    seen: set[Triplet] = set()
+def _triplet_rows(path: str | Path, name: str) -> Iterator[Triplet]:
+    """Yield the triplet of each line, duplicates included."""
     for line_no, line in _iter_lines(path, name):
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLine(name, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        t = Triplet(
+        yield Triplet(
             _parse_id(fields[0], name, line_no, "subject"),
             _parse_id(fields[1], name, line_no, "predicate"),
             _parse_id(fields[2], name, line_no, "object"),
         )
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+
+
+def load_triplets(path: str | Path, name: str = "triplets.tsv") -> list[Triplet]:
+    """Parse triplet lines; duplicates are dropped, order of first occurrence kept."""
+    return list(dict.fromkeys(_triplet_rows(path, name)))
+
+
+def _check_references(t: Triplet, entity_ids: Container[str],
+                      predicate_ids: Container[str]) -> None:
+    for eid in (t.subject, t.object):
+        if eid not in entity_ids:
+            raise DanglingReference(eid, "entity")
+    if t.predicate not in predicate_ids:
+        raise DanglingReference(t.predicate, "predicate")
 
 
 def build_kb(
@@ -141,11 +151,7 @@ def build_kb(
     sp: dict[tuple[str, str], set[str]] = {}
     so: dict[tuple[str, str], set[str]] = {}
     for t in triplet_set:
-        for eid in (t.subject, t.object):
-            if eid not in entity_aliases:
-                raise DanglingReference(eid, "entity")
-        if t.predicate not in predicate_aliases:
-            raise DanglingReference(t.predicate, "predicate")
+        _check_references(t, entity_aliases, predicate_aliases)
         sp.setdefault((t.subject, t.predicate), set()).add(t.object)
         so.setdefault((t.subject, t.object), set()).add(t.predicate)
     return KnowledgeBase(
@@ -171,6 +177,25 @@ def load_kb_dir(kb_dir: str | Path) -> KnowledgeBase:
     """Load a KB from a directory holding triplets.tsv, entities.tsv, predicates.tsv."""
     d = Path(kb_dir)
     return load_kb(d / "triplets.tsv", d / "entities.tsv", d / "predicates.tsv")
+
+
+def load_unique_object_flags(kb_dir: str | Path) -> dict[PredicateId, bool]:
+    """Per predicate of the KB in ``kb_dir``: True iff no subject has two objects.
+
+    Makes every check of ``load_kb_dir``, but keeps only the entity and
+    predicate ids and the first object of each (subject, predicate): no alias
+    table, triplet set or index.  Predicates without a triplet have no flag.
+    """
+    d = Path(kb_dir)
+    entity_ids = set(load_entity_aliases(d / "entities.tsv"))
+    predicate_ids = set(load_predicate_aliases(d / "predicates.tsv"))
+    first_object: dict[tuple[EntityId, PredicateId], EntityId] = {}
+    unique: dict[PredicateId, bool] = {}
+    for t in _triplet_rows(d / "triplets.tsv", "triplets.tsv"):
+        _check_references(t, entity_ids, predicate_ids)
+        o = first_object.setdefault((t.subject, t.predicate), t.object)
+        unique[t.predicate] = unique.get(t.predicate, True) and o == t.object
+    return unique
 
 
 def write_kb_dir(kb: KnowledgeBase, kb_dir: str | Path) -> None:

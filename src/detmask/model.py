@@ -274,8 +274,10 @@ def loss_and_grad(
     elif grads is None:
         grads = _zero_grads(state)
     else:
-        for buf in grads.values():
-            buf.fill(0.0)
+        # tok_emb is zeroed below only when no head product overwrites it.
+        for name, buf in grads.items():
+            if name != "tok_emb":
+                buf.fill(0.0)
     # Loss gradients at the head rows, for the passes whose head gets one;
     # row i of probs and of dlogits is mask position i.
     dlogits: dict[str, np.ndarray] = {}
@@ -329,6 +331,8 @@ def loss_and_grad(
         grads["lm_bias"] += dl.sum(axis=0)
         for name, dh in zip(dlogits, np.split(dl @ state.tok_emb, len(dlogits))):
             np.add.at(dh2[name], pos, dh)
+    elif want_grad:
+        grads["tok_emb"].fill(0.0)
     if want_grad:
         for name, cache in passes.items():
             _backward(state, cache, dh2[name], grads)
@@ -359,19 +363,21 @@ def train(
     params = state.params()
     grads = _zero_grads(state)
     log: list[LogEntry] = []
-    for step in range(steps):
-        item = data[step % len(data)]
-        try:
-            (l_mlm, l_con, l_cls, l_total), _ = loss_and_grad(
-                state, item, coeffs, config.max_len, grads=grads
-            )
-        except NonFiniteLoss as exc:
-            raise NonFiniteLoss(step, exc.value) from None
-        log.append(LogEntry(step, l_mlm, l_con, l_cls, l_total))
-        if lr:
-            for name, g in grads.items():
-                g *= lr
-                params[name] -= g
+    # A run that diverges ends in one of the two errors, not in numpy warnings.
+    with np.errstate(all="ignore"):
+        for step in range(steps):
+            item = data[step % len(data)]
+            try:
+                (l_mlm, l_con, l_cls, l_total), _ = loss_and_grad(
+                    state, item, coeffs, config.max_len, grads=grads
+                )
+            except NonFiniteLoss as exc:
+                raise NonFiniteLoss(step, exc.value) from None
+            log.append(LogEntry(step, l_mlm, l_con, l_cls, l_total))
+            if lr:
+                for name, g in grads.items():
+                    g *= lr
+                    params[name] -= g
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise DetmaskError(f"parameter {name!r} is non-finite after step {steps - 1}")

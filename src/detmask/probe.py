@@ -24,7 +24,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import BadTemplate, DataError, MissingPrediction
-from .kb import KnowledgeBase, Triplet
+from .kb import Triplet
 from .masking import MASK_TOKEN, Vocabulary
 from .tokenizer import tokens_lower
 
@@ -195,12 +195,14 @@ def filter_leakage(
 
 
 def split_questions(
-    facts: Sequence[Fact], kb: KnowledgeBase, pretraining_triplets: set[Triplet]
+    facts: Sequence[Fact], unique_object: Mapping[str, bool],
+    pretraining_triplets: set[Triplet],
 ) -> list[Fact]:
-    """Stamp each fact with its domain and relation-cardinality split."""
-    unique_object: dict[str, bool] = {}
-    for (_s, p), objects in kb.sp_index.items():
-        unique_object[p] = unique_object.get(p, True) and len(objects) == 1
+    """Stamp each fact with its domain and relation-cardinality split.
+
+    ``unique_object`` flags each predicate whose every subject has one object
+    (``kb.load_unique_object_flags``); a predicate without a flag counts as one.
+    """
     out = []
     for fact in facts:
         p = fact.triplet.predicate

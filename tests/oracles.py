@@ -33,6 +33,9 @@ vocabulary distribution of one sequence.
 ``finite_diff_check`` compares ``model.loss_and_grad``'s analytic gradients
 with central differences of its own losses.
 
+``unique_object_flags_oracle`` reads the relation split of the probe off a
+whole loaded KB's (subject, predicate) index.
+
 ``train_oracle`` is the training loop at its plainest: fresh gradients from
 ``model.loss_and_grad`` on every step and a ``p -= lr * g`` update, with no
 buffer reuse and no in-place scaling.
@@ -164,6 +167,14 @@ def match_predicate_oracle(
 
 def _objects(kb: KnowledgeBase, s: str, p: str) -> set[str]:
     return {t.object for t in kb.triplets if t.subject == s and t.predicate == p}
+
+
+def unique_object_flags_oracle(kb: KnowledgeBase) -> dict[str, bool]:
+    """Per predicate with a triplet: True iff each of its subjects has one object."""
+    flags: dict[str, bool] = {}
+    for (_s, p), objects in kb.sp_index.items():
+        flags[p] = flags.get(p, True) and len(objects) == 1
+    return flags
 
 
 def align_paragraph_oracle(paragraph: Paragraph, kb: KnowledgeBase):

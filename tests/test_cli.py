@@ -9,10 +9,10 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +135,69 @@ MASKED_EDITS = st.tuples(
                   st.sampled_from("0123456789-")),
     ),
 )
+
+
+# Values an edit may write into a samples line: those of a masked line, span
+# bounds around the texts' lengths, short lists, and ids of the world, one
+# with a space, one padded and one empty.
+SAMPLE_VALUES = st.one_of(
+    JSON_VALUES,
+    st.integers(-2, 70),
+    st.lists(st.one_of(st.integers(-2, 70), st.text(max_size=3)), max_size=3),
+    st.sampled_from(["WarHorse", "directedBy", "Spielberg", "War Horse", " Jaws ", ""]),
+)
+
+# Triplet keys of a samples line.
+TRIPLET_KEYS = ("s", "p", "o", "s_span", "p_span", "o_span", "edit_distance")
+
+# One edit of a value inside a valid samples line (line index taken modulo the
+# line count, triplet or entity entry picked by a fraction): replace the
+# value of a top-level key, of a triplet key or of a whole entity entry, set
+# one element of that value if it is a list (a span bound, an entity's bound
+# or id), or resize the list (padding with the value).
+SAMPLE_EDITS = st.tuples(
+    st.integers(0, 8),
+    st.sampled_from(["doc_id", "text", "entities", "triplets", "entity", *TRIPLET_KEYS]),
+    st.floats(0, 1, exclude_max=True),
+    st.one_of(
+        st.tuples(st.just("value"), st.just(0), SAMPLE_VALUES),
+        st.tuples(st.just("element"), st.floats(0, 1, exclude_max=True), SAMPLE_VALUES),
+        st.tuples(st.just("length"), st.integers(0, 4), SAMPLE_VALUES),
+    ),
+)
+
+
+def edit_sample_lines(lines: list[str], edits: list[tuple]) -> list[str]:
+    """``lines`` after ``SAMPLE_EDITS`` edits; an edit whose target an earlier
+    edit removed does nothing."""
+    objs = [json.loads(line) for line in lines]
+    for line_no, field, pick, (kind, at, value) in edits:
+        obj = objs[line_no % len(objs)]
+        holder, key = obj, field
+        if field == "entity" or field in TRIPLET_KEYS:
+            entries = obj.get("entities" if field == "entity" else "triplets")
+            if not isinstance(entries, list) or not entries:
+                continue
+            holder, key = entries, int(pick * len(entries))
+            if field != "entity":
+                holder, key = entries[key], field
+                if not isinstance(holder, dict) or key not in holder:
+                    continue
+        old = holder[key]
+        if kind == "value":
+            holder[key] = value
+        elif kind == "element" and isinstance(old, list) and old:
+            old[int(at * len(old))] = value
+        elif kind == "length" and isinstance(old, list):
+            holder[key] = (old + [value] * at)[:at]
+    return [json.dumps(obj) for obj in objs]
+
+
+def probe_split_argv(pipeline: dict, out: Path, kb: Path, pretrain: Path) -> list[str]:
+    """``probe`` of the pipeline's model with the split breakdowns."""
+    return ["probe", "--model", str(pipeline["ckpt"]), "--templates", str(pipeline["templates"]),
+            "--facts", str(pipeline["facts"]), "--out", str(out),
+            "--kb", str(kb), "--pretrain", str(pretrain)]
 
 
 def cut_input(obj: dict, n: int) -> None:
@@ -507,6 +570,50 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+def write_many_group_samples(path: Path, paragraphs: int, groups: int, filler: int) -> None:
+    """An aligned file whose paragraphs each hold ``groups`` triplets with
+    distinct objects, followed by ``filler`` one-letter words."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in range(paragraphs):
+            text, entities, triplets = "", [], []
+            for g in range(groups):
+                spans = []
+                for word in (f"s{g}", "likes", f"o{g}", "."):
+                    text += " " if text else ""
+                    spans.append([len(text), len(text) + len(word)])
+                    text += word
+                entities += [[*spans[0], f"S{g}"], [*spans[2], f"O{g}"]]
+                triplets.append({"s": f"S{g}", "p": "likes", "o": f"O{g}", "s_span": spans[0],
+                                 "p_span": spans[1], "o_span": spans[2], "edit_distance": 0})
+            text += " x" * filler
+            fh.write(json.dumps({"doc_id": f"d{d}", "text": text, "entities": entities,
+                                 "triplets": triplets}) + "\n")
+
+
+class TestMaskMemory:
+    def test_output_lines_are_written_as_made(self, tmp_path):
+        """``mask`` holds no more than a group's output lines at a time: its
+        traced peak stays below what all its output lines take in memory."""
+        samples, out = tmp_path / "samples.jsonl", tmp_path / "masked.jsonl"
+        write_many_group_samples(samples, paragraphs=10, groups=30, filler=300)
+        argv = ["mask", "--samples", str(samples), "--out", str(out), "--emit", "pair"]
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+            before = tracemalloc.get_traced_memory()[0]
+            lines = read_masked(out)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(lines) == 2 * 10 * 30
+        assert peak < held, f"peak {peak} B, output lines {held} B"
+
+
 class TestMaskSources:
     def ssm_path(self, pipeline) -> Path:
         return pipeline["samples"].with_name("samples.ssm.jsonl")
@@ -717,12 +824,11 @@ class TestExitCodes:
 
     def test_non_finite_trained_parameters_are_data_error(self, pipeline, tmp_path, capsys):
         # Finite flags with a finite first loss, whose one update overflows
-        # the parameters: no checkpoint and no log.
-        with np.errstate(all="ignore"):
-            code = main(["train", "--data", str(pipeline["masked"]),
-                         "--vocab", str(pipeline["root"] / "vocab.json"),
-                         "--out", str(tmp_path / "m.ckpt"), "--steps", "1",
-                         "--lr", "1e300", "--lambda-cls", "1e300"])
+        # the parameters: no checkpoint, no log and no numpy warning.
+        code = main(["train", "--data", str(pipeline["masked"]),
+                     "--vocab", str(pipeline["root"] / "vocab.json"),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "1",
+                     "--lr", "1e300", "--lambda-cls", "1e300"])
         assert code == 2
         assert "non-finite after step 0" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
@@ -740,8 +846,9 @@ class TestExitCodes:
         assert not (tmp_path / "s.jsonl").exists()
 
     def test_malformed_sample_offset_is_data_error(self, pipeline, tmp_path, capsys):
-        """Offsets that are booleans or not a list, and entity ids that are not
-        strings, fail ``stats`` and ``mask`` with exit 2."""
+        """Offsets that are booleans or not a list, entity ids that are not
+        strings, and triplet ids that are not strings or hold a space, fail
+        ``stats``, ``mask`` and ``probe --pretrain`` with exit 2."""
         first, *rest = pipeline["samples"].read_text(encoding="utf-8").splitlines()
 
         def false_entity_start(obj):
@@ -756,18 +863,49 @@ class TestExitCodes:
         def integer_entity_id(obj):
             obj["entities"][0][2] = 7
 
+        def list_subject_id(obj):
+            obj["triplets"][0]["s"] = ["x"]
+
+        def integer_predicate_id(obj):
+            obj["triplets"][0]["p"] = 5
+
+        def null_object_id(obj):
+            obj["triplets"][0]["o"] = None
+
+        def spaced_subject_id(obj):
+            obj["triplets"][0]["s"] = "War Horse"
+
         for edit in (false_entity_start, true_subject_end, integer_object_span,
-                     integer_entity_id):
+                     integer_entity_id, list_subject_id, integer_predicate_id,
+                     null_object_id, spaced_subject_id):
             obj = json.loads(first)
             edit(obj)
             bad = tmp_path / f"{edit.__name__}.jsonl"
             bad.write_text("\n".join([json.dumps(obj), *rest]) + "\n", encoding="utf-8")
             for argv in (["stats", "--samples", str(bad)],
                          ["mask", "--samples", str(bad), "--out", str(tmp_path / "m.jsonl"),
-                          "--emit", "pair"]):
+                          "--emit", "pair"],
+                         probe_split_argv(pipeline, tmp_path / "r.json", pipeline["kb"], bad)):
                 assert main(argv) == 2, (edit.__name__, argv[0])
                 assert capsys.readouterr().err.startswith("detmask: error:"), edit.__name__
             assert not (tmp_path / "m.jsonl").exists(), edit.__name__
+            assert not (tmp_path / "r.json").exists(), edit.__name__
+
+    @pytest.mark.parametrize("line, dangling", [("WarHorse\tdirectedBy\tNobody", "Nobody"),
+                                                ("WarHorse\tnarratedBy\tJaws", "narratedBy")])
+    def test_probe_on_kb_with_dangling_reference_is_data_error(self, pipeline, tmp_path,
+                                                              capsys, line, dangling):
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        for name in ("triplets.tsv", "entities.tsv", "predicates.tsv"):
+            (kb_dir / name).write_bytes((pipeline["kb"] / name).read_bytes())
+        with open(kb_dir / "triplets.tsv", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        code = main(probe_split_argv(pipeline, tmp_path / "r.json", kb_dir, pipeline["samples"]))
+        assert code == 2
+        assert (f"id {dangling!r} referenced but not present in alias tables"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
 
     def test_corpus_not_utf8_is_data_error(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -945,6 +1083,23 @@ class TestExitCodes:
                     "--out", str(Path(tmp) / "m.ckpt"), "--steps", str(len(lines)),
                     "--dim", "4"]
             assert main(argv) in (0, 2), lines
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(SAMPLE_EDITS, min_size=1, max_size=3))
+    def test_edited_sample_values_exit_zero_or_two(self, pipeline, edits):
+        """Valid JSON with edited values in an aligned file: ``stats``, ``mask``
+        and ``probe --pretrain`` each run or report a data error, never crash."""
+        lines = edit_sample_lines(
+            pipeline["samples"].read_text(encoding="utf-8").splitlines(), edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            bad = out / "samples.jsonl"
+            bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for argv in (["stats", "--samples", str(bad)],
+                         ["mask", "--samples", str(bad), "--out", str(out / "m.jsonl"),
+                          "--emit", "pair"],
+                         probe_split_argv(pipeline, out / "r.json", pipeline["kb"], bad)):
+                assert main(argv) in (0, 2), (argv[0], lines)
 
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:

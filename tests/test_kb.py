@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detmask.errors import DanglingReference, MalformedLine
+from detmask.errors import DanglingReference, DataError, MalformedLine
 from detmask.kb import (
     Triplet,
     build_kb,
     is_deterministic,
     load_kb,
     load_kb_dir,
+    load_unique_object_flags,
     objects_for,
     predicates_between,
+    write_kb_dir,
 )
+from oracles import unique_object_flags_oracle
 from worldgen import make_world
 
 TRIPLETS = "A\tdirectedBy\tB\nC\tdirectedBy\tB\nC\tdirectedBy\tD\n# comment\n\nA\tdirectedBy\tB\n"
@@ -84,6 +92,75 @@ class TestLoading:
         a, b = load_tables(tmp_path), load_tables(tmp_path)
         assert a.triplets == b.triplets
         assert a.sp_index == b.sp_index
+
+
+def write_kb_tables(kb_dir: Path, triplets: str, entities: str, predicates: str) -> None:
+    for name, text in (("triplets", triplets), ("entities", entities),
+                       ("predicates", predicates)):
+        (kb_dir / f"{name}.tsv").write_text(text, encoding="utf-8")
+
+
+# Lines of a triplets.tsv over entities E0-E3 and predicates P0-P3 (P3 has no
+# triplet): valid lines that repeat, comments, blanks, padded ids, dangling
+# ids and a line with too few fields.
+TRIPLET_LINES = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["E0", "E1", "E2", "E3"]), st.sampled_from(["P0", "P1", "P2"]),
+                  st.sampled_from(["E0", "E1", "E2", "E3"])).map("\t".join),
+        st.sampled_from(["# E0\tP0\tE1", "", "  ", " E1 \tP1\tE2\u00a0",
+                         "E9\tP0\tE1", "E0\tP9\tE1", "E0\tP0"]),
+    ),
+    max_size=20,
+)
+
+
+class TestUniqueObjectFlags:
+    """``load_unique_object_flags`` equals the flags of the whole loaded KB."""
+
+    def test_fixture_tables(self, tmp_path):
+        write_kb_tables(tmp_path, TRIPLETS + "A\tstarring\tB\n# again\nA\tstarring\tB\n",
+                        ENTITIES, PREDICATES + "starring\tstarring\nunused\tnever said\n")
+        flags = load_unique_object_flags(tmp_path)
+        assert flags == {"directedBy": False, "starring": True}
+        assert flags == unique_object_flags_oracle(load_kb_dir(tmp_path))
+
+    def test_random_worlds(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for i in range(10):
+            kb, _ = make_world(rng, n_paragraphs=1)
+            write_kb_dir(kb, tmp_path / f"kb{i}")
+            assert load_unique_object_flags(tmp_path / f"kb{i}") == unique_object_flags_oracle(kb)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(lines=TRIPLET_LINES)
+    def test_generated_tables(self, lines):
+        """Equal flags, or a data error from both readers."""
+        with tempfile.TemporaryDirectory() as tmp:
+            write_kb_tables(Path(tmp), "".join(line + "\n" for line in lines),
+                            "".join(f"E{i}\tname {i}\n" for i in range(4)),
+                            "# predicates\n" + "".join(f"P{i}\tp{i}\n" for i in range(4)))
+            try:
+                expected = unique_object_flags_oracle(load_kb_dir(tmp))
+            except DataError:
+                with pytest.raises(DataError):
+                    load_unique_object_flags(tmp)
+                return
+            assert load_unique_object_flags(tmp) == expected
+
+    @pytest.mark.parametrize("table, text, error", [
+        ("entities", ENTITIES + "A\tAgain\n", MalformedLine),
+        ("predicates", PREDICATES + "directedBy\tagain\n", MalformedLine),
+        ("predicates", "directedBy\t|\n", MalformedLine),
+        ("entities", "A\tWar Horse\n", DanglingReference),
+        ("predicates", "other\tother\n", DanglingReference),
+    ])
+    def test_alias_tables_checked(self, tmp_path, table, text, error):
+        tables = {"triplets": TRIPLETS, "entities": ENTITIES, "predicates": PREDICATES,
+                  table: text}
+        write_kb_tables(tmp_path, **tables)
+        for load in (load_kb_dir, load_unique_object_flags):
+            with pytest.raises(error):
+                load(tmp_path)
 
 
 class TestQueries:

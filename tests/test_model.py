@@ -196,6 +196,19 @@ class TestLossValues:
         for name in g_solo:
             assert np.array_equal(g_pair[name], g_solo[name]), name
 
+    @pytest.mark.parametrize("coeffs", [(1.0, 0.7, 1.3), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_given_buffers_equal_fresh_ones(self, coeffs):
+        # Buffers left over from another step are refilled in full, also when
+        # no head loss has a gradient and so no head product overwrites tok_emb.
+        state = init(ModelConfig(vocab_size=30, d=4, max_len=40, seed=9))
+        item = sample_triple(3)
+        _, fresh = loss_and_grad(state, item, coeffs, max_len=40)
+        stale = {name: np.full_like(g, np.nan) for name, g in fresh.items()}
+        _, refilled = loss_and_grad(state, item, coeffs, max_len=40, grads=stale)
+        assert refilled is stale
+        for name, g in fresh.items():
+            assert np.array_equal(refilled[name], g), name
+
     def test_all_positions_masked_stays_finite(self):
         state = init(ModelConfig(vocab_size=10, d=4, seed=8))
         keep = masked([MASK_ID] * 4, [0, 1, 2, 3], [3, 4, 5, 6])
@@ -326,9 +339,8 @@ class TestTrain:
     def test_non_finite_last_update_raises(self):
         # The loss of the only step is finite; the update that follows is not.
         cfg = ModelConfig(vocab_size=10, d=8, max_len=8, seed=0)
-        with np.errstate(all="ignore"):
-            with pytest.raises(DetmaskError, match="non-finite after step 0"):
-                train(cfg, self.items(), steps=1, lr=math.inf)
+        with pytest.raises(DetmaskError, match="non-finite after step 0"):
+            train(cfg, self.items(), steps=1, lr=math.inf)
 
     def mixed_items(self):
         """A classification triple, a contrastive pair and a plain sample."""

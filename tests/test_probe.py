@@ -26,7 +26,7 @@ from detmask.probe import (
     run_model,
     split_questions,
 )
-from oracles import consistency_oracle
+from oracles import consistency_oracle, unique_object_flags_oracle
 from test_model import zero_state
 
 
@@ -250,7 +250,8 @@ class TestSplitQuestions:
             fact("A", "p", "B", "b"),
             fact("A", "q", "B", "b"),
         ]
-        labeled = split_questions(facts, kb, {Triplet("A", "p", "B")})
+        labeled = split_questions(facts, unique_object_flags_oracle(kb),
+                                  {Triplet("A", "p", "B")})
         assert labeled[0].relation_type is RelationType.N1_OR_11
         assert labeled[0].in_domain is True
         assert labeled[1].relation_type is RelationType.NM
