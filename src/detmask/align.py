@@ -34,7 +34,6 @@ log = logging.getLogger("detmask.align")
 class Span:
     char_start: int
     char_end: int
-    surface: str
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,8 @@ class EntityLinker:
                 node[None] = ent_id if prev is None else min(prev, ent_id)
         self._trie = trie
 
-    def link(self, text: str, tokens: Tokens) -> tuple[tuple[Span, str], ...]:
-        """Entity mentions in ``text``, whose tokens are ``tokens``."""
+    def link(self, tokens: Tokens) -> tuple[tuple[Span, str], ...]:
+        """Entity mentions among a paragraph's ``tokens``."""
         starts, ends, toks = tokens.starts, tokens.ends, tokens.lower
         out: list[tuple[Span, str]] = []
         n = len(toks)
@@ -141,8 +140,7 @@ class EntityLinker:
                 i += 1
                 continue
             last, ent_id = best
-            a, b = starts[i], ends[last]
-            out.append((Span(a, b, text[a:b]), ent_id))
+            out.append((Span(starts[i], ends[last]), ent_id))
             i = last + 1
         return tuple(out)
 
@@ -234,9 +232,7 @@ def _validate_pre_linked(paragraph: Paragraph) -> tuple[tuple[Span, str], ...]:
             raise DataError(f"pre-linked spans overlap at [{a},{b})")
         prev_end = b
     # Emitted in the order given, not the sorted order used for checking.
-    return tuple(
-        (Span(a, b, text[a:b]), eid) for a, b, eid in (paragraph.pre_linked_spans or ())
-    )
+    return tuple((Span(a, b), eid) for a, b, eid in (paragraph.pre_linked_spans or ()))
 
 
 class Aligner:
@@ -263,7 +259,7 @@ class Aligner:
         if paragraph.pre_linked_spans is not None:
             entity_spans = _validate_pre_linked(paragraph)
         else:
-            entity_spans = self.linker.link(text, tokens)
+            entity_spans = self.linker.link(tokens)
         aligned: list[AlignedTriplet] = []
         if len(entity_spans) >= 2:
             kb = self.kb
@@ -297,7 +293,7 @@ class Aligner:
                             AlignedTriplet(
                                 triplet=Triplet(s_id, p, o_id),
                                 subject_span=s_span,
-                                predicate_span=Span(a, b, text[a:b]),
+                                predicate_span=Span(a, b),
                                 object_span=o_span,
                                 edit_distance=dist,
                             )

@@ -330,11 +330,8 @@ def cmd_stats(args) -> None:
             raise DataError(f"{manifest_path}: counters must be an object of integers")
         counters = AlignCounters(
             paragraphs=c.get("paragraphs_processed", len(samples)),
-            skipped=c.get("paragraphs_skipped", 0),
             candidates=c.get("candidate_triplets", 0),
             non_deterministic=c.get("non_deterministic_triplets", 0),
-            unmatched_deterministic=c.get("unmatched_deterministic_triplets", 0),
-            emitted_triplets=c.get("emitted_triplets", 0),
         )
     stats = compute_stats(samples, counters)
     print(f"{'paragraphs':<24}{stats.paragraph_count}")

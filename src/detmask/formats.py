@@ -136,7 +136,7 @@ def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
     a, b = bounds
     if not (0 <= a < b <= len(text)):
         raise MalformedLine(name, line_no, f"span [{a},{b}) outside text")
-    return Span(a, b, text[a:b])
+    return Span(a, b)
 
 
 def _entities(obj: dict, text: str, name: str, line_no: int) -> tuple[tuple[Span, str], ...]:
@@ -149,9 +149,11 @@ def _entities(obj: dict, text: str, name: str, line_no: int) -> tuple[tuple[Span
 
 
 def _triplet(item: dict, name: str, line_no: int) -> Triplet:
-    """The triplet of a sample line's entry; its ids follow the KB's id rule."""
+    """The triplet of a sample entry or a fact; its ids follow the KB's id rule."""
     ids = []
     for key, what in (("s", "subject"), ("p", "predicate"), ("o", "object")):
+        if key not in item:
+            raise MalformedLine(name, line_no, f"missing key {key!r}")
         if not isinstance(item[key], str):
             raise MalformedLine(name, line_no, f"triplet {what} id must be a string")
         ids.append(_parse_id(item[key], name, line_no, what))
@@ -168,7 +170,7 @@ def _iter_samples(path: PathLike) -> Iterator[AlignedSample]:
         for item in _require(obj, "triplets", list, name, line_no):
             if not isinstance(item, dict):
                 raise MalformedLine(name, line_no, "triplets entries must be objects")
-            for key in ("s", "p", "o", "s_span", "p_span", "o_span", "edit_distance"):
+            for key in ("s_span", "p_span", "o_span", "edit_distance"):
                 if key not in item:
                     raise MalformedLine(name, line_no, f"triplet missing key {key!r}")
             if type(item["edit_distance"]) is not int:
@@ -330,6 +332,7 @@ def read_vocab(path: PathLike) -> Vocabulary:
 
 
 def read_templates(path: PathLike) -> list[Template]:
+    """Every template; its relation is a predicate id by the KB's id rule."""
     from .probe import Template
 
     name = str(path)
@@ -337,7 +340,8 @@ def read_templates(path: PathLike) -> list[Template]:
     for line_no, obj in read_jsonl(path):
         out.append(
             Template(
-                relation=_require(obj, "relation", str, name, line_no),
+                relation=_parse_id(_require(obj, "relation", str, name, line_no),
+                                   name, line_no, "predicate"),
                 pattern=_require(obj, "pattern", str, name, line_no),
             )
         )
@@ -345,6 +349,7 @@ def read_templates(path: PathLike) -> list[Template]:
 
 
 def read_facts(path: PathLike) -> list[Fact]:
+    """Every fact; its ids follow the KB's id rule, as a sample's triplet does."""
     from .probe import Fact
 
     name = str(path)
@@ -352,11 +357,7 @@ def read_facts(path: PathLike) -> list[Fact]:
     for line_no, obj in read_jsonl(path):
         out.append(
             Fact(
-                triplet=Triplet(
-                    _require(obj, "s", str, name, line_no),
-                    _require(obj, "p", str, name, line_no),
-                    _require(obj, "o", str, name, line_no),
-                ),
+                triplet=_triplet(obj, name, line_no),
                 subject_surface=_require(obj, "s_surface", str, name, line_no),
                 object_surface=_require(obj, "o_surface", str, name, line_no),
             )

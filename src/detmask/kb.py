@@ -75,8 +75,9 @@ def _parse_alias_field(raw: str) -> list[str]:
     return [a.strip() for a in raw.split("|") if a.strip()]
 
 
-def load_entity_aliases(path: str | Path, name: str = "entities.tsv") -> dict[str, tuple[str, ...]]:
+def load_entity_aliases(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Parse the entity alias table; the canonical name leads each alias list."""
+    name = "entities.tsv"
     table: dict[str, tuple[str, ...]] = {}
     for line_no, line in _iter_lines(path, name):
         fields = line.split("\t")
@@ -97,7 +98,8 @@ def load_entity_aliases(path: str | Path, name: str = "entities.tsv") -> dict[st
     return table
 
 
-def load_predicate_aliases(path: str | Path, name: str = "predicates.tsv") -> dict[str, tuple[str, ...]]:
+def load_predicate_aliases(path: str | Path) -> dict[str, tuple[str, ...]]:
+    name = "predicates.tsv"
     table: dict[str, tuple[str, ...]] = {}
     for line_no, line in _iter_lines(path, name):
         fields = line.split("\t")
@@ -114,8 +116,9 @@ def load_predicate_aliases(path: str | Path, name: str = "predicates.tsv") -> di
     return table
 
 
-def _triplet_rows(path: str | Path, name: str) -> Iterator[Triplet]:
+def _triplet_rows(path: str | Path) -> Iterator[Triplet]:
     """Yield the triplet of each line, duplicates included."""
+    name = "triplets.tsv"
     for line_no, line in _iter_lines(path, name):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -127,9 +130,9 @@ def _triplet_rows(path: str | Path, name: str) -> Iterator[Triplet]:
         )
 
 
-def load_triplets(path: str | Path, name: str = "triplets.tsv") -> list[Triplet]:
+def load_triplets(path: str | Path) -> list[Triplet]:
     """Parse triplet lines; duplicates are dropped, order of first occurrence kept."""
-    return list(dict.fromkeys(_triplet_rows(path, name)))
+    return list(dict.fromkeys(_triplet_rows(path)))
 
 
 def _check_references(t: Triplet, entity_ids: Container[str],
@@ -191,7 +194,7 @@ def load_unique_object_flags(kb_dir: str | Path) -> dict[PredicateId, bool]:
     predicate_ids = set(load_predicate_aliases(d / "predicates.tsv"))
     first_object: dict[tuple[EntityId, PredicateId], EntityId] = {}
     unique: dict[PredicateId, bool] = {}
-    for t in _triplet_rows(d / "triplets.tsv", "triplets.tsv"):
+    for t in _triplet_rows(d / "triplets.tsv"):
         _check_references(t, entity_ids, predicate_ids)
         o = first_object.setdefault((t.subject, t.predicate), t.object)
         unique[t.predicate] = unique.get(t.predicate, True) and o == t.object

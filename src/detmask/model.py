@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -82,20 +82,8 @@ class ModelState:
     w_cls: np.ndarray
 
     def params(self) -> dict[str, np.ndarray]:
-        return {
-            "tok_emb": self.tok_emb,
-            "pos_emb": self.pos_emb,
-            "wq": self.wq,
-            "wk": self.wk,
-            "wv": self.wv,
-            "wo": self.wo,
-            "w1": self.w1,
-            "b1": self.b1,
-            "w2": self.w2,
-            "b2": self.b2,
-            "lm_bias": self.lm_bias,
-            "w_cls": self.w_cls,
-        }
+        """Every parameter by name, in field order: the checkpoint order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -245,9 +233,8 @@ def loss_and_grad(
     item: TrainItem,
     coeffs: tuple[float, float, float],
     max_len: int,
-    want_grad: bool = True,
     grads: Optional[dict[str, np.ndarray]] = None,
-) -> tuple[tuple[float, float, float, float], Optional[dict[str, np.ndarray]]]:
+) -> tuple[tuple[float, float, float, float], dict[str, np.ndarray]]:
     """Losses and exact parameter gradients of the weighted total.
 
     ``coeffs`` weights (mlm, con, cls) in the total; a zero weight skips that
@@ -269,9 +256,7 @@ def loss_and_grad(
     if randv is not None:
         passes["rand"] = _forward(state, randv.input_tokens, max_len)
 
-    if not want_grad:
-        grads = None
-    elif grads is None:
+    if grads is None:
         grads = _zero_grads(state)
     else:
         # tok_emb is zeroed below only when no head product overwrites it.
@@ -286,7 +271,7 @@ def loss_and_grad(
 
     p_keep = passes["keep"]["probs"][rank, tgt]
     l_mlm = float(-np.log(p_keep).mean())
-    if want_grad and w_mlm:
+    if w_mlm:
         g = passes["keep"]["probs"].copy()
         g[rank, tgt] -= 1.0
         dlogits["keep"] = (w_mlm / n_obj) * g
@@ -295,7 +280,7 @@ def loss_and_grad(
     if drop is not None:
         p_drop = passes["drop"]["probs"][rank, tgt]
         l_con = float(p_drop.mean() - p_keep.mean())
-        if want_grad and w_con:
+        if w_con:
             for name, sign, pvals in (("drop", 1.0, p_drop), ("keep", -1.0, p_keep)):
                 jac = -passes[name]["probs"] * pvals[:, None]
                 jac[rank, tgt] += pvals
@@ -309,7 +294,7 @@ def loss_and_grad(
             e = passes[name]["h2"][pos]
             y = _softmax(e @ state.w_cls)
             acc += float(-np.log(y[:, label]).sum())
-            if want_grad and w_cls:
+            if w_cls:
                 ds = y.copy()
                 ds[:, label] -= 1.0
                 ds *= w_cls / total
@@ -331,11 +316,10 @@ def loss_and_grad(
         grads["lm_bias"] += dl.sum(axis=0)
         for name, dh in zip(dlogits, np.split(dl @ state.tok_emb, len(dlogits))):
             np.add.at(dh2[name], pos, dh)
-    elif want_grad:
+    else:
         grads["tok_emb"].fill(0.0)
-    if want_grad:
-        for name, cache in passes.items():
-            _backward(state, cache, dh2[name], grads)
+    for name, cache in passes.items():
+        _backward(state, cache, dh2[name], grads)
     return (l_mlm, l_con, l_cls, l_total), grads
 
 
@@ -384,26 +368,23 @@ def train(
     return state, log
 
 
-def predict_fill(state: ModelState, tokens: Sequence[int],
-                 max_len: Optional[int] = None) -> list[int]:
+def predict_fill(state: ModelState, tokens: Sequence[int]) -> list[int]:
     """Independent argmax at every mask position, skipping sentinel ids.
 
     Ties resolve to the lowest token id.
     """
-    return predict_fill_batch(state, [tokens], max_len)[0]
+    return predict_fill_batch(state, [tokens])[0]
 
 
-def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]],
-                       max_len: Optional[int] = None) -> list[list[int]]:
+def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]]) -> list[list[int]]:
     """``predict_fill`` of each sequence in ``batch``, all of one length, in one pass;
     parameters so large that the forward pass overflows raise ``DataError``."""
     toks = np.asarray(batch, dtype=np.int64)
     is_mask = toks == MASK_ID
     if not is_mask.any(axis=1).all():
         raise NoMask("input has no mask positions")
-    limit = state.pos_emb.shape[0] if max_len is None else max_len
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _forward(state, toks, limit, np.nonzero(is_mask))["probs"]
+        probs = _forward(state, toks, state.pos_emb.shape[0], np.nonzero(is_mask))["probs"]
     if not np.isfinite(probs).all():
         raise DataError("non-finite activations: the model's parameters overflow its forward pass")
     probs[:, [PAD_ID, MASK_ID, UNK_ID]] = -1.0
@@ -447,7 +428,7 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
     """Read a checkpoint written by ``save_checkpoint``.
 
     A header that is not the expected JSON, a vocabulary that
-    ``Vocabulary.from_stored`` rejects or with more tokens than the config,
+    ``Vocabulary.from_stored`` rejects or whose size is not the config's,
     a tensor set or shape other than ``_param_shapes`` of the config, a
     tensor reaching past the end of the file, or a NaN or infinite value
     raises ``DataError``.
@@ -471,9 +452,9 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
     if not all(type(x) is int for x in (config.vocab_size, config.d, config.max_len)):
         raise DataError(f"{path}: checkpoint config sizes are not integers")
-    if vocab is not None and vocab.size > config.vocab_size:
+    if vocab is not None and vocab.size != config.vocab_size:
         raise DataError(f"{path}: vocabulary has {vocab.size} tokens, "
-                        f"more than the config's {config.vocab_size}")
+                        f"but the config has {config.vocab_size}")
     shapes = _param_shapes(config)
     if set(entries) != set(shapes):
         raise DataError(f"{path}: checkpoint tensors are not the model's parameters")

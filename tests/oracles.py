@@ -413,9 +413,9 @@ def finite_diff_check(
             idx = int(idx)
             original = flat[idx]
             flat[idx] = original + eps
-            (_, _, _, up), _ = loss_and_grad(state, item, coeffs, max_len, want_grad=False)
+            (_, _, _, up), _ = loss_and_grad(state, item, coeffs, max_len)
             flat[idx] = original - eps
-            (_, _, _, down), _ = loss_and_grad(state, item, coeffs, max_len, want_grad=False)
+            (_, _, _, down), _ = loss_and_grad(state, item, coeffs, max_len)
             flat[idx] = original
             numeric = (up - down) / (2.0 * eps)
             analytic = gflat[idx]

@@ -54,7 +54,7 @@ def match_predicate(text, p, kb):
     if found is None:
         return None
     _dist, a, b = found
-    return Span(a, b, text[a:b])
+    return Span(a, b)
 
 
 class TestLinkEntities:
@@ -87,9 +87,10 @@ class TestLinkEntities:
 
     def test_non_overlapping_left_to_right(self):
         kb = build_kb([], {"A": ("a b",), "B": ("b c",)}, {})
-        spans = Aligner(kb).align(Paragraph("d", "a b c"))[0].entity_spans
+        text = "a b c"
+        spans = Aligner(kb).align(Paragraph("d", text))[0].entity_spans
         # "a b" consumes token b, so "b c" cannot match.
-        assert [(s.surface, e) for s, e in spans] == [("a b", "A")]
+        assert [(text[s.char_start:s.char_end], e) for s, e in spans] == [("a b", "A")]
 
     def test_invalid_pre_linked_span_raises(self):
         kb = build_kb([], {"Q1": ("x",)}, {})
@@ -104,14 +105,16 @@ class TestLinkEntities:
 class TestMatchPredicate:
     def test_exact_match(self):
         kb = film_kb()
-        span = match_predicate("the film is directed by him", "directedBy", kb)
+        text = "the film is directed by him"
+        span = match_predicate(text, "directedBy", kb)
         assert (span.char_start, span.char_end) == (12, 23)
-        assert span.surface == "directed by"
+        assert text[span.char_start:span.char_end] == "directed by"
 
     def test_distance_one_match(self):
         kb = film_kb()
-        span = match_predicate("the film is directd by him", "directedBy", kb)
-        assert span.surface == "directd by"
+        text = "the film is directd by him"
+        span = match_predicate(text, "directedBy", kb)
+        assert text[span.char_start:span.char_end] == "directd by"
 
     def test_no_match_at_distance_two(self):
         kb = film_kb()
@@ -121,7 +124,7 @@ class TestMatchPredicate:
         kb = film_kb()
         text = "derected by noise then directed by end"
         span = match_predicate(text, "directedBy", kb)
-        assert span.surface == "directed by"
+        assert text[span.char_start:span.char_end] == "directed by"
         assert span.char_start == text.index("directed by")
 
     def test_earliest_start_among_equal_distance(self):
@@ -183,7 +186,7 @@ class TestAlignParagraph:
         assert len(sample.aligned) == 1
         t = sample.aligned[0]
         assert t.triplet == Triplet("WarHorse", "directedBy", "Spielberg")
-        assert t.object_span.surface == "Steven Spielberg"
+        assert FILM_TEXT[t.object_span.char_start:t.object_span.char_end] == "Steven Spielberg"
         assert t.edit_distance == 0
 
     def test_single_entity_no_pairs(self):

@@ -29,6 +29,7 @@ from detmask.formats import (
     read_templates,
     read_vocab,
 )
+from detmask.masking import Vocabulary
 from detmask.model import load_checkpoint
 from detmask.probe import build_questions, filter_leakage, length_batches
 from test_formats import half_writing_open
@@ -167,6 +168,18 @@ SAMPLE_EDITS = st.tuples(
 )
 
 
+def apply_edit(holder, key, kind: str, at, value) -> None:
+    """Replace ``holder[key]``, set one element of it if it is a list, or
+    resize that list (padding with ``value``)."""
+    old = holder[key]
+    if kind == "value":
+        holder[key] = value
+    elif kind == "element" and isinstance(old, list) and old:
+        old[int(at * len(old))] = value
+    elif kind == "length" and isinstance(old, list):
+        holder[key] = (old + [value] * at)[:at]
+
+
 def edit_sample_lines(lines: list[str], edits: list[tuple]) -> list[str]:
     """``lines`` after ``SAMPLE_EDITS`` edits; an edit whose target an earlier
     edit removed does nothing."""
@@ -183,14 +196,69 @@ def edit_sample_lines(lines: list[str], edits: list[tuple]) -> list[str]:
                 holder, key = entries[key], field
                 if not isinstance(holder, dict) or key not in holder:
                     continue
-        old = holder[key]
-        if kind == "value":
-            holder[key] = value
-        elif kind == "element" and isinstance(old, list) and old:
-            old[int(at * len(old))] = value
-        elif kind == "length" and isinstance(old, list):
-            holder[key] = (old + [value] * at)[:at]
+        apply_edit(holder, key, kind, at, value)
     return [json.dumps(obj) for obj in objs]
+
+
+# Values an edit may write into a checkpoint header: those of a masked line,
+# offsets inside and just past the tensor data, shapes, and vocabulary tokens
+# (the sentinels, tokens of the world and a new one).
+CHECKPOINT_VALUES = st.one_of(
+    JSON_VALUES,
+    st.integers(0, 2000).map(lambda k: 8 * k),
+    st.lists(st.integers(-1, 40), max_size=3),
+    st.sampled_from(["<pad>", "<mask>", "<unk>", "war", "spielberg", "unseen"]),
+)
+
+# One edit of a value inside a valid checkpoint header: the vocabulary, one
+# config field or one tensor's shape or offset (picked by a fraction) is
+# replaced, has one element set if it is a list, or is resized.
+CHECKPOINT_EDITS = st.tuples(
+    st.sampled_from(["vocab", "config", "shape", "offset"]),
+    st.floats(0, 1, exclude_max=True),
+    st.one_of(
+        st.tuples(st.just("value"), st.just(0), CHECKPOINT_VALUES),
+        st.tuples(st.just("element"), st.floats(0, 1, exclude_max=True), CHECKPOINT_VALUES),
+        st.tuples(st.just("length"), st.integers(0, 40), CHECKPOINT_VALUES),
+    ),
+)
+
+
+def edit_checkpoint_header(header: dict, edits: list[tuple]) -> dict:
+    """``header`` after ``CHECKPOINT_EDITS`` edits."""
+    for field, pick, (kind, at, value) in edits:
+        holder, key = header, field
+        if field == "config":
+            holder = header["config"]
+            key = sorted(holder)[int(pick * len(holder))]
+        elif field != "vocab":
+            tensors = header["tensors"]
+            holder = tensors[int(pick * len(tensors))]
+        apply_edit(holder, key, kind, at, value)
+    return header
+
+
+# Keys of a facts line and of a templates line.
+FACT_KEYS = ("s", "p", "o", "s_surface", "o_surface")
+TEMPLATE_KEYS = ("relation", "pattern")
+
+# Values an edit may write into a facts or templates line: those of a samples
+# line, and patterns, a padded relation and surfaces of the world.
+PROBE_INPUT_VALUES = st.one_of(
+    SAMPLE_VALUES,
+    st.sampled_from(["[X] was directed by [Y]", "[Y] [X]", "[X] only", "[X] [Y] [Y]",
+                     " starring ", "Jeremy Irvine", "<mask>"]),
+)
+
+# One edit of a facts or templates line (index taken modulo the line count):
+# replace the value of one key, or delete the key.
+PROBE_INPUT_EDITS = st.tuples(
+    st.one_of(st.tuples(st.just("facts"), st.sampled_from(FACT_KEYS)),
+              st.tuples(st.just("templates"), st.sampled_from(TEMPLATE_KEYS))),
+    st.integers(0, 8),
+    st.one_of(st.tuples(st.just("value"), PROBE_INPUT_VALUES),
+              st.tuples(st.just("delete"), st.none())),
+)
 
 
 def probe_split_argv(pipeline: dict, out: Path, kb: Path, pretrain: Path) -> list[str]:
@@ -977,6 +1045,48 @@ class TestExitCodes:
             assert main(["probe", "--model", str(ckpt), *probe]) == 2, edit.__name__
             assert capsys.readouterr().err.startswith("detmask: error:"), edit.__name__
 
+    def test_checkpoint_vocabulary_shorter_than_model_is_data_error(self, pipeline, tmp_path,
+                                                                    capsys):
+        """A 7-token vocabulary in a 12-token model: a fill past its end has no
+        token to decode, so the checkpoint is rejected before the probe."""
+        config = model.ModelConfig(vocab_size=12, d=4, max_len=32)
+        state = model.init(config)
+        state.lm_bias[11] = 50.0
+        ckpt = tmp_path / "short.ckpt"
+        model.save_checkpoint(ckpt, state, config,
+                              Vocabulary.from_tokens(["horse", "jaws", "spielberg", "war"]))
+        code = main(["probe", "--model", str(ckpt), "--templates", str(pipeline["templates"]),
+                     "--facts", str(pipeline["facts"]), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "vocabulary has 7 tokens, but the config has 12" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_probe_ids_follow_the_kb_id_rule(self, pipeline, tmp_path, capsys):
+        """Padding around a fact's ids or a template's relation is dropped, as in
+        the KB tables, so the report is unchanged; an id with a space exits 2."""
+        padded_facts = [{**f, "s": f" {f['s']}", "p": f"{f['p']}\t", "o": f" {f['o']} "}
+                        for f in FACTS]
+        padded_templates = [{**t, "relation": f" {t['relation']} "} for t in TEMPLATES]
+        cases = (("padded", padded_facts, padded_templates, 0),
+                 ("spaced subject", [{**FACTS[0], "s": "War Horse"}, *FACTS[1:]], TEMPLATES, 2),
+                 ("spaced relation", FACTS,
+                  [{**TEMPLATES[0], "relation": "directed by"}, *TEMPLATES[1:]], 2))
+        for name, facts, templates, expected in cases:
+            paths = {"facts": tmp_path / "facts.jsonl", "templates": tmp_path / "templates.jsonl"}
+            for key, objs in (("facts", facts), ("templates", templates)):
+                paths[key].write_text("".join(json.dumps(o) + "\n" for o in objs),
+                                      encoding="utf-8")
+            out = tmp_path / "r.json"
+            argv = probe_split_argv({**pipeline, **paths}, out, pipeline["kb"],
+                                    pipeline["samples"])
+            assert main(argv) == expected, name
+            if expected == 0:
+                assert out.read_bytes() == pipeline["report"].read_bytes()
+                out.unlink()
+            else:
+                assert "bad " in capsys.readouterr().err, name
+                assert not out.exists(), name
+
     def test_non_finite_checkpoint_tensor_is_data_error(self, pipeline, tmp_path, capsys):
         blob = bytearray(pipeline["ckpt"].read_bytes())
         header_end = blob.index(b"\n") + 1
@@ -1100,6 +1210,44 @@ class TestExitCodes:
                           "--emit", "pair"],
                          probe_split_argv(pipeline, out / "r.json", pipeline["kb"], bad)):
                 assert main(argv) in (0, 2), (argv[0], lines)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(CHECKPOINT_EDITS, min_size=1, max_size=3))
+    def test_edited_checkpoint_header_exits_zero_or_two(self, pipeline, edits):
+        """A checkpoint whose header holds edited values probes or is a data
+        error, never a crash."""
+        blob = pipeline["ckpt"].read_bytes()
+        end = blob.index(b"\n")
+        header = edit_checkpoint_header(json.loads(blob[:end]), edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "model.ckpt"
+            ckpt.write_bytes(json.dumps(header).encode("utf-8") + blob[end:])
+            argv = ["probe", "--model", str(ckpt), "--templates", str(pipeline["templates"]),
+                    "--facts", str(pipeline["facts"]), "--out", str(Path(tmp) / "r.json")]
+            assert main(argv) in (0, 2), header
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(PROBE_INPUT_EDITS, min_size=1, max_size=3))
+    def test_edited_facts_and_templates_exit_zero_or_two(self, pipeline, edits):
+        """Valid JSON with edited values in the facts or templates: ``probe
+        --kb --pretrain`` runs or reports a data error, never crashes."""
+        objs = {key: [json.loads(line) for line in
+                      pipeline[key].read_text(encoding="utf-8").splitlines()]
+                for key in ("facts", "templates")}
+        for (kind, key), line_no, (op, value) in edits:
+            obj = objs[kind][line_no % len(objs[kind])]
+            if op == "delete":
+                obj.pop(key, None)
+            else:
+                obj[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {key: Path(tmp) / f"{key}.jsonl" for key in objs}
+            for key, lines in objs.items():
+                paths[key].write_text("".join(json.dumps(o) + "\n" for o in lines),
+                                      encoding="utf-8")
+            argv = probe_split_argv({**pipeline, **paths}, Path(tmp) / "r.json",
+                                    pipeline["kb"], pipeline["samples"])
+            assert main(argv) in (0, 2), objs
 
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:

@@ -127,7 +127,7 @@ class TestTokenize:
             triplet=aligned.triplet,
             subject_span=aligned.subject_span,
             predicate_span=aligned.predicate_span,
-            object_span=Span(46, 51, FILM_TEXT[46:51]),
+            object_span=Span(46, 51),
             edit_distance=0,
         )
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))

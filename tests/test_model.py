@@ -110,7 +110,7 @@ def head_probs(state: ModelState, tokens) -> np.ndarray:
     out = np.empty((len(tokens), state.tok_emb.shape[0]))
     for i, t in np.ndindex(out.shape):
         (l_mlm, _, _, _), _ = loss_and_grad(state, masked(tokens, [i], [t]), (1, 0, 0),
-                                            state.pos_emb.shape[0], want_grad=False)
+                                            state.pos_emb.shape[0])
         out[i, t] = math.exp(-l_mlm)
     return out
 
@@ -133,8 +133,8 @@ class TestForward:
         np.testing.assert_array_equal(head_probs(state, short), head_probs(state, padded)[:3])
         # The classifier reads the contextual embedding at each position.
         for i in range(3):
-            l_cls = [loss_and_grad(state, (masked(toks, [i], [3]),) * 3, (0, 0, 1), 10,
-                                   want_grad=False)[0][2] for toks in (short, padded)]
+            l_cls = [loss_and_grad(state, (masked(toks, [i], [3]),) * 3, (0, 0, 1), 10)[0][2]
+                     for toks in (short, padded)]
             assert l_cls[0] == l_cls[1]
 
     def test_sequence_too_long(self):
@@ -142,7 +142,7 @@ class TestForward:
         with pytest.raises(SequenceTooLong):
             loss_and_grad(state, masked([3] * 5, [0], [3]), (1, 0, 0), max_len=4)
         with pytest.raises(SequenceTooLong):
-            predict_fill_batch(state, [[3, 3, 3, 3, MASK_ID]], max_len=4)
+            predict_fill_batch(state, [[3, 3, 3, 3, MASK_ID]])
 
     def test_avg_truth_prob(self):
         # L_con is the arithmetic mean of the truth probabilities at the keep
@@ -150,7 +150,7 @@ class TestForward:
         state = init(ModelConfig(vocab_size=12, d=4, max_len=10, seed=4))
         keep = masked([3, MASK_ID, MASK_ID, 5], [1, 2], [6, 7])
         drop = masked([MASK_ID, MASK_ID, MASK_ID, 5], [1, 2], [6, 7])
-        (_, l_con, _, _), _ = loss_and_grad(state, (keep, drop), (1, 1, 0), 10, want_grad=False)
+        (_, l_con, _, _), _ = loss_and_grad(state, (keep, drop), (1, 1, 0), 10)
         rows, tgt = [1, 2], [6, 7]
         expected = (head_probs(state, drop.input_tokens)[rows, tgt].mean()
                     - head_probs(state, keep.input_tokens)[rows, tgt].mean())
@@ -405,7 +405,7 @@ class TestPredictFill:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        cfg = ModelConfig(vocab_size=9, d=4, max_len=6, seed=21, lambda_con=0.5)
+        cfg = ModelConfig(vocab_size=5, d=4, max_len=6, seed=21, lambda_con=0.5)
         state = init(cfg)
         vocab = Vocabulary.from_tokens(["apple", "pear"])
         path = tmp_path / "model.ckpt"
