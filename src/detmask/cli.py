@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-from array import array
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -191,22 +190,14 @@ def cmd_mask(args) -> StageResult:
 
 def _check_token_ids(masked, vocab, args) -> int:
     """The longest input in ``masked``; any input id or target outside the
-    vocabulary raises ``DataError``.  Every id goes into one int64 array, which
-    numpy checks in one pass."""
-    import numpy as np
-
-    ids = array("q")
+    vocabulary raises ``DataError``."""
     longest = 0
     for m in masked:
-        ids.extend(m.input_tokens)
-        ids.extend(m.targets)
+        for ids in (m.input_tokens, m.targets):
+            if ids and (min(ids) < 0 or max(ids) >= vocab.size):
+                raise DataError(f"{args.data}: {m.doc_id} has a token id outside the "
+                                f"{vocab.size}-token vocabulary {args.vocab}")
         longest = max(longest, len(m.input_tokens))
-    ids = np.frombuffer(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
-        bad = next(m for m in masked
-                   if not all(0 <= i < vocab.size for i in (*m.input_tokens, *m.targets)))
-        raise DataError(f"{args.data}: {bad.doc_id} has a token id outside the "
-                        f"{vocab.size}-token vocabulary {args.vocab}")
     return longest
 
 
@@ -373,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scheme", choices=[s.value for s in MaskScheme])
     p.add_argument("--emit", choices=["pair", "triple"],
                    help="contrastive pair or classification triple")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_mask, inputs=("samples", "ssm"))
 
     p = sub.add_parser("train", help="train the toy masked language model")
@@ -388,7 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-con", type=_finite_float, default=1.0)
     p.add_argument("--lambda-cls", type=_finite_float, default=1.0)
     p.add_argument("--log", help="training log path (default: <out>.log.jsonl)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_train, inputs=("data", "vocab"))
 
     p = sub.add_parser("probe", help="score a model on multi-prompt cloze questions")

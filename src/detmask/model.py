@@ -135,7 +135,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _forward(state: ModelState, tokens, max_len: int, rows=None) -> dict:
+def _forward(state: ModelState, tokens, rows=None) -> dict:
     """Forward one sequence, or a (B, n) batch of sequences of one length.
 
     The LM head and its softmax run only at ``rows``, an index into the
@@ -145,6 +145,7 @@ def _forward(state: ModelState, tokens, max_len: int, rows=None) -> dict:
     """
     toks = np.asarray(tokens, dtype=np.int64)
     n = toks.shape[-1]
+    max_len = state.pos_emb.shape[0]
     if n > max_len:
         raise SequenceTooLong(f"sequence of {n} tokens exceeds max_len {max_len}")
     d = state.tok_emb.shape[1]
@@ -232,7 +233,6 @@ def loss_and_grad(
     state: ModelState,
     item: TrainItem,
     coeffs: tuple[float, float, float],
-    max_len: int,
     grads: Optional[dict[str, np.ndarray]] = None,
 ) -> tuple[tuple[float, float, float, float], dict[str, np.ndarray]]:
     """Losses and exact parameter gradients of the weighted total.
@@ -250,11 +250,11 @@ def loss_and_grad(
     tgt = np.asarray(keep.targets, dtype=np.int64)
     n_obj = len(pos)
 
-    passes: dict[str, dict] = {"keep": _forward(state, keep.input_tokens, max_len, pos)}
+    passes: dict[str, dict] = {"keep": _forward(state, keep.input_tokens, pos)}
     if drop is not None:
-        passes["drop"] = _forward(state, drop.input_tokens, max_len, pos)
+        passes["drop"] = _forward(state, drop.input_tokens, pos)
     if randv is not None:
-        passes["rand"] = _forward(state, randv.input_tokens, max_len)
+        passes["rand"] = _forward(state, randv.input_tokens)
 
     if grads is None:
         grads = _zero_grads(state)
@@ -353,7 +353,7 @@ def train(
             item = data[step % len(data)]
             try:
                 (l_mlm, l_con, l_cls, l_total), _ = loss_and_grad(
-                    state, item, coeffs, config.max_len, grads=grads
+                    state, item, coeffs, grads=grads
                 )
             except NonFiniteLoss as exc:
                 raise NonFiniteLoss(step, exc.value) from None
@@ -384,7 +384,7 @@ def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]]) -> lis
     if not is_mask.any(axis=1).all():
         raise NoMask("input has no mask positions")
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _forward(state, toks, state.pos_emb.shape[0], np.nonzero(is_mask))["probs"]
+        probs = _forward(state, toks, np.nonzero(is_mask))["probs"]
     if not np.isfinite(probs).all():
         raise DataError("non-finite activations: the model's parameters overflow its forward pass")
     probs[:, [PAD_ID, MASK_ID, UNK_ID]] = -1.0

@@ -19,8 +19,10 @@ fact in the pre-training data) and unique-object vs multi-object relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import BadTemplate, DataError, MissingPrediction
@@ -57,11 +59,6 @@ class Fact:
     relation_type: Optional[RelationType] = None
     in_domain: Optional[bool] = None
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        t = self.triplet
-        return (t.subject, t.predicate, t.object)
-
 
 @dataclass(frozen=True)
 class ClozeQuestion:
@@ -71,8 +68,8 @@ class ClozeQuestion:
 
     @property
     def question_id(self) -> str:
-        s, p, o = self.fact.key
-        return f"{s}|{p}|{o}#{self.prompt_id}"
+        t = self.fact.triplet
+        return f"{t.subject}|{t.predicate}|{t.object}#{self.prompt_id}"
 
     @property
     def gold_tokens(self) -> tuple[str, ...]:
@@ -108,35 +105,15 @@ class MetricsReport:
     nm: Optional[SplitMetrics] = None
 
     def to_dict(self) -> dict:
-        splits = {
-            "total": self.total.to_dict(),
-            "in_domain": self.in_domain.to_dict() if self.in_domain else None,
-            "out_of_domain": self.out_of_domain.to_dict() if self.out_of_domain else None,
-            "n1_or_11": self.n1_or_11.to_dict() if self.n1_or_11 else None,
-            "nm": self.nm.to_dict() if self.nm else None,
-        }
+        splits = {}
+        for f in fields(self):
+            m = getattr(self, f.name)
+            splits[f.name] = m.to_dict() if m else None
         return {"format": "detmask-report", "version": 1, "splits": splits}
 
 
-def _split_pattern(pattern: str) -> list[tuple[str, str]]:
-    """Decompose a pattern into ("text", piece) / ("X"|"Y", "") segments."""
-    for ph in ("[X]", "[Y]"):
-        if pattern.count(ph) != 1:
-            raise BadTemplate(f"pattern must contain exactly one {ph}: {pattern!r}")
-    segments: list[tuple[str, str]] = []
-    rest = pattern
-    while rest:
-        ix = rest.find("[X]")
-        iy = rest.find("[Y]")
-        nxt = min(i for i in (ix, iy) if i >= 0) if (ix >= 0 or iy >= 0) else -1
-        if nxt < 0:
-            segments.append(("text", rest))
-            break
-        if nxt > 0:
-            segments.append(("text", rest[:nxt]))
-        segments.append(("X" if nxt == ix else "Y", ""))
-        rest = rest[nxt + 3 :]
-    return segments
+# The group keeps each placeholder in the split as a piece of its own.
+_PLACEHOLDER = re.compile(r"(\[X\]|\[Y\])")
 
 
 def instantiate(template: Template, fact: Fact, prompt_id: int = 0) -> ClozeQuestion:
@@ -148,14 +125,13 @@ def instantiate(template: Template, fact: Fact, prompt_id: int = 0) -> ClozeQues
     gold = tokens_lower(fact.object_surface)
     if not gold:
         raise DataError(f"object surface {fact.object_surface!r} has no tokens")
-    tokens: list[str] = []
-    for kind, piece in _split_pattern(template.pattern):
-        if kind == "text":
-            tokens.extend(tokens_lower(piece))
-        elif kind == "X":
-            tokens.extend(tokens_lower(fact.subject_surface))
-        else:
-            tokens.extend([MASK_TOKEN] * len(gold))
+    pieces = _PLACEHOLDER.split(template.pattern)
+    for ph in ("[X]", "[Y]"):
+        if pieces.count(ph) != 1:
+            raise BadTemplate(f"pattern must contain exactly one {ph}: {template.pattern!r}")
+    fill = {"[X]": tokens_lower(fact.subject_surface), "[Y]": [MASK_TOKEN] * len(gold)}
+    tokens = [t for piece in pieces
+              for t in (fill[piece] if piece in fill else tokens_lower(piece))]
     return ClozeQuestion(fact=fact, prompt_tokens=tuple(tokens), prompt_id=prompt_id)
 
 
@@ -215,9 +191,9 @@ def split_questions(
 
 def _metrics(questions: Sequence[ClozeQuestion],
              predictions: Mapping[str, Sequence[str]]) -> SplitMetrics:
-    by_fact: dict[tuple[str, str, str], list[ClozeQuestion]] = {}
+    by_fact: dict[Triplet, list[ClozeQuestion]] = {}
     for q in questions:
-        by_fact.setdefault(q.fact.key, []).append(q)
+        by_fact.setdefault(q.fact.triplet, []).append(q)
     n_correct = 0
     agreeing = 0
     pairs = 0
@@ -254,25 +230,27 @@ def _metrics(questions: Sequence[ClozeQuestion],
     )
 
 
+# The labelled splits: name -> (fact label, value kept).  Each is reported
+# when every question's fact carries its label.
+_LABELLED_SPLITS = MappingProxyType({
+    "in_domain": ("in_domain", True),
+    "out_of_domain": ("in_domain", False),
+    "n1_or_11": ("relation_type", RelationType.N1_OR_11),
+    "nm": ("relation_type", RelationType.NM),
+})
+
+
 def evaluate(
     questions: Sequence[ClozeQuestion], predictions: Mapping[str, Sequence[str]]
 ) -> MetricsReport:
     """Score predictions; split sub-reports appear when facts carry the labels."""
-    total = _metrics(questions, predictions)
-    in_d = out_d = n1 = nm = None
-    if questions and all(q.fact.in_domain is not None for q in questions):
-        in_d = _metrics([q for q in questions if q.fact.in_domain], predictions)
-        out_d = _metrics([q for q in questions if not q.fact.in_domain], predictions)
-    if questions and all(q.fact.relation_type is not None for q in questions):
-        n1 = _metrics(
-            [q for q in questions if q.fact.relation_type is RelationType.N1_OR_11],
-            predictions,
-        )
-        nm = _metrics(
-            [q for q in questions if q.fact.relation_type is RelationType.NM], predictions
-        )
-    return MetricsReport(total=total, in_domain=in_d, out_of_domain=out_d,
-                         n1_or_11=n1, nm=nm)
+    splits = {"total": _metrics(questions, predictions)}
+    for name, (label, value) in _LABELLED_SPLITS.items():
+        if questions and all(getattr(q.fact, label) is not None for q in questions):
+            splits[name] = _metrics(
+                [q for q in questions if getattr(q.fact, label) == value], predictions
+            )
+    return MetricsReport(**splits)
 
 
 def length_batches(questions: Sequence[ClozeQuestion]) -> list[list[ClozeQuestion]]:

@@ -34,7 +34,9 @@ vocabulary distribution of one sequence.
 with central differences of its own losses.
 
 ``unique_object_flags_oracle`` reads the relation split of the probe off a
-whole loaded KB's (subject, predicate) index.
+whole loaded KB's (subject, predicate) index.  ``instantiate_oracle`` renders
+a cloze prompt by scanning the template with ``str.find`` for the nearer of
+the two placeholders, where the probe splits it with one regex.
 
 ``train_oracle`` is the training loop at its plainest: fresh gradients from
 ``model.loss_and_grad`` on every step and a ``p -= lr * g`` update, with no
@@ -50,7 +52,9 @@ from functools import lru_cache
 import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
+from detmask.errors import BadTemplate, DataError
 from detmask.kb import KnowledgeBase
+from detmask.masking import MASK_TOKEN
 from detmask.model import ModelConfig, ModelState, TrainItem, init, loss_and_grad
 from detmask.tokenizer import lower_aligned, tokens_lower
 
@@ -175,6 +179,32 @@ def unique_object_flags_oracle(kb: KnowledgeBase) -> dict[str, bool]:
     for (_s, p), objects in kb.sp_index.items():
         flags[p] = flags.get(p, True) and len(objects) == 1
     return flags
+
+
+def instantiate_oracle(pattern: str, subject_surface: str,
+                       object_surface: str) -> tuple[str, ...]:
+    """The prompt tokens of a cloze question, or the probe's error for it."""
+    gold = tokens_lower(object_surface)
+    if not gold:
+        raise DataError(f"object surface {object_surface!r} has no tokens")
+    for ph in ("[X]", "[Y]"):
+        if pattern.count(ph) != 1:
+            raise BadTemplate(f"pattern must contain exactly one {ph}: {pattern!r}")
+    tokens: list[str] = []
+    rest = pattern
+    while rest:
+        found = [i for i in (rest.find("[X]"), rest.find("[Y]")) if i >= 0]
+        if not found:
+            tokens += tokens_lower(rest)
+            break
+        nxt = min(found)
+        tokens += tokens_lower(rest[:nxt])
+        if rest.startswith("[X]", nxt):
+            tokens += tokens_lower(subject_surface)
+        else:
+            tokens += [MASK_TOKEN] * len(gold)
+        rest = rest[nxt + 3:]
+    return tuple(tokens)
 
 
 def align_paragraph_oracle(paragraph: Paragraph, kb: KnowledgeBase):
@@ -385,7 +415,6 @@ def finite_diff_check(
     item: TrainItem,
     eps: float = 1e-5,
     coeffs: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    max_len: int = 128,
     min_coords: int = 200,
     seed: int = 0,
 ) -> float:
@@ -396,7 +425,7 @@ def finite_diff_check(
     """
     if not 0 < eps <= 1e-3:
         raise ValueError("eps must be in (0, 1e-3]")
-    _losses, grads = loss_and_grad(state, item, coeffs, max_len)
+    _losses, grads = loss_and_grad(state, item, coeffs)
     params = state.params()
     total = sum(arr.size for arr in params.values())
     rng = np.random.default_rng(seed)
@@ -413,9 +442,9 @@ def finite_diff_check(
             idx = int(idx)
             original = flat[idx]
             flat[idx] = original + eps
-            (_, _, _, up), _ = loss_and_grad(state, item, coeffs, max_len)
+            (_, _, _, up), _ = loss_and_grad(state, item, coeffs)
             flat[idx] = original - eps
-            (_, _, _, down), _ = loss_and_grad(state, item, coeffs, max_len)
+            (_, _, _, down), _ = loss_and_grad(state, item, coeffs)
             flat[idx] = original
             numeric = (up - down) / (2.0 * eps)
             analytic = gflat[idx]
@@ -429,7 +458,7 @@ def train_oracle(config: ModelConfig, items: list, steps: int, lr: float) -> Mod
     state = init(config)
     coeffs = (1.0, config.lambda_con, config.lambda_cls)
     for step in range(steps):
-        _losses, grads = loss_and_grad(state, items[step % len(items)], coeffs, config.max_len)
+        _losses, grads = loss_and_grad(state, items[step % len(items)], coeffs)
         for name, arr in state.params().items():
             arr -= lr * grads[name]
     return state

@@ -252,7 +252,7 @@ def test_gradients_match_finite_differences_for_every_loss_term():
         for _ in range(2):
             item = _sample_triple(rng)
             err = finite_diff_check(
-                state, item, coeffs=coeffs, max_len=32, min_coords=200, seed=11
+                state, item, coeffs=coeffs, min_coords=200, seed=11
             )
             worst = max(worst, err)
     elapsed = time.perf_counter() - started

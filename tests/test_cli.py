@@ -877,6 +877,23 @@ class TestExitCodes:
         assert err.startswith("usage:") and "Traceback" not in err
         assert err.splitlines()[-1] == f"detmask train: error: {message}"
 
+    @pytest.mark.parametrize("stage", ["train", "mask"])
+    def test_negative_seed_is_usage_error(self, pipeline, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--data", str(pipeline["masked"]),
+                      "--vocab", str(pipeline["root"] / "vocab.json"), "--steps", "1"],
+            "mask": ["mask", "--samples", str(pipeline["samples"]), "--scheme", "random_token"],
+        }[stage]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out", str(out), "--seed", "-1"])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+        assert err.splitlines()[-1] == (f"detmask {stage}: error: argument --seed: "
+                                        "must be at least 0, got -1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
                                              ("--lambda-con", "-inf"), ("--lambda-cls", "nan")])
     def test_non_finite_train_flag_is_usage_error(self, pipeline, tmp_path, capsys, flag, value):

@@ -109,8 +109,7 @@ def head_probs(state: ModelState, tokens) -> np.ndarray:
     entry (i, t) is exp(-L_mlm) of filling position i with token t."""
     out = np.empty((len(tokens), state.tok_emb.shape[0]))
     for i, t in np.ndindex(out.shape):
-        (l_mlm, _, _, _), _ = loss_and_grad(state, masked(tokens, [i], [t]), (1, 0, 0),
-                                            state.pos_emb.shape[0])
+        (l_mlm, _, _, _), _ = loss_and_grad(state, masked(tokens, [i], [t]), (1, 0, 0))
         out[i, t] = math.exp(-l_mlm)
     return out
 
@@ -133,14 +132,14 @@ class TestForward:
         np.testing.assert_array_equal(head_probs(state, short), head_probs(state, padded)[:3])
         # The classifier reads the contextual embedding at each position.
         for i in range(3):
-            l_cls = [loss_and_grad(state, (masked(toks, [i], [3]),) * 3, (0, 0, 1), 10)[0][2]
+            l_cls = [loss_and_grad(state, (masked(toks, [i], [3]),) * 3, (0, 0, 1))[0][2]
                      for toks in (short, padded)]
             assert l_cls[0] == l_cls[1]
 
     def test_sequence_too_long(self):
         state = init(ModelConfig(vocab_size=12, d=4, max_len=4, seed=0))
         with pytest.raises(SequenceTooLong):
-            loss_and_grad(state, masked([3] * 5, [0], [3]), (1, 0, 0), max_len=4)
+            loss_and_grad(state, masked([3] * 5, [0], [3]), (1, 0, 0))
         with pytest.raises(SequenceTooLong):
             predict_fill_batch(state, [[3, 3, 3, 3, MASK_ID]])
 
@@ -150,13 +149,13 @@ class TestForward:
         state = init(ModelConfig(vocab_size=12, d=4, max_len=10, seed=4))
         keep = masked([3, MASK_ID, MASK_ID, 5], [1, 2], [6, 7])
         drop = masked([MASK_ID, MASK_ID, MASK_ID, 5], [1, 2], [6, 7])
-        (_, l_con, _, _), _ = loss_and_grad(state, (keep, drop), (1, 1, 0), 10)
+        (_, l_con, _, _), _ = loss_and_grad(state, (keep, drop), (1, 1, 0))
         rows, tgt = [1, 2], [6, 7]
         expected = (head_probs(state, drop.input_tokens)[rows, tgt].mean()
                     - head_probs(state, keep.input_tokens)[rows, tgt].mean())
         assert l_con == pytest.approx(expected, abs=1e-15)
         with pytest.raises(EmptyMaskSet):
-            loss_and_grad(state, masked([3, 4], [], []), (1, 0, 0), 10)
+            loss_and_grad(state, masked([3, 4], [], []), (1, 0, 0))
 
 
 class TestLossValues:
@@ -166,7 +165,7 @@ class TestLossValues:
         drop = masked([MASK_ID, MASK_ID, 4], [1], [5], Variant.MASK_CLUES)
         rand = masked([3, MASK_ID, MASK_ID], [1], [5], Variant.MASK_RANDOM)
         (l_mlm, l_con, l_cls, l_total), _ = loss_and_grad(
-            state, (keep, drop, rand), (1.0, 1.0, 1.0), max_len=8
+            state, (keep, drop, rand), (1.0, 1.0, 1.0)
         )
         assert l_mlm == pytest.approx(math.log(6), abs=1e-12)
         assert l_con == pytest.approx(0.0, abs=1e-15)
@@ -176,23 +175,23 @@ class TestLossValues:
     def test_identical_passes_zero_contrast(self):
         state = init(ModelConfig(vocab_size=10, d=4, seed=5))
         keep = masked([3, MASK_ID, 4], [1], [5])
-        (_, l_con, _, _), _ = loss_and_grad(state, (keep, keep), (1, 1, 0), max_len=8)
+        (_, l_con, _, _), _ = loss_and_grad(state, (keep, keep), (1, 1, 0))
         assert l_con == 0.0
 
     def test_contrast_antisymmetric(self):
         state = init(ModelConfig(vocab_size=10, d=4, seed=6))
         a = masked([3, MASK_ID, 4, 5], [1], [6])
         b = masked([MASK_ID, MASK_ID, 4, 5], [1], [6])
-        (_, ab, _, _), _ = loss_and_grad(state, (a, b), (1, 1, 0), max_len=8)
-        (_, ba, _, _), _ = loss_and_grad(state, (b, a), (1, 1, 0), max_len=8)
+        (_, ab, _, _), _ = loss_and_grad(state, (a, b), (1, 1, 0))
+        (_, ba, _, _), _ = loss_and_grad(state, (b, a), (1, 1, 0))
         assert ab == pytest.approx(-ba, abs=1e-15)
 
     def test_zero_weight_drops_component_gradient(self):
         state = init(ModelConfig(vocab_size=10, d=4, seed=7))
         keep = masked([3, MASK_ID, 4], [1], [5])
         drop = masked([MASK_ID, MASK_ID, 4], [1], [5])
-        _, g_pair = loss_and_grad(state, (keep, drop), (1.0, 0.0, 0.0), max_len=8)
-        _, g_solo = loss_and_grad(state, keep, (1.0, 0.0, 0.0), max_len=8)
+        _, g_pair = loss_and_grad(state, (keep, drop), (1.0, 0.0, 0.0))
+        _, g_solo = loss_and_grad(state, keep, (1.0, 0.0, 0.0))
         for name in g_solo:
             assert np.array_equal(g_pair[name], g_solo[name]), name
 
@@ -202,9 +201,9 @@ class TestLossValues:
         # no head loss has a gradient and so no head product overwrites tok_emb.
         state = init(ModelConfig(vocab_size=30, d=4, max_len=40, seed=9))
         item = sample_triple(3)
-        _, fresh = loss_and_grad(state, item, coeffs, max_len=40)
+        _, fresh = loss_and_grad(state, item, coeffs)
         stale = {name: np.full_like(g, np.nan) for name, g in fresh.items()}
-        _, refilled = loss_and_grad(state, item, coeffs, max_len=40, grads=stale)
+        _, refilled = loss_and_grad(state, item, coeffs, grads=stale)
         assert refilled is stale
         for name, g in fresh.items():
             assert np.array_equal(refilled[name], g), name
@@ -212,13 +211,13 @@ class TestLossValues:
     def test_all_positions_masked_stays_finite(self):
         state = init(ModelConfig(vocab_size=10, d=4, seed=8))
         keep = masked([MASK_ID] * 4, [0, 1, 2, 3], [3, 4, 5, 6])
-        (l_mlm, _, _, l_total), grads = loss_and_grad(state, keep, (1, 0, 0), max_len=8)
+        (l_mlm, _, _, l_total), grads = loss_and_grad(state, keep, (1, 0, 0))
         assert math.isfinite(l_total) and l_mlm > 0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 class TestGradientCheck:
-    CFG = dict(eps=1e-5, max_len=24, min_coords=120, seed=1)
+    CFG = dict(eps=1e-5, min_coords=120, seed=1)
 
     def state_and_item(self):
         state = init(ModelConfig(vocab_size=30, d=8, max_len=24, seed=11))
@@ -261,7 +260,7 @@ class TestGradientCheck:
         keep = masked([3, MASK_ID, 4], [1], [5])
         drop = masked([MASK_ID, MASK_ID, 4], [1], [5])
         trained, _log = train(config, [(keep, drop)], steps=1, lr=0.5)
-        _, expected = loss_and_grad(init(config), (keep, drop), (1.0, 0.0, 0.0), max_len=128)
+        _, expected = loss_and_grad(init(config), (keep, drop), (1.0, 0.0, 0.0))
         for name, arr in init(config).params().items():
             assert np.array_equal(trained.params()[name], arr - 0.5 * expected[name]), name
 
@@ -288,7 +287,7 @@ class TestFullHeadOracle:
             for arr in state.params().values():
                 arr += rng.normal(0.0, 0.5, size=arr.shape)
             for item in self.items(rng):
-                (l_mlm, l_con, l_cls, _), _ = loss_and_grad(state, item, (1, 1, 1), 20)
+                (l_mlm, l_con, l_cls, _), _ = loss_and_grad(state, item, (1, 1, 1))
                 expected = full_head_losses_oracle(state.params(), item, PAD_ID)
                 assert (l_mlm, l_con, l_cls) == pytest.approx(expected, rel=0, abs=1e-12)
                 checked += 1

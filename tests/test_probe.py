@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from detmask import cli
 
 from detmask.errors import BadTemplate, DataError, MissingPrediction
 from detmask.kb import Triplet, build_kb
@@ -26,7 +30,7 @@ from detmask.probe import (
     run_model,
     split_questions,
 )
-from oracles import consistency_oracle, unique_object_flags_oracle
+from oracles import consistency_oracle, instantiate_oracle, unique_object_flags_oracle
 from test_model import zero_state
 
 
@@ -208,6 +212,35 @@ class TestEvaluate:
         doc = report.to_dict()
         assert doc["format"] == "detmask-report" and doc["version"] == 1
         assert doc["splits"]["in_domain"]["accuracy"] == 1.0
+
+
+# Template and surface text from bracket pieces, placeholders, whitespace and
+# punctuation: slots repeated, missing, split or run together.
+SLOTLESS = ["[", "]", "X", "Y", "x", " ", "\t", ".", ",", "'", "-", "is", "of"]
+TEXT = st.lists(st.sampled_from(SLOTLESS + ["[X]", "[Y]"]), max_size=8).map("".join)
+PLAIN = st.lists(st.sampled_from(SLOTLESS), max_size=6).map("".join)
+ONE_SLOT_EACH = st.tuples(PLAIN, PLAIN, PLAIN, st.booleans()).map(
+    lambda t: f"{t[0]}[Y]{t[1]}[X]{t[2]}" if t[3] else f"{t[0]}[X]{t[1]}[Y]{t[2]}")
+
+
+class TestInstantiateOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pattern=st.one_of(TEXT, ONE_SLOT_EACH), subject=TEXT, obj=TEXT)
+    def test_matches_find_scan(self, pattern, subject, obj):
+        f = replace(fact("S", "p", "O", obj), subject_surface=subject)
+        try:
+            expected = instantiate_oracle(pattern, subject, obj)
+        except (BadTemplate, DataError) as exc:
+            with pytest.raises(type(exc)) as info:
+                instantiate(Template("p", pattern), f)
+            assert str(info.value) == str(exc)
+        else:
+            assert instantiate(Template("p", pattern), f).prompt_tokens == expected
+
+
+def test_report_splits_match_the_report_stage():
+    # `report` reads the splits without loading probe code, so it keeps its own copy.
+    assert list(cli._SPLITS) == [f.name for f in fields(MetricsReport)]
 
 
 class TestConsistencyAgainstOracle:
