@@ -11,9 +11,10 @@ linked entity (used for span masking without triplet supervision).
 
 All surface matching is case-insensitive via offset-preserving lowering, and
 candidate windows start and end on token boundaries.  An ``Aligner`` holds
-one KB with its linker and matcher, and aligning a paragraph is a pure
-function of (paragraph, KB).  ``build_dataset`` runs the aligner over the
-corpus in order, in this process.
+one KB with its linker and matcher.  The sample it makes of a paragraph is
+still a pure function of (paragraph, KB); the run's tallies accumulate on
+the ``Aligner``.  ``build_dataset`` runs one aligner over the corpus in
+order, in this process.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .editdist import within_one
-from .errors import DanglingReference, DataError, EmptyDataset
+from .errors import DataError, EmptyDataset
 from .kb import KnowledgeBase, Triplet, is_deterministic, predicates_between
 from .tokenizer import Tokens, lower_aligned, token_spans, tokens_inside, tokens_lower
 
@@ -70,14 +71,6 @@ class AlignCounters:
     non_deterministic: int = 0
     unmatched_deterministic: int = 0
     emitted_triplets: int = 0
-
-    def merge(self, other: "AlignCounters") -> None:
-        self.paragraphs += other.paragraphs
-        self.skipped += other.skipped
-        self.candidates += other.candidates
-        self.non_deterministic += other.non_deterministic
-        self.unmatched_deterministic += other.unmatched_deterministic
-        self.emitted_triplets += other.emitted_triplets
 
 
 @dataclass
@@ -163,12 +156,6 @@ class PredicateMatcher:
             for p, aliases in kb.predicate_aliases.items()
         }
 
-    def aliases(self, p: str) -> tuple[str, ...]:
-        try:
-            return self._aliases[p]
-        except KeyError:
-            raise DanglingReference(p, "predicate") from None
-
     def best(
         self,
         low: str,
@@ -178,7 +165,7 @@ class PredicateMatcher:
     ) -> Optional[tuple[int, int, int]]:
         """Best (distance, char_start, char_end) for predicate ``p`` or None."""
         best: Optional[tuple[int, int, int]] = None
-        for alias in self.aliases(p):
+        for alias in self._aliases[p]:
             found = _scan_alias(low, starts, ends, alias)
             if found is None:
                 continue
@@ -236,24 +223,28 @@ def _validate_pre_linked(paragraph: Paragraph) -> tuple[tuple[Span, str], ...]:
 
 
 class Aligner:
-    """Aligns paragraphs against one KB.
+    """Aligns paragraphs against one KB and tallies them.
 
-    Built once per KB: it holds the KB, its alias-trie linker and its
-    predicate matcher.
+    Built once per KB: it holds the KB, its alias-trie linker, its predicate
+    matcher and ``counters``, the running tallies of every paragraph it has
+    aligned.
     """
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self.kb = kb
         self.linker = EntityLinker(kb)
         self.matcher = PredicateMatcher(kb)
+        self.counters = AlignCounters()
 
-    def align(self, paragraph: Paragraph) -> tuple[AlignedSample, AlignCounters]:
+    def align(self, paragraph: Paragraph) -> AlignedSample:
         """Align one paragraph; invalid pre-linked spans raise ``DataError``.
 
         Entity spans are the pre-linked spans verbatim when present, otherwise
-        dictionary matches against the KB alias table.
+        dictionary matches against the KB alias table.  The paragraph is
+        counted first, so one that raises adds only to ``paragraphs``.
         """
-        counts = AlignCounters(paragraphs=1)
+        counts = self.counters
+        counts.paragraphs += 1
         text = paragraph.text
         tokens = token_spans(text)
         if paragraph.pre_linked_spans is not None:
@@ -299,7 +290,7 @@ class Aligner:
                             )
                         )
                         counts.emitted_triplets += 1
-        return AlignedSample(paragraph, entity_spans, tuple(aligned)), counts
+        return AlignedSample(paragraph, entity_spans, tuple(aligned))
 
 
 def build_dataset(
@@ -314,16 +305,14 @@ def build_dataset(
     accepted and has no effect: alignment always runs in this process.
     """
     aligner = Aligner(kb)
-    result = BuildResult([], [], AlignCounters())
+    result = BuildResult([], [], aligner.counters)
     for paragraph in corpus:
         try:
-            sample, counts = aligner.align(paragraph)
+            sample = aligner.align(paragraph)
         except DataError as exc:
-            result.counters.paragraphs += 1
             result.counters.skipped += 1
             log.warning("skipping paragraph %s: %s", paragraph.doc_id, exc)
             continue
-        result.counters.merge(counts)
         if sample.aligned:
             result.deterministic_samples.append(sample)
         if sample.entity_spans:
@@ -333,12 +322,12 @@ def build_dataset(
 
 @dataclass
 class ObjectGroup:
-    """Token indices of the triplets in one sample that share an object span."""
+    """Token indices of the triplets in one sample that share an object span;
+    ``clues`` pools their subject and predicate tokens."""
 
     span: tuple[int, int]
     objects: range
-    subjects: set[int]
-    predicates: set[int]
+    clues: set[int]
 
 
 def object_groups(sample: AlignedSample, tokens: Tokens) -> list[ObjectGroup]:
@@ -353,10 +342,9 @@ def object_groups(sample: AlignedSample, tokens: Tokens) -> list[ObjectGroup]:
         key = (t.object_span.char_start, t.object_span.char_end)
         group = groups.get(key)
         if group is None:
-            group = groups[key] = ObjectGroup(key, tokens_inside(tokens, *key), set(), set())
-        group.subjects.update(
-            tokens_inside(tokens, t.subject_span.char_start, t.subject_span.char_end))
-        group.predicates.update(
+            group = groups[key] = ObjectGroup(key, tokens_inside(tokens, *key), set())
+        group.clues.update(
+            tokens_inside(tokens, t.subject_span.char_start, t.subject_span.char_end),
             tokens_inside(tokens, t.predicate_span.char_start, t.predicate_span.char_end))
     return list(groups.values())
 
@@ -382,7 +370,7 @@ def compute_stats(
         for group in object_groups(sample, tokens):
             groups += 1
             object_sum += len(group.objects)
-            clue_sum += len(group.subjects | group.predicates)
+            clue_sum += len(group.clues)
     fraction = 0.0
     paragraph_count = len(samples)
     if counters is not None:

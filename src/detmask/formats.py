@@ -91,11 +91,18 @@ def read_corpus(path: PathLike) -> list[Paragraph]:
     return out
 
 
-def _sample_to_dict(sample: AlignedSample) -> dict:
+def _ssm_to_dict(sample: AlignedSample) -> dict:
+    """A span-masking line: the head of a sample line, without its triplets."""
     return {
         "doc_id": sample.paragraph.doc_id,
         "text": sample.paragraph.text,
         "entities": [[s.char_start, s.char_end, eid] for s, eid in sample.entity_spans],
+    }
+
+
+def _sample_to_dict(sample: AlignedSample) -> dict:
+    return {
+        **_ssm_to_dict(sample),
         "triplets": [
             {
                 "s": t.triplet.subject,
@@ -112,7 +119,7 @@ def _sample_to_dict(sample: AlignedSample) -> dict:
 
 
 def write_samples(path: PathLike, samples: Iterable[AlignedSample]) -> int:
-    return write_jsonl(path, (_sample_to_dict(s) for s in samples))
+    return write_jsonl(path, map(_sample_to_dict, samples))
 
 
 def _int_list(obj: dict, key: str, name: str, line_no: int) -> list[int]:
@@ -139,13 +146,16 @@ def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
     return Span(a, b)
 
 
-def _entities(obj: dict, text: str, name: str, line_no: int) -> tuple[tuple[Span, str], ...]:
+def _head(obj: dict, name: str, line_no: int) -> tuple[Paragraph, tuple[tuple[Span, str], ...]]:
+    """The paragraph and entity spans of a sample or span-masking line."""
+    doc_id = _require(obj, "doc_id", str, name, line_no)
+    text = _require(obj, "text", str, name, line_no)
     entities = []
     for item in _require(obj, "entities", list, name, line_no):
         if not isinstance(item, list) or len(item) != 3 or not isinstance(item[2], str):
             raise MalformedLine(name, line_no, "entities entries must be [start, end, id]")
         entities.append((_span(text, item[:2], name, line_no), item[2]))
-    return tuple(entities)
+    return Paragraph(doc_id=doc_id, text=text), tuple(entities)
 
 
 def _triplet(item: dict, name: str, line_no: int) -> Triplet:
@@ -163,9 +173,7 @@ def _triplet(item: dict, name: str, line_no: int) -> Triplet:
 def _iter_samples(path: PathLike) -> Iterator[AlignedSample]:
     name = str(path)
     for line_no, obj in read_jsonl(path):
-        doc_id = _require(obj, "doc_id", str, name, line_no)
-        text = _require(obj, "text", str, name, line_no)
-        entities = _entities(obj, text, name, line_no)
+        paragraph, entities = _head(obj, name, line_no)
         triplets = []
         for item in _require(obj, "triplets", list, name, line_no):
             if not isinstance(item, dict):
@@ -178,17 +186,13 @@ def _iter_samples(path: PathLike) -> Iterator[AlignedSample]:
             triplets.append(
                 AlignedTriplet(
                     triplet=_triplet(item, name, line_no),
-                    subject_span=_span(text, item["s_span"], name, line_no),
-                    predicate_span=_span(text, item["p_span"], name, line_no),
-                    object_span=_span(text, item["o_span"], name, line_no),
+                    subject_span=_span(paragraph.text, item["s_span"], name, line_no),
+                    predicate_span=_span(paragraph.text, item["p_span"], name, line_no),
+                    object_span=_span(paragraph.text, item["o_span"], name, line_no),
                     edit_distance=item["edit_distance"],
                 )
             )
-        yield AlignedSample(
-            paragraph=Paragraph(doc_id=doc_id, text=text),
-            entity_spans=entities,
-            aligned=tuple(triplets),
-        )
+        yield AlignedSample(paragraph, entities, tuple(triplets))
 
 
 def read_samples(path: PathLike) -> list[AlignedSample]:
@@ -205,34 +209,13 @@ def read_sample_triplets(path: PathLike) -> set[Triplet]:
 
 
 def write_ssm(path: PathLike, samples: Iterable[AlignedSample]) -> int:
-    return write_jsonl(
-        path,
-        (
-            {
-                "doc_id": s.paragraph.doc_id,
-                "text": s.paragraph.text,
-                "entities": [[sp.char_start, sp.char_end, eid] for sp, eid in s.entity_spans],
-            }
-            for s in samples
-        ),
-    )
+    return write_jsonl(path, map(_ssm_to_dict, samples))
 
 
 def read_ssm(path: PathLike) -> list[AlignedSample]:
+    """Every span-masking sample; each line's head gets every check of ``read_samples``."""
     name = str(path)
-    out: list[AlignedSample] = []
-    for line_no, obj in read_jsonl(path):
-        doc_id = _require(obj, "doc_id", str, name, line_no)
-        text = _require(obj, "text", str, name, line_no)
-        entities = _entities(obj, text, name, line_no)
-        out.append(
-            AlignedSample(
-                paragraph=Paragraph(doc_id=doc_id, text=text),
-                entity_spans=entities,
-                aligned=(),
-            )
-        )
-    return out
+    return [AlignedSample(*_head(obj, name, line_no), ()) for line_no, obj in read_jsonl(path)]
 
 
 def write_masked(path: PathLike, samples: Iterable[MaskedSample]) -> int:
@@ -349,19 +332,23 @@ def read_templates(path: PathLike) -> list[Template]:
 
 
 def read_facts(path: PathLike) -> list[Fact]:
-    """Every fact; its ids follow the KB's id rule, as a sample's triplet does."""
+    """Every fact; its ids follow the KB's id rule, as a sample's triplet does,
+    and a triplet that repeats an earlier line's raises ``MalformedLine``."""
     from .probe import Fact
 
     name = str(path)
     out = []
+    first_line: dict[Triplet, int] = {}
     for line_no, obj in read_jsonl(path):
-        out.append(
-            Fact(
-                triplet=_triplet(obj, name, line_no),
-                subject_surface=_require(obj, "s_surface", str, name, line_no),
-                object_surface=_require(obj, "o_surface", str, name, line_no),
-            )
+        fact = Fact(
+            triplet=_triplet(obj, name, line_no),
+            subject_surface=_require(obj, "s_surface", str, name, line_no),
+            object_surface=_require(obj, "o_surface", str, name, line_no),
         )
+        first = first_line.setdefault(fact.triplet, line_no)
+        if first != line_no:
+            raise MalformedLine(name, line_no, f"fact triplet repeats line {first}")
+        out.append(fact)
     return out
 
 

@@ -154,14 +154,13 @@ def tokenize_groups(sample: AlignedSample, tokens: Tokens,
     """
     base = tokenize_for_spans(sample, tokens, vocab)
     groups = object_groups(sample, tokens)
-    all_clues = set().union(*(g.subjects | g.predicates for g in groups))
+    clues = set().union(*(g.clues for g in groups))
     out: list[TokenizedSample] = []
     for g in groups:
-        own = g.subjects | g.predicates
         a, b = g.span
         out.append(replace(base, object_positions=tuple(g.objects),
-                           clue_positions=tuple(sorted(own.difference(g.objects))),
-                           foreign_clue_positions=frozenset(all_clues.difference(own, g.objects)),
+                           clue_positions=tuple(sorted(g.clues.difference(g.objects))),
+                           foreign_clue_positions=frozenset(clues.difference(g.clues, g.objects)),
                            object_word_count=count_words(sample.paragraph.text[a:b])))
     return out
 

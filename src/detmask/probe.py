@@ -138,7 +138,8 @@ def instantiate(template: Template, fact: Fact, prompt_id: int = 0) -> ClozeQues
 def build_questions(
     templates: Sequence[Template], facts: Sequence[Fact]
 ) -> list[ClozeQuestion]:
-    """All prompts for all facts; prompt ids follow template order per relation."""
+    """All prompts for all facts, whose triplets must be distinct (they name the
+    questions); prompt ids follow template order per relation."""
     by_relation: dict[str, list[Template]] = {}
     for t in templates:
         by_relation.setdefault(t.relation, []).append(t)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -60,35 +62,35 @@ def match_predicate(text, p, kb):
 class TestLinkEntities:
     def test_single_exact_match(self):
         kb = build_kb([], {"Q1": ("War Horse",)}, {})
-        spans = Aligner(kb).align(Paragraph("d", "War Horse is a film"))[0].entity_spans
+        spans = Aligner(kb).align(Paragraph("d", "War Horse is a film")).entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 9, "Q1")]
 
     def test_longest_match_wins(self):
         kb = build_kb([], {"Q3": ("New York",), "Q4": ("New York University",)}, {})
-        spans = Aligner(kb).align(Paragraph("d", "New York University is old"))[0].entity_spans
+        spans = Aligner(kb).align(Paragraph("d", "New York University is old")).entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 19, "Q4")]
 
     def test_pre_linked_passthrough(self):
         kb = build_kb([], {"Q1": ("War Horse",)}, {})
         p = Paragraph("d", "War Horse is a film", pre_linked_spans=((0, 9, "Q9"),))
-        spans = Aligner(kb).align(p)[0].entity_spans
+        spans = Aligner(kb).align(p).entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 9, "Q9")]
 
     def test_case_insensitive_word_boundaries(self):
         kb = build_kb([], {"Q1": ("war horse",)}, {})
         p = Paragraph("d", "WAR HORSE rides; warhorse does not")
-        spans = Aligner(kb).align(p)[0].entity_spans
+        spans = Aligner(kb).align(p).entity_spans
         assert [(s.char_start, s.char_end, e) for s, e in spans] == [(0, 9, "Q1")]
 
     def test_shared_alias_resolves_to_smallest_id(self):
         kb = build_kb([], {"Q2": ("ambiguous",), "Q1": ("ambiguous",)}, {})
-        spans = Aligner(kb).align(Paragraph("d", "ambiguous thing"))[0].entity_spans
+        spans = Aligner(kb).align(Paragraph("d", "ambiguous thing")).entity_spans
         assert [e for _s, e in spans] == ["Q1"]
 
     def test_non_overlapping_left_to_right(self):
         kb = build_kb([], {"A": ("a b",), "B": ("b c",)}, {})
         text = "a b c"
-        spans = Aligner(kb).align(Paragraph("d", text))[0].entity_spans
+        spans = Aligner(kb).align(Paragraph("d", text)).entity_spans
         # "a b" consumes token b, so "b c" cannot match.
         assert [(text[s.char_start:s.char_end], e) for s, e in spans] == [("a b", "A")]
 
@@ -182,7 +184,7 @@ class TestMatchPredicateProperty:
 
 class TestAlignParagraph:
     def test_film_example_filters_reverse_direction(self):
-        sample, _counts = Aligner(film_kb()).align(Paragraph("d", FILM_TEXT))
+        sample = Aligner(film_kb()).align(Paragraph("d", FILM_TEXT))
         assert len(sample.aligned) == 1
         t = sample.aligned[0]
         assert t.triplet == Triplet("WarHorse", "directedBy", "Spielberg")
@@ -190,13 +192,13 @@ class TestAlignParagraph:
         assert t.edit_distance == 0
 
     def test_single_entity_no_pairs(self):
-        sample, _counts = Aligner(film_kb()).align(Paragraph("d", "War Horse stands alone"))
+        sample = Aligner(film_kb()).align(Paragraph("d", "War Horse stands alone"))
         assert sample.aligned == ()
         assert len(sample.entity_spans) == 1
 
     def test_unmatched_predicate_gate(self):
         text = "War Horse notes nothing about Steven Spielberg"
-        sample, _counts = Aligner(film_kb()).align(Paragraph("d", text))
+        sample = Aligner(film_kb()).align(Paragraph("d", text))
         assert sample.aligned == ()
 
 
@@ -229,6 +231,10 @@ class TestBuildDataset:
         result = build_dataset([bad, good], film_kb())
         assert result.counters.skipped == 1
         assert [s.paragraph.doc_id for s in result.deterministic_samples] == ["ok"]
+        # The skipped paragraph adds to no tally but these two.
+        good_only = build_dataset([good], film_kb()).counters
+        assert result.counters == replace(good_only, paragraphs=good_only.paragraphs + 1,
+                                          skipped=good_only.skipped + 1)
 
     def test_parallel_equals_serial(self):
         rng = np.random.default_rng(5)
@@ -295,7 +301,7 @@ class TestOracleEquivalence:
                 if paragraph.doc_id in by_doc:
                     got_entities, got_aligned = sample_to_tuples(by_doc[paragraph.doc_id])
                 else:
-                    sample, _counts = aligner.align(paragraph)
+                    sample = aligner.align(paragraph)
                     got_entities, got_aligned = sample_to_tuples(sample)
                 assert got_entities == entities, paragraph.text
                 assert got_aligned == aligned, paragraph.text

@@ -1104,6 +1104,22 @@ class TestExitCodes:
                 assert "bad " in capsys.readouterr().err, name
                 assert not out.exists(), name
 
+    def test_repeated_fact_triplet_is_data_error(self, pipeline, tmp_path, capsys):
+        """Facts sharing a triplet would be scored with each other's answers."""
+        facts = tmp_path / "facts.jsonl"
+        facts.write_text("".join(json.dumps(f) + "\n" for f in
+                                 [*FACTS, {**FACTS[0], "s_surface": "the war horse"}]),
+                         encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = main(["probe", "--model", str(pipeline["ckpt"]),
+                     "--templates", str(pipeline["templates"]), "--facts", str(facts),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"facts.jsonl:{len(FACTS) + 1}: fact triplet repeats line 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_checkpoint_tensor_is_data_error(self, pipeline, tmp_path, capsys):
         blob = bytearray(pipeline["ckpt"].read_bytes())
         header_end = blob.index(b"\n") + 1

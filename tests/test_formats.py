@@ -70,7 +70,7 @@ def film_sample():
         {"directedBy": ("directed by",)},
     )
     text = "War Horse is a film directed by Steven Spielberg"
-    return Aligner(kb).align(Paragraph("film", text))[0]
+    return Aligner(kb).align(Paragraph("film", text))
 
 
 def masked_sample(variant=Variant.PLAIN, doc_id="d") -> MaskedSample:
@@ -143,14 +143,27 @@ class TestSamples:
         assert loaded.entity_spans == sample.entity_spans
         assert loaded.aligned == sample.aligned
 
-    def test_span_outside_text_rejected(self, tmp_path):
+    @pytest.mark.parametrize("reader", [read_samples, read_ssm], ids=lambda f: f.__name__)
+    def test_span_outside_text_rejected(self, tmp_path, reader):
         path = tmp_path / "samples.jsonl"
         write_jsonl(
             path,
             [{"doc_id": "d", "text": "abc", "entities": [[0, 9, "Q"]], "triplets": []}],
         )
         with pytest.raises(MalformedLine):
-            read_samples(path)
+            reader(path)
+
+    @pytest.mark.parametrize("reader", [read_samples, read_ssm], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("line, reason", [
+        ({"text": "abc", "entities": [], "triplets": []}, "missing key 'doc_id'"),
+        ({"doc_id": "d", "text": ["abc"], "entities": [], "triplets": []},
+         "key 'text' must be str"),
+    ], ids=["missing_doc_id", "non_string_text"])
+    def test_malformed_head_rejected(self, tmp_path, reader, line, reason):
+        path = tmp_path / "samples.jsonl"
+        write_jsonl(path, [line])
+        with pytest.raises(MalformedLine, match=f":1: {reason}$"):
+            reader(path)
 
     def test_ssm_round_trip(self, tmp_path):
         sample = film_sample()
@@ -279,6 +292,14 @@ class TestSmallFormats:
         assert f.triplet == Triplet("Q1", "p", "Q2")
         assert f.object_surface == "London"
         assert f.in_domain is None
+
+    def test_repeated_fact_triplet_rejected(self, tmp_path):
+        """Two facts with one triplet would share their questions' ids."""
+        path = tmp_path / "facts.jsonl"
+        fact = {"s": "S", "p": "P", "o": "O", "o_surface": "x"}
+        write_jsonl(path, [{**fact, "s_surface": "alpha"}, {**fact, "s_surface": "beta gamma"}])
+        with pytest.raises(MalformedLine, match="facts.jsonl:2: fact triplet repeats line 1$"):
+            read_facts(path)
 
     def test_train_log_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"

@@ -47,7 +47,7 @@ def film_kb():
 
 
 def film_sample():
-    return Aligner(film_kb()).align(Paragraph("film", FILM_TEXT))[0]
+    return Aligner(film_kb()).align(Paragraph("film", FILM_TEXT))
 
 
 def plain(text, vocab):
@@ -143,7 +143,7 @@ class TestTokenizeGroups:
             {"p": ("guards",), "q": ("rules",)},
         )
         text = "alpha guards beta then beta rules colt"
-        return Aligner(kb).align(Paragraph("d", text))[0]
+        return Aligner(kb).align(Paragraph("d", text))
 
     def test_one_group_per_object_span(self):
         sample = self.kb_two_objects()
