@@ -8,9 +8,10 @@ its main output, last of all its files, recording the input paths, seed,
 configuration, counters, ``started`` (when the stage began) and
 ``duration_s`` (the whole stage, reading and every write included).  A
 failed stage writes no manifest.  Each ``cmd_*`` imports the modules of its
-own stage, so ``build-kb``, ``align``, ``stats`` and ``report`` start
-without numpy; ``mask`` loads it only for the modes that draw at random,
-and ``train`` and ``probe`` always load it.  Logging verbosity
+own stage.  Besides ``errors`` and ``fileio``, ``build-kb`` loads only
+``kb`` and ``report`` nothing more; ``align`` and ``stats`` start without
+numpy; ``mask`` loads it only for the modes that draw at random, and
+``train`` and ``probe`` always load it.  Logging verbosity
 comes from the DETMASK_LOG environment variable (error, info or debug;
 default error).
 """
@@ -28,9 +29,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from . import __version__, formats
+from . import __version__
 from .errors import DataError, DetmaskError, EmptyDataset
-from .masking import MaskScheme
+from .fileio import read_json, write_json
 
 log = logging.getLogger("detmask.cli")
 
@@ -96,6 +97,7 @@ def cmd_build_kb(args) -> StageResult:
 
 
 def cmd_align(args) -> StageResult:
+    from . import formats
     from .align import build_dataset
     from .kb import load_kb_dir
 
@@ -123,7 +125,8 @@ def cmd_align(args) -> StageResult:
 
 
 def cmd_mask(args) -> StageResult:
-    from .masking import (Vocabulary, apply_mask, make_classification_triple,
+    from . import formats
+    from .masking import (MaskScheme, Vocabulary, apply_mask, make_classification_triple,
                           make_contrastive_pair, tokenize_for_spans, tokenize_groups)
     from .tokenizer import token_spans
 
@@ -202,6 +205,7 @@ def _check_token_ids(masked, vocab, args) -> int:
 
 
 def cmd_train(args) -> StageResult:
+    from . import formats
     from .model import ModelConfig, save_checkpoint, train
 
     masked = formats.read_masked(args.data)
@@ -239,6 +243,7 @@ def cmd_train(args) -> StageResult:
 
 
 def cmd_probe(args) -> StageResult:
+    from . import formats
     from .kb import load_unique_object_flags
     from .model import load_checkpoint
     from .probe import (build_questions, evaluate, filter_leakage, length_batches,
@@ -267,10 +272,13 @@ def cmd_probe(args) -> StageResult:
         "questions_kept": len(kept),
         "questions_dropped_leakage": len(dropped),
     }
-    formats.write_json(args.out, doc)
+    write_json(args.out, doc)
     counters = {**doc["counts"], "prediction_batches": len(length_batches(kept))}
     return args.out, {"report": str(args.out)}, {}, counters
 
+
+# The values of masking.MaskScheme, spelled out so that parsing loads no masking code.
+_SCHEMES = ("random_token", "whole_word", "salient_span", "object_span", "deterministic")
 
 _SPLITS = ("total", "in_domain", "out_of_domain", "n1_or_11", "nm")
 _METRICS = ("accuracy", "consistency", "joint", "facts", "questions")
@@ -286,7 +294,7 @@ def _fmt_metrics(name: str, m: Optional[dict]) -> str:
 
 
 def cmd_report(args) -> None:
-    doc = formats.read_json(args.report)
+    doc = read_json(args.report)
     if doc.get("format") != "detmask-report":
         raise DataError(f"{args.report} is not a probe report")
     splits = doc.get("splits", {})
@@ -310,13 +318,14 @@ def cmd_report(args) -> None:
 
 
 def cmd_stats(args) -> None:
+    from . import formats
     from .align import AlignCounters, compute_stats
 
     samples = formats.read_samples(args.samples)
     manifest_path = Path(args.manifest or str(args.samples) + ".manifest.json")
     counters = None
     if manifest_path.exists():
-        c = formats.read_json(manifest_path).get("counters", {})
+        c = read_json(manifest_path).get("counters", {})
         if not isinstance(c, dict) or any(type(v) is not int for v in c.values()):
             raise DataError(f"{manifest_path}: counters must be an object of integers")
         counters = AlignCounters(
@@ -361,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ssm", help="ssm.jsonl from align (for salient_span)")
     p.add_argument("--out", required=True, help="masked.jsonl")
     p.add_argument("--vocab", help="vocabulary path (default: vocab.json next to --out)")
-    p.add_argument("--scheme", choices=[s.value for s in MaskScheme])
+    p.add_argument("--scheme", choices=_SCHEMES)
     p.add_argument("--emit", choices=["pair", "triple"],
                    help="contrastive pair or classification triple")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -412,7 +421,7 @@ def main(argv=None) -> int:
         result = args.func(args)
         if result is not None:
             main_output, outputs, config, counters = result
-            formats.write_json(f"{main_output}.manifest.json", {
+            write_json(f"{main_output}.manifest.json", {
                 "command": args.command,
                 "inputs": {k: str(getattr(args, k)) for k in args.inputs if getattr(args, k)},
                 "outputs": outputs,

@@ -1,9 +1,13 @@
-"""Whole-file writes that never leave a partial file at their destination."""
+"""Whole-file helpers: writes that never leave a partial file at their
+destination, and the indented JSON documents of reports and manifests."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
+
+from .errors import DataError
 
 
 @contextmanager
@@ -32,3 +36,21 @@ def atomic_write(path, mode: str = "w"):
     finally:
         if os.path.lexists(tmp):
             os.remove(tmp)
+
+
+def write_json(path, obj: dict) -> None:
+    """Write ``obj`` as indented JSON, replacing ``path`` only once complete."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=False) + "\n")
+
+
+def read_json(path) -> dict:
+    """The JSON object in ``path``; anything else raises ``DataError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise DataError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj

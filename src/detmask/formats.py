@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
 from .errors import DataError, MalformedLine
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json
 from .kb import Triplet, _parse_id
 from .masking import MaskedSample, MaskScheme, Variant, Vocabulary
 
@@ -367,20 +367,3 @@ def write_train_log(path: PathLike, entries: Iterable[LogEntry]) -> int:
         ),
     )
 
-
-def write_json(path: PathLike, obj: dict) -> None:
-    """Write ``obj`` as indented JSON, replacing ``path`` only once complete."""
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=False) + "\n")
-
-
-def read_json(path: PathLike) -> dict:
-    """The JSON object in ``path``; anything else raises ``DataError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
-            raise DataError(f"{path}: not a JSON file: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return obj

@@ -1,24 +1,32 @@
 """Triplet knowledge base: loading, alias tables, and object-set queries.
 
-The KB is fully in-memory and immutable after load; concurrent reads are safe.
+The KB is fully in-memory, and its tables never change after load.  Its two
+lookup indexes, ``sp_index`` and ``so_index``, are built on first read, so
+``build-kb``, which only checks and rewrites the tables, never builds them.
+Concurrent reads are safe: threads that read an index for the first time at
+once may each build it, and every build is equal.  A ``Triplet`` is a named
+tuple, so it hashes, compares and sorts as ``(subject, predicate, object)``.
 File formats (UTF-8, LF, ``#`` comment lines ignored in all three):
 
 * ``triplets.tsv``    one ``subject<TAB>predicate<TAB>object`` per line
 * ``entities.tsv``    ``id<TAB>canonical<TAB>alias1|alias2|...`` (third column optional)
 * ``predicates.tsv``  ``id<TAB>alias1|alias2|...``
 
-Each loader reads one table from a file path.  ``load_kb_dir`` reads a
-directory of the three; ``write_kb_dir`` writes one, sorted by id.
-``load_unique_object_flags`` reads a directory with the same checks but keeps
-only one flag per predicate, for the probe's relation split.
+An id is one run of non-whitespace once stripped, and does not start with
+``#``.  Each loader reads one table from a file path.  ``load_kb_dir`` reads
+a directory of the three; ``write_kb_dir`` writes one, sorted by id.  An id
+missing from the alias tables raises ``DanglingReference`` for the first
+such triplet in ``triplets.tsv`` line order: its subject, then object, then
+predicate.  ``load_unique_object_flags`` reads a directory with the same
+checks but keeps only one flag per predicate, for the probe's relation split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DanglingReference, DataError, MalformedLine
 from .fileio import atomic_write
@@ -28,8 +36,9 @@ PredicateId = str
 AliasTable = Mapping[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True, order=True)
-class Triplet:
+class Triplet(NamedTuple):
+    """A named tuple: it hashes, compares and sorts as (subject, predicate, object)."""
+
     subject: EntityId
     predicate: PredicateId
     object: EntityId
@@ -37,7 +46,7 @@ class Triplet:
 
 @dataclass(frozen=True, eq=False)
 class KnowledgeBase:
-    """Immutable triplet store with alias tables and a (subject, predicate) index.
+    """Immutable triplet store with alias tables and two indexes built on first read.
 
     eq=False keeps identity comparison: a field-wise hash would fail on the dicts.
     """
@@ -45,9 +54,22 @@ class KnowledgeBase:
     triplets: frozenset[Triplet]
     entity_aliases: dict[str, tuple[str, ...]]
     predicate_aliases: dict[str, tuple[str, ...]]
-    sp_index: dict[tuple[EntityId, PredicateId], frozenset[EntityId]] = field(repr=False)
-    # Auxiliary index for alignment: (subject, object) -> sorted predicate ids.
-    so_index: dict[tuple[EntityId, EntityId], tuple[PredicateId, ...]] = field(repr=False)
+
+    @cached_property
+    def sp_index(self) -> dict[tuple[EntityId, PredicateId], frozenset[EntityId]]:
+        """(subject, predicate) -> the set of its objects."""
+        sp: dict[tuple[EntityId, PredicateId], set[EntityId]] = {}
+        for s, p, o in self.triplets:
+            sp.setdefault((s, p), set()).add(o)
+        return {k: frozenset(v) for k, v in sp.items()}
+
+    @cached_property
+    def so_index(self) -> dict[tuple[EntityId, EntityId], tuple[PredicateId, ...]]:
+        """(subject, object) -> the sorted ids of the predicates between them."""
+        so: dict[tuple[EntityId, EntityId], set[PredicateId]] = {}
+        for s, p, o in self.triplets:
+            so.setdefault((s, o), set()).add(p)
+        return {k: tuple(sorted(v)) for k, v in so.items()}
 
 
 def _iter_lines(path: str | Path, name: str) -> Iterator[tuple[int, str]]:
@@ -64,9 +86,11 @@ def _iter_lines(path: str | Path, name: str) -> Iterator[tuple[int, str]]:
 
 
 def _parse_id(value: str, source_name: str, line_no: int, what: str) -> str:
+    """The id in ``value``: one run of non-whitespace once stripped, not
+    starting with ``#``, since ``write_kb_dir`` would write its line as a comment."""
     # str.split and str.strip share str.isspace's definition of whitespace.
     parts = value.split()
-    if len(parts) != 1:
+    if len(parts) != 1 or parts[0].startswith("#"):
         raise MalformedLine(source_name, line_no, f"bad {what} id {value.strip()!r}")
     return parts[0]
 
@@ -149,26 +173,25 @@ def build_kb(
     entity_aliases: dict[str, tuple[str, ...]],
     predicate_aliases: dict[str, tuple[str, ...]],
 ) -> KnowledgeBase:
-    """Assemble and index a KB, checking referential integrity."""
-    triplet_set = frozenset(triplets)
-    sp: dict[tuple[str, str], set[str]] = {}
-    so: dict[tuple[str, str], set[str]] = {}
-    for t in triplet_set:
-        _check_references(t, entity_aliases, predicate_aliases)
-        sp.setdefault((t.subject, t.predicate), set()).add(t.object)
-        so.setdefault((t.subject, t.object), set()).add(t.predicate)
-    return KnowledgeBase(
-        triplets=triplet_set,
-        entity_aliases=entity_aliases,
-        predicate_aliases=predicate_aliases,
-        sp_index={k: frozenset(v) for k, v in sp.items()},
-        so_index={k: tuple(sorted(v)) for k, v in so.items()},
-    )
+    """Assemble a KB, checking referential integrity.
+
+    A dangling id raises ``DanglingReference`` for the first triplet, in
+    ``triplets`` order, that has one: its subject, then object, then predicate.
+    """
+    ordered = list(triplets)
+    triplet_set = frozenset(ordered)
+    if triplet_set:
+        subjects, predicates, objects = zip(*triplet_set)
+        if not (entity_aliases.keys() >= {*subjects, *objects}
+                and predicate_aliases.keys() >= set(predicates)):
+            for t in ordered:
+                _check_references(t, entity_aliases, predicate_aliases)
+    return KnowledgeBase(triplet_set, entity_aliases, predicate_aliases)
 
 
 def load_kb(triplets_path: str | Path, entities_path: str | Path,
             predicates_path: str | Path) -> KnowledgeBase:
-    """Load and index a KB from the three table files."""
+    """Load a KB from the three table files."""
     return build_kb(
         load_triplets(triplets_path),
         load_entity_aliases(entities_path),
@@ -206,8 +229,8 @@ def write_kb_dir(kb: KnowledgeBase, kb_dir: str | Path) -> None:
     d = Path(kb_dir)
     d.mkdir(parents=True, exist_ok=True)
     with atomic_write(d / "triplets.tsv") as fh:
-        for t in sorted(kb.triplets, key=attrgetter("subject", "predicate", "object")):
-            fh.write(f"{t.subject}\t{t.predicate}\t{t.object}\n")
+        for s, p, o in sorted(kb.triplets):
+            fh.write(f"{s}\t{p}\t{o}\n")
     with atomic_write(d / "entities.tsv") as fh:
         for eid in sorted(kb.entity_aliases):
             aliases = kb.entity_aliases[eid]

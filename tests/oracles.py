@@ -33,10 +33,12 @@ vocabulary distribution of one sequence.
 ``finite_diff_check`` compares ``model.loss_and_grad``'s analytic gradients
 with central differences of its own losses.
 
-``unique_object_flags_oracle`` reads the relation split of the probe off a
-whole loaded KB's (subject, predicate) index.  ``instantiate_oracle`` renders
-a cloze prompt by scanning the template with ``str.find`` for the nearer of
-the two placeholders, where the probe splits it with one regex.
+``sp_index_oracle`` and ``so_index_oracle`` rebuild the KB's two indexes
+with one scan of the triplets per key.  ``unique_object_flags_oracle`` reads
+the relation split of the probe off a whole loaded KB's (subject, predicate)
+index.  ``instantiate_oracle`` renders a cloze prompt by scanning the
+template with ``str.find`` for the nearer of the two placeholders, where the
+probe splits it with one regex.
 
 ``train_oracle`` is the training loop at its plainest: fresh gradients from
 ``model.loss_and_grad`` on every step and a ``p -= lr * g`` update, with no
@@ -171,6 +173,20 @@ def match_predicate_oracle(
 
 def _objects(kb: KnowledgeBase, s: str, p: str) -> set[str]:
     return {t.object for t in kb.triplets if t.subject == s and t.predicate == p}
+
+
+def sp_index_oracle(kb: KnowledgeBase) -> dict[tuple[str, str], frozenset[str]]:
+    """(subject, predicate) -> its objects, for every pair with a triplet."""
+    return {(t.subject, t.predicate): frozenset(_objects(kb, t.subject, t.predicate))
+            for t in kb.triplets}
+
+
+def so_index_oracle(kb: KnowledgeBase) -> dict[tuple[str, str], tuple[str, ...]]:
+    """(subject, object) -> the sorted predicates between them, for every pair
+    with a triplet."""
+    return {(t.subject, t.object): tuple(sorted(u.predicate for u in kb.triplets
+                                                if (u.subject, u.object) == (t.subject, t.object)))
+            for t in kb.triplets}
 
 
 def unique_object_flags_oracle(kb: KnowledgeBase) -> dict[str, bool]:

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from detmask import fileio, formats, kb, model
 from detmask.cli import main
+from detmask.fileio import read_json
 from detmask.formats import (
     group_items,
     read_facts,
-    read_json,
     read_masked,
     read_samples,
     read_ssm,
@@ -259,6 +259,56 @@ PROBE_INPUT_EDITS = st.tuples(
     st.one_of(st.tuples(st.just("value"), PROBE_INPUT_VALUES),
               st.tuples(st.just("delete"), st.none())),
 )
+
+
+# Values an edit may write into one field of a KB table: ids of the world,
+# padded, split, empty and dangling ids, ids that read as comments once their
+# padding is gone, and alias lists.
+KB_VALUES = st.one_of(
+    st.sampled_from(["WarHorse", "Jaws", "Spielberg", "directedBy", "starring",
+                     " Jaws ", "Jaws\u00a0", "War Horse", "", " ", "Nobody", "narratedBy",
+                     "#Jaws", " #Jaws", "# comment", "a|b", "|", " | ", "a||a", "Jaws|Jaws"]),
+    st.text(max_size=4),
+)
+
+# One edit of a valid KB table (line and field taken modulo their counts):
+# replace a field, delete it (a missing column), add one after it, add a copy
+# of the line with the field replaced, repeat the line (duplicate ids), or
+# turn the line into a comment.
+KB_EDITS = st.tuples(
+    st.sampled_from(["triplets", "entities", "predicates"]),
+    st.integers(0, 8),
+    st.integers(0, 2),
+    st.one_of(st.tuples(st.sampled_from(["value", "insert", "copy"]), KB_VALUES),
+              st.tuples(st.sampled_from(["delete", "repeat", "comment"]), st.none())),
+)
+
+
+def edit_kb_tables(tables: dict[str, str], edits: list[tuple]) -> dict[str, str]:
+    """``tables`` (name -> text) after ``KB_EDITS`` edits."""
+    lines = {name: text.splitlines() for name, text in tables.items()}
+    for name, line_no, col, (op, value) in edits:
+        rows = lines[name]
+        if not rows:
+            continue
+        i = line_no % len(rows)
+        fields = rows[i].split("\t")
+        j = col % len(fields)
+        if op == "value":
+            fields[j] = value
+        elif op == "insert":
+            fields.insert(j + 1, value)
+        elif op == "copy":
+            rows.append("\t".join([*fields[:j], value, *fields[j + 1:]]))
+            continue
+        elif op == "delete":
+            del fields[j]
+        elif op == "repeat":
+            rows.append(rows[i])
+        else:
+            fields[0] = "#" + fields[0]
+        rows[i] = "\t".join(fields)
+    return {name: "".join(row + "\n" for row in rows) for name, rows in lines.items()}
 
 
 def probe_split_argv(pipeline: dict, out: Path, kb: Path, pretrain: Path) -> list[str]:
@@ -526,21 +576,24 @@ class TestPipelineArtifacts:
 
 class TestStageImports:
     def test_stages_import_only_what_they_use(self, tmp_path):
-        """build-kb, align, stats and report never load numpy; mask loads no model
-        code, and numpy only in the modes that draw at random."""
+        """build-kb, align, stats and report never load numpy; build-kb and report
+        load no reader, aligner or masking code; mask loads no model code, and
+        numpy only in the modes that draw at random."""
         paths = write_inputs(tmp_path)
         kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"format": "detmask-report", "splits": {}}), encoding="utf-8")
         numpy_free = ("numpy", "detmask.model", "detmask.probe")
+        kb_only = (*numpy_free, "detmask.formats", "detmask.align", "detmask.masking",
+                   "detmask.tokenizer", "detmask.editdist")
         runs = [
             (["build-kb", "--triplets", str(paths["triplets"]), "--entities",
               str(paths["entities"]), "--predicates", str(paths["predicates"]),
-              "--out", str(kb_dir)], numpy_free),
+              "--out", str(kb_dir)], kb_only),
             (["align", "--kb", str(kb_dir), "--corpus", str(paths["corpus"]),
               "--out", str(samples)], numpy_free),
             (["stats", "--samples", str(samples)], numpy_free),
-            (["report", "--report", str(report)], numpy_free),
+            (["report", "--report", str(report)], (*kb_only, "detmask.kb")),
             (["mask", "--samples", str(samples), "--out", str(tmp_path / "masked.jsonl"),
               "--emit", "triple"], ("detmask.model", "detmask.probe")),
             (["mask", "--samples", str(samples), "--out", str(tmp_path / "pairs.jsonl"),
@@ -992,6 +1045,38 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "r.json").exists()
 
+    def test_first_dangling_id_in_line_order(self, pipeline, tmp_path):
+        """With several dangling ids, build-kb, align and probe --kb all name
+        the first in triplets.tsv line order (subject, then object, then
+        predicate), whatever the hash seed."""
+        paths = write_inputs(tmp_path)
+        paths["triplets"].write_text(TRIPLETS + "Jaws\tnarratedBy\tX9\nX3\tdirectedBy\tX5\n"
+                                     "X7\tstarring\tJaws\nLincoln\tstarring\tX1\n",
+                                     encoding="utf-8")
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        for name in ("triplets", "entities", "predicates"):
+            (kb_dir / f"{name}.tsv").write_bytes(paths[name].read_bytes())
+        runs = [
+            ["build-kb", "--triplets", str(paths["triplets"]), "--entities",
+             str(paths["entities"]), "--predicates", str(paths["predicates"]),
+             "--out", str(tmp_path / "out")],
+            ["align", "--kb", str(kb_dir), "--corpus", str(paths["corpus"]),
+             "--out", str(tmp_path / "samples.jsonl")],
+            probe_split_argv(pipeline, tmp_path / "r.json", kb_dir, pipeline["samples"]),
+        ]
+        src = str(Path(fileio.__file__).parents[1])
+        # Under these seeds, iterating the KB's triplet set meets X7 or X1 first.
+        for seed in ("0", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            for argv in runs:
+                proc = subprocess.run([sys.executable, "-m", "detmask.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 2, (seed, argv[0], proc.stderr)
+                assert ("id 'X9' referenced but not present" in proc.stderr), (
+                    seed, argv[0], proc.stderr)
+
     def test_corpus_not_utf8_is_data_error(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_bytes(b'{"doc_id": "a", "text": "x\xff"}\n')
@@ -1281,6 +1366,32 @@ class TestExitCodes:
             argv = probe_split_argv({**pipeline, **paths}, Path(tmp) / "r.json",
                                     pipeline["kb"], pipeline["samples"])
             assert main(argv) in (0, 2), objs
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(KB_EDITS, min_size=1, max_size=3))
+    def test_edited_kb_tables_exit_zero_or_two(self, edits):
+        """KB tables with edited values build or are a data error, never a
+        crash; a KB that builds is a fixed point: building it again from
+        the tables written gives the same bytes."""
+        tables = edit_kb_tables({"triplets": TRIPLETS, "entities": ENTITIES,
+                                 "predicates": PREDICATES}, edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in tables.items():
+                (root / f"{name}.tsv").write_text(text, encoding="utf-8")
+
+            def build_kb(src: Path, out: Path) -> int:
+                return main(["build-kb", "--triplets", str(src / "triplets.tsv"),
+                             "--entities", str(src / "entities.tsv"),
+                             "--predicates", str(src / "predicates.tsv"), "--out", str(out)])
+
+            code = build_kb(root, root / "kb")
+            assert code in (0, 2), tables
+            if code == 0:
+                assert build_kb(root / "kb", root / "again") == 0, tables
+                for name in tables:
+                    assert ((root / "again" / f"{name}.tsv").read_bytes()
+                            == (root / "kb" / f"{name}.tsv").read_bytes()), tables
 
     def test_version_exits_zero(self):
         with pytest.raises(SystemExit) as info:

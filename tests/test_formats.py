@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from detmask import fileio
+from detmask.fileio import write_json
 from detmask.align import Aligner, Paragraph
 from detmask.errors import MalformedLine
 from detmask.formats import (
@@ -26,7 +27,6 @@ from detmask.formats import (
     read_ssm,
     read_templates,
     read_vocab,
-    write_json,
     write_jsonl,
     write_masked,
     write_samples,

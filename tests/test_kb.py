@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from detmask.kb import (
     predicates_between,
     write_kb_dir,
 )
-from oracles import unique_object_flags_oracle
+from oracles import so_index_oracle, sp_index_oracle, unique_object_flags_oracle
 from worldgen import make_world
 
 TRIPLETS = "A\tdirectedBy\tB\nC\tdirectedBy\tB\nC\tdirectedBy\tD\n# comment\n\nA\tdirectedBy\tB\n"
@@ -68,6 +69,15 @@ class TestLoading:
             with pytest.raises(MalformedLine) as info:
                 load_tables(tmp_path, triplets=f" {bad} \tdirectedBy\tB\n")
             assert str(info.value) == f"triplets.tsv:1: bad subject id {bad.strip()!r}"
+
+    def test_id_starting_with_hash_rejected(self, tmp_path):
+        """A padded ``#`` id would be written as a comment line, so it is no id."""
+        for table in ("triplets", "entities"):
+            text = {"triplets": TRIPLETS + "A\tdirectedBy\t #C\n",
+                    "entities": ENTITIES + " #C\tcomment\n"}[table]
+            with pytest.raises(MalformedLine) as info:
+                load_tables(tmp_path, **{table: text})
+            assert str(info.value).endswith(" id '#C'")
 
     def test_duplicate_entity_id_rejected(self, tmp_path):
         with pytest.raises(MalformedLine):
@@ -217,3 +227,32 @@ class TestAgainstLinearScan:
                         if t.subject == s and t.object == o
                     )
                     assert list(predicates_between(kb, s, o)) == scan
+
+
+class TestLazyIndexes:
+    """The two indexes are built on first read, equal to scans of the triplets."""
+
+    def test_load_and_write_build_no_index(self, tmp_path):
+        kb = load_tables(tmp_path)
+        write_kb_dir(kb, tmp_path / "kb")
+        reloaded = load_kb_dir(tmp_path / "kb")
+        write_kb_dir(reloaded, tmp_path / "again")
+        for loaded in (kb, reloaded):
+            assert not {"sp_index", "so_index"} & loaded.__dict__.keys()
+
+    def test_indexes_equal_the_oracles(self, tmp_path):
+        rng = np.random.default_rng(11)
+        kbs = [load_tables(tmp_path), *(make_world(rng, n_paragraphs=1)[0] for _ in range(10))]
+        for kb in kbs:
+            assert kb.so_index == so_index_oracle(kb)
+            assert kb.sp_index == sp_index_oracle(kb)
+            assert kb.so_index is kb.so_index and kb.sp_index is kb.sp_index
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(*[st.sampled_from(["", "A", "B", "a", "AB"])] * 3),
+                         max_size=12))
+    def test_triplets_sort_by_subject_predicate_object(self, rows):
+        triplets = [Triplet(*row) for row in rows]
+        assert sorted(triplets) == sorted(triplets,
+                                          key=attrgetter("subject", "predicate", "object"))
+        assert sorted(triplets) == sorted(rows)

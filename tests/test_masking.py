@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from detmask import cli
 from detmask.align import (
     AlignedSample,
     AlignedTriplet,
@@ -429,3 +430,8 @@ class TestRandomSampleProperties:
             for m in (keep, drop, randv):
                 assert unmask(m) == sample.tokens
                 assert list(m.mask_positions) == sorted(m.mask_positions)
+
+
+def test_scheme_names_match_the_cli_choices():
+    # `cli` parses --scheme without loading masking code, so it keeps its own copy.
+    assert list(cli._SCHEMES) == [s.value for s in MaskScheme]
