@@ -191,27 +191,14 @@ def cmd_mask(args) -> StageResult:
     return args.out, outputs, {"scheme": args.scheme, "emit": args.emit}, counters
 
 
-def _check_token_ids(masked, vocab, args) -> int:
-    """The longest input in ``masked``; any input id or target outside the
-    vocabulary raises ``DataError``."""
-    longest = 0
-    for m in masked:
-        for ids in (m.input_tokens, m.targets):
-            if ids and (min(ids) < 0 or max(ids) >= vocab.size):
-                raise DataError(f"{args.data}: {m.doc_id} has a token id outside the "
-                                f"{vocab.size}-token vocabulary {args.vocab}")
-        longest = max(longest, len(m.input_tokens))
-    return longest
-
-
 def cmd_train(args) -> StageResult:
     from . import formats
     from .model import ModelConfig, save_checkpoint, train
 
-    masked = formats.read_masked(args.data)
-    items = formats.group_items(masked)
     vocab = formats.read_vocab(args.vocab)
-    longest = _check_token_ids(masked, vocab, args)
+    # Training reads item ``step % len(items)``, so it never reads past item ``steps``.
+    items, n_items, longest = formats.read_masked(args.data, vocab.size, args.vocab,
+                                                  args.steps)
     config = ModelConfig(
         vocab_size=vocab.size,
         d=args.dim,
@@ -234,7 +221,7 @@ def cmd_train(args) -> StageResult:
     }
     last = train_log[-1]
     counters = {
-        "items": len(items),
+        "items": n_items,
         "steps_run": len(train_log),
         "final_L_mlm": last.l_mlm,
         "final_L_total": last.l_total,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
 from .errors import DataError, MalformedLine
@@ -129,13 +129,6 @@ def _int_list(obj: dict, key: str, name: str, line_no: int) -> list[int]:
     return values
 
 
-def _int64_array(obj: dict, key: str, name: str, line_no: int) -> array:
-    try:
-        return array("q", _int_list(obj, key, name, line_no))
-    except OverflowError:
-        raise MalformedLine(name, line_no, f"key {key!r} must hold 64-bit integers") from None
-
-
 def _span(text: str, bounds: Sequence[int], name: str, line_no: int) -> Span:
     if not (isinstance(bounds, list) and len(bounds) == 2
             and type(bounds[0]) is int and type(bounds[1]) is int):
@@ -235,72 +228,115 @@ def write_masked(path: PathLike, samples: Iterable[MaskedSample]) -> int:
     )
 
 
-def read_masked(path: PathLike) -> list[MaskedSample]:
-    """The samples of a masked file, each line's input ids as an int64 array."""
-    name = str(path)
-    out: list[MaskedSample] = []
-    for line_no, obj in read_jsonl(path):
-        doc_id = _require(obj, "doc_id", str, name, line_no)
-        try:
-            variant = Variant(_require(obj, "variant", str, name, line_no))
-            scheme = MaskScheme(_require(obj, "scheme", str, name, line_no))
-        except ValueError as exc:
-            raise MalformedLine(name, line_no, str(exc)) from None
-        ids = _int64_array(obj, "input_ids", name, line_no)
-        positions = tuple(_int_list(obj, "mask_positions", name, line_no))
-        targets = tuple(_int64_array(obj, "targets", name, line_no))
-        if len(positions) != len(targets):
-            raise MalformedLine(name, line_no, "mask_positions and targets differ in length")
-        if not all(0 <= p < len(ids) for p in positions):
-            raise MalformedLine(name, line_no, "mask_positions must index input_ids")
-        out.append(
-            MaskedSample(
-                doc_id=doc_id,
-                input_tokens=ids,
-                mask_positions=positions,
-                targets=targets,
-                variant=variant,
-                scheme=scheme,
-            )
-        )
-    return out
+class _MaskedLine(NamedTuple):
+    """One checked line of a masked file, its id lists as read."""
+
+    doc_id: str
+    variant: Variant
+    scheme: MaskScheme
+    ids: list[int]
+    positions: list[int]
+    targets: list[int]
+
+    def sample(self) -> MaskedSample:
+        return MaskedSample(self.doc_id, array("q", self.ids), tuple(self.positions),
+                            tuple(self.targets), self.variant, self.scheme)
 
 
-def group_items(masked: Sequence[MaskedSample]) -> list[TrainItem]:
-    """Regroup a masked stream into training items.
+def _id_list(obj: dict, key: str, name: str, line_no: int,
+             token_ids: frozenset[int]) -> tuple[list[int], bool]:
+    """The integers under ``key``, and whether all are in ``token_ids``; an
+    integer past the 64-bit range raises ``MalformedLine``."""
+    values = _int_list(obj, key, name, line_no)
+    # A set lookup is cheaper than min and max, which only a stray id needs.
+    if token_ids.issuperset(values):
+        return values, True
+    if min(values) < -2 ** 63 or max(values) >= 2 ** 63:
+        raise MalformedLine(name, line_no, f"key {key!r} must hold 64-bit integers")
+    return values, False
+
+
+def _masked_line(obj: dict, name: str, line_no: int,
+                 token_ids: frozenset[int]) -> tuple[_MaskedLine, bool]:
+    """A masked line once its shape is checked, and whether all its input ids
+    and targets are in ``token_ids``."""
+    doc_id = _require(obj, "doc_id", str, name, line_no)
+    try:
+        variant = Variant(_require(obj, "variant", str, name, line_no))
+        scheme = MaskScheme(_require(obj, "scheme", str, name, line_no))
+    except ValueError as exc:
+        raise MalformedLine(name, line_no, str(exc)) from None
+    ids, ids_known = _id_list(obj, "input_ids", name, line_no, token_ids)
+    positions = _int_list(obj, "mask_positions", name, line_no)
+    targets, targets_known = _id_list(obj, "targets", name, line_no, token_ids)
+    if len(positions) != len(targets):
+        raise MalformedLine(name, line_no, "mask_positions and targets differ in length")
+    if positions and (min(positions) < 0 or max(positions) >= len(ids)):
+        raise MalformedLine(name, line_no, "mask_positions must index input_ids")
+    line = _MaskedLine(doc_id, variant, scheme, ids, positions, targets)
+    return line, ids_known and targets_known
+
+
+# The variant that extends a contrastive group of 1 or 2 lines.
+_GROUP_NEXT = (None, Variant.MASK_CLUES, Variant.MASK_RANDOM)
+
+
+def _masked_items(path: PathLike, vocab_size: int,
+                  vocab_path: PathLike) -> Iterator[tuple[_MaskedLine, ...]]:
+    """The lines of each training item of a masked file, in order.
 
     A keep_clues line followed by a mask_clues line (and optionally a
-    mask_random line) for the same doc forms one tuple; plain lines stand
-    alone.  The inputs of one tuple are one paragraph, so a tuple whose
-    inputs differ in length raises ``DataError``.
+    mask_random line) for the same doc forms one group; every other line
+    stands alone.  Each line is checked before the next is read: its shape,
+    then, as the inputs of one group are one paragraph, that a line joining
+    a group has inputs of the group's length, then its ids against the
+    vocabulary.  Any fault raises ``DataError``.
+    """
+    name = str(path)
+    token_ids = frozenset(range(vocab_size))
+    group: list[_MaskedLine] = []
+    for line_no, obj in read_jsonl(path):
+        line, known = _masked_line(obj, name, line_no, token_ids)
+        joins = (bool(group) and line.variant is _GROUP_NEXT[len(group)]
+                 and line.doc_id == group[0].doc_id)
+        if joins and len(line.ids) != len(group[0].ids):
+            raise DataError(f"{line.doc_id}: the inputs of a contrastive group differ in length")
+        if not known:
+            raise DataError(f"{name}: {line.doc_id} has a token id outside the "
+                            f"{vocab_size}-token vocabulary {vocab_path}")
+        if joins:
+            group.append(line)
+        else:
+            if group:
+                yield tuple(group)
+            group = [line]
+        if len(group) == 3 or group[0].variant is not Variant.KEEP_CLUES:
+            yield tuple(group)
+            group = []
+    if group:
+        yield tuple(group)
+
+
+def read_masked(path: PathLike, vocab_size: int, vocab_path: PathLike,
+                keep: int) -> tuple[list[TrainItem], int, int]:
+    """The first ``keep`` training items of a masked file, the number of its
+    items, and its longest input, in one pass that checks every line.
+
+    Lines form items, and are checked in file order, as ``_masked_items``
+    says; ids must lie below ``vocab_size``, the size of the vocabulary in
+    ``vocab_path``.  Only the kept items hold their lines, as
+    ``MaskedSample``s with int64 input arrays.
     """
     items: list[TrainItem] = []
-    i = 0
-    n = len(masked)
-    while i < n:
-        m = masked[i]
-        if (
-            m.variant is Variant.KEEP_CLUES
-            and i + 1 < n
-            and masked[i + 1].variant is Variant.MASK_CLUES
-            and masked[i + 1].doc_id == m.doc_id
-        ):
-            size = 2
-            if (
-                i + 2 < n
-                and masked[i + 2].variant is Variant.MASK_RANDOM
-                and masked[i + 2].doc_id == m.doc_id
-            ):
-                size = 3
-            group = tuple(masked[i:i + size])
-            if any(len(g.input_tokens) != len(m.input_tokens) for g in group):
-                raise DataError(f"{m.doc_id}: the inputs of a contrastive group differ in length")
-            items.append(group)
-            i += size
-        else:
-            items.append(m)
-            i += 1
-    return items
+    count = longest = 0
+    for group in _masked_items(path, vocab_size, vocab_path):
+        count += 1
+        # The lines of a group have inputs of one length.
+        longest = max(longest, len(group[0].ids))
+        if count <= keep:
+            items.append(group[0].sample() if len(group) == 1
+                         else tuple(line.sample() for line in group))
+    return items, count, longest
 
 
 def write_vocab(path: PathLike, vocab: Vocabulary) -> None:

@@ -13,12 +13,15 @@ File formats (UTF-8, LF, ``#`` comment lines ignored in all three):
 * ``predicates.tsv``  ``id<TAB>alias1|alias2|...``
 
 An id is one run of non-whitespace once stripped, and does not start with
-``#``.  Each loader reads one table from a file path.  ``load_kb_dir`` reads
-a directory of the three; ``write_kb_dir`` writes one, sorted by id.  An id
-missing from the alias tables raises ``DanglingReference`` for the first
-such triplet in ``triplets.tsv`` line order: its subject, then object, then
-predicate.  ``load_unique_object_flags`` reads a directory with the same
-checks but keeps only one flag per predicate, for the probe's relation split.
+``#``.  Each alias loader reads one table from a file path.  ``load_kb``
+reads the three, ``load_kb_dir`` a directory of them; ``write_kb_dir`` writes
+one, sorted by id.  Both KB loaders read ``entities.tsv``, then
+``predicates.tsv``, then check each line of ``triplets.tsv`` in order: its
+fields, then its ids against the alias tables, where a missing id raises
+``DanglingReference`` (subject, then object, then predicate).  So of several
+faults, the first in that order is reported.  ``load_unique_object_flags``
+reads a directory with the same checks in the same order but keeps only one
+flag per predicate, for the probe's relation split.
 """
 
 from __future__ import annotations
@@ -144,28 +147,32 @@ def _triplet_rows(path: str | Path) -> Iterator[Triplet]:
     """Yield the triplet of each line, duplicates included."""
     name = "triplets.tsv"
     for line_no, line in _iter_lines(path, name):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise MalformedLine(name, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        yield Triplet(
-            _parse_id(fields[0], name, line_no, "subject"),
-            _parse_id(fields[1], name, line_no, "predicate"),
-            _parse_id(fields[2], name, line_no, "object"),
-        )
+        ids = line.split()
+        # The common line, three bare ids joined by tabs, passes with this one
+        # split; any other gets the checks, and the message, of each field.
+        # A line never starts with "#": it would be a comment.
+        if len(ids) != 3 or "\t".join(ids) != line or "\t#" in line:
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise MalformedLine(name, line_no,
+                                    f"expected 3 tab-separated fields, got {len(fields)}")
+            ids = [_parse_id(field, name, line_no, what)
+                   for field, what in zip(fields, ("subject", "predicate", "object"))]
+        yield Triplet(*ids)
 
 
-def load_triplets(path: str | Path) -> list[Triplet]:
-    """Parse triplet lines; duplicates are dropped, order of first occurrence kept."""
-    return list(dict.fromkeys(_triplet_rows(path)))
-
-
-def _check_references(t: Triplet, entity_ids: Container[str],
-                      predicate_ids: Container[str]) -> None:
-    for eid in (t.subject, t.object):
-        if eid not in entity_ids:
-            raise DanglingReference(eid, "entity")
-    if t.predicate not in predicate_ids:
-        raise DanglingReference(t.predicate, "predicate")
+def _checked(triplets: Iterable[Triplet], entity_ids: Container[str],
+             predicate_ids: Container[str]) -> Iterator[Triplet]:
+    """Each triplet once its ids are found among the alias tables' ids; a
+    missing one raises ``DanglingReference``: subject, then object, then
+    predicate."""
+    for t in triplets:
+        s, p, o = t
+        if s not in entity_ids or o not in entity_ids:
+            raise DanglingReference(s if s not in entity_ids else o, "entity")
+        if p not in predicate_ids:
+            raise DanglingReference(p, "predicate")
+        yield t
 
 
 def build_kb(
@@ -176,27 +183,20 @@ def build_kb(
     """Assemble a KB, checking referential integrity.
 
     A dangling id raises ``DanglingReference`` for the first triplet, in
-    ``triplets`` order, that has one: its subject, then object, then predicate.
+    ``triplets`` order, that has one: its subject, then object, then
+    predicate.  Each triplet is checked as it is drawn from ``triplets``.
     """
-    ordered = list(triplets)
-    triplet_set = frozenset(ordered)
-    if triplet_set:
-        subjects, predicates, objects = zip(*triplet_set)
-        if not (entity_aliases.keys() >= {*subjects, *objects}
-                and predicate_aliases.keys() >= set(predicates)):
-            for t in ordered:
-                _check_references(t, entity_aliases, predicate_aliases)
+    triplet_set = frozenset(_checked(triplets, entity_aliases, predicate_aliases))
     return KnowledgeBase(triplet_set, entity_aliases, predicate_aliases)
 
 
 def load_kb(triplets_path: str | Path, entities_path: str | Path,
             predicates_path: str | Path) -> KnowledgeBase:
-    """Load a KB from the three table files."""
-    return build_kb(
-        load_triplets(triplets_path),
-        load_entity_aliases(entities_path),
-        load_predicate_aliases(predicates_path),
-    )
+    """Load a KB from the three table files: the two alias tables, then each
+    line of the triplets table in order, its fields before its references."""
+    entity_aliases = load_entity_aliases(entities_path)
+    predicate_aliases = load_predicate_aliases(predicates_path)
+    return build_kb(_triplet_rows(triplets_path), entity_aliases, predicate_aliases)
 
 
 def load_kb_dir(kb_dir: str | Path) -> KnowledgeBase:
@@ -208,19 +208,19 @@ def load_kb_dir(kb_dir: str | Path) -> KnowledgeBase:
 def load_unique_object_flags(kb_dir: str | Path) -> dict[PredicateId, bool]:
     """Per predicate of the KB in ``kb_dir``: True iff no subject has two objects.
 
-    Makes every check of ``load_kb_dir``, but keeps only the entity and
-    predicate ids and the first object of each (subject, predicate): no alias
-    table, triplet set or index.  Predicates without a triplet have no flag.
+    Makes every check of ``load_kb_dir``, in its order, but keeps only the
+    entity and predicate ids and the first object of each (subject,
+    predicate): no alias table, triplet set or index.  Predicates without a
+    triplet have no flag.
     """
     d = Path(kb_dir)
     entity_ids = set(load_entity_aliases(d / "entities.tsv"))
     predicate_ids = set(load_predicate_aliases(d / "predicates.tsv"))
     first_object: dict[tuple[EntityId, PredicateId], EntityId] = {}
     unique: dict[PredicateId, bool] = {}
-    for t in _triplet_rows(d / "triplets.tsv"):
-        _check_references(t, entity_ids, predicate_ids)
-        o = first_object.setdefault((t.subject, t.predicate), t.object)
-        unique[t.predicate] = unique.get(t.predicate, True) and o == t.object
+    for s, p, o in _checked(_triplet_rows(d / "triplets.tsv"), entity_ids, predicate_ids):
+        first = first_object.setdefault((s, p), o)
+        unique[p] = unique.get(p, True) and first == o
     return unique
 
 

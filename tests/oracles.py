@@ -33,12 +33,21 @@ vocabulary distribution of one sequence.
 ``finite_diff_check`` compares ``model.loss_and_grad``'s analytic gradients
 with central differences of its own losses.
 
+``triplet_rows_oracle`` parses a triplets table field by field, each field
+by the id rule on its own, where the KB loaders split the common line once.
+
 ``sp_index_oracle`` and ``so_index_oracle`` rebuild the KB's two indexes
 with one scan of the triplets per key.  ``unique_object_flags_oracle`` reads
 the relation split of the probe off a whole loaded KB's (subject, predicate)
 index.  ``instantiate_oracle`` renders a cloze prompt by scanning the
 template with ``str.find`` for the nearer of the two placeholders, where the
 probe splits it with one regex.
+
+``read_masked_oracle``, ``group_items_oracle`` and ``check_token_ids_oracle``
+are the masked-file reader in three passes: every line to a ``MaskedSample``,
+then the whole list grouped into training items with index lookahead, then
+every sample's ids against the vocabulary.  ``formats.read_masked`` does all
+three in one pass and keeps only the first items.
 
 ``train_oracle`` is the training loop at its plainest: fresh gradients from
 ``model.loss_and_grad`` on every step and a ``p -= lr * g`` update, with no
@@ -49,14 +58,16 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from functools import lru_cache
 
 import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
-from detmask.errors import BadTemplate, DataError
-from detmask.kb import KnowledgeBase
-from detmask.masking import MASK_TOKEN
+from detmask.errors import BadTemplate, DataError, MalformedLine
+from detmask.formats import _require, read_jsonl
+from detmask.kb import KnowledgeBase, Triplet, _iter_lines, _parse_id
+from detmask.masking import MASK_TOKEN, MaskedSample, MaskScheme, Variant
 from detmask.model import ModelConfig, ModelState, TrainItem, init, loss_and_grad
 from detmask.tokenizer import lower_aligned, tokens_lower
 
@@ -169,6 +180,19 @@ def match_predicate_oracle(
                         best_key = key
                         best = (d, cs, ce)
     return best
+
+
+def triplet_rows_oracle(path) -> list[Triplet]:
+    """The triplet of each line of a triplets table, duplicates included."""
+    name = "triplets.tsv"
+    rows = []
+    for line_no, line in _iter_lines(path, name):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise MalformedLine(name, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        rows.append(Triplet(*(_parse_id(field, name, line_no, what)
+                              for field, what in zip(fields, ("subject", "predicate", "object")))))
+    return rows
 
 
 def _objects(kb: KnowledgeBase, s: str, p: str) -> set[str]:
@@ -478,3 +502,86 @@ def train_oracle(config: ModelConfig, items: list, steps: int, lr: float) -> Mod
         for name, arr in state.params().items():
             arr -= lr * grads[name]
     return state
+
+
+def _int_list_oracle(obj: dict, key: str, name: str, line_no: int) -> list[int]:
+    values = _require(obj, key, list, name, line_no)
+    if not {int}.issuperset(map(type, values)):
+        raise MalformedLine(name, line_no, f"key {key!r} must be a list of integers")
+    return values
+
+
+def _int64_array_oracle(obj: dict, key: str, name: str, line_no: int) -> array:
+    try:
+        return array("q", _int_list_oracle(obj, key, name, line_no))
+    except OverflowError:
+        raise MalformedLine(name, line_no, f"key {key!r} must hold 64-bit integers") from None
+
+
+def read_masked_oracle(path) -> list[MaskedSample]:
+    """Every line of a masked file, each line's input ids as an int64 array."""
+    name = str(path)
+    out: list[MaskedSample] = []
+    for line_no, obj in read_jsonl(path):
+        doc_id = _require(obj, "doc_id", str, name, line_no)
+        try:
+            variant = Variant(_require(obj, "variant", str, name, line_no))
+            scheme = MaskScheme(_require(obj, "scheme", str, name, line_no))
+        except ValueError as exc:
+            raise MalformedLine(name, line_no, str(exc)) from None
+        ids = _int64_array_oracle(obj, "input_ids", name, line_no)
+        positions = tuple(_int_list_oracle(obj, "mask_positions", name, line_no))
+        targets = tuple(_int64_array_oracle(obj, "targets", name, line_no))
+        if len(positions) != len(targets):
+            raise MalformedLine(name, line_no, "mask_positions and targets differ in length")
+        if not all(0 <= p < len(ids) for p in positions):
+            raise MalformedLine(name, line_no, "mask_positions must index input_ids")
+        out.append(MaskedSample(doc_id, ids, positions, targets, variant, scheme))
+    return out
+
+
+def group_items_oracle(masked: list[MaskedSample]) -> list[TrainItem]:
+    """A keep_clues line followed by a mask_clues line (and optionally a
+    mask_random line) for the same doc forms one tuple; other lines stand
+    alone.  A tuple whose inputs differ in length raises ``DataError``."""
+    items: list[TrainItem] = []
+    i = 0
+    n = len(masked)
+    while i < n:
+        m = masked[i]
+        if (
+            m.variant is Variant.KEEP_CLUES
+            and i + 1 < n
+            and masked[i + 1].variant is Variant.MASK_CLUES
+            and masked[i + 1].doc_id == m.doc_id
+        ):
+            size = 2
+            if (
+                i + 2 < n
+                and masked[i + 2].variant is Variant.MASK_RANDOM
+                and masked[i + 2].doc_id == m.doc_id
+            ):
+                size = 3
+            group = tuple(masked[i:i + size])
+            if any(len(g.input_tokens) != len(m.input_tokens) for g in group):
+                raise DataError(f"{m.doc_id}: the inputs of a contrastive group differ in length")
+            items.append(group)
+            i += size
+        else:
+            items.append(m)
+            i += 1
+    return items
+
+
+def check_token_ids_oracle(masked: list[MaskedSample], vocab_size: int, data_path,
+                           vocab_path) -> int:
+    """The longest input in ``masked``; any input id or target outside the
+    vocabulary raises ``DataError``."""
+    longest = 0
+    for m in masked:
+        for ids in (m.input_tokens, m.targets):
+            if ids and (min(ids) < 0 or max(ids) >= vocab_size):
+                raise DataError(f"{data_path}: {m.doc_id} has a token id outside the "
+                                f"{vocab_size}-token vocabulary {vocab_path}")
+        longest = max(longest, len(m.input_tokens))
+    return longest

@@ -21,7 +21,6 @@ from detmask import fileio, formats, kb, model
 from detmask.cli import main
 from detmask.fileio import read_json
 from detmask.formats import (
-    group_items,
     read_facts,
     read_masked,
     read_samples,
@@ -32,6 +31,7 @@ from detmask.formats import (
 from detmask.masking import Vocabulary
 from detmask.model import load_checkpoint
 from detmask.probe import build_questions, filter_leakage, length_batches
+from oracles import read_masked_oracle
 from test_formats import half_writing_open
 
 ENTITIES = """\
@@ -196,6 +196,48 @@ def edit_sample_lines(lines: list[str], edits: list[tuple]) -> list[str]:
                 holder, key = entries[key], field
                 if not isinstance(holder, dict) or key not in holder:
                     continue
+        apply_edit(holder, key, kind, at, value)
+    return [json.dumps(obj) for obj in objs]
+
+
+# Values an edit may write into a corpus line: those of a samples line, and
+# pre-linked span entries with bounds around the texts' lengths and ids of
+# the world, unknown or padded.
+CORPUS_VALUES = st.one_of(
+    SAMPLE_VALUES,
+    st.tuples(st.integers(-2, 70), st.integers(-2, 70),
+              st.sampled_from(["WarHorse", "Spielberg", "Jaws", "Nobody", " Jaws", ""])).map(list),
+)
+
+# One edit of a value inside a corpus line (line index taken modulo the line
+# count, span entry picked by a fraction): replace the value of a top-level
+# key or a whole pre-linked span entry, set one element of that value if it
+# is a list (an entry, a bound or an id), or resize the list.
+CORPUS_EDITS = st.tuples(
+    st.integers(0, 8),
+    st.sampled_from(["doc_id", "text", "entity_spans", "span"]),
+    st.floats(0, 1, exclude_max=True),
+    st.one_of(
+        st.tuples(st.just("value"), st.just(0), CORPUS_VALUES),
+        st.tuples(st.just("element"), st.floats(0, 1, exclude_max=True), CORPUS_VALUES),
+        st.tuples(st.just("length"), st.integers(0, 4), CORPUS_VALUES),
+    ),
+)
+
+
+def edit_corpus_lines(objs: list[dict], edits: list[tuple]) -> list[str]:
+    """The lines of ``objs`` after ``CORPUS_EDITS`` edits; an edit of a key or
+    an entry that is not there does nothing."""
+    objs = json.loads(json.dumps(objs))
+    for line_no, field, pick, (kind, at, value) in edits:
+        holder, key = objs[line_no % len(objs)], field
+        if field == "span":
+            holder = holder.get("entity_spans")
+            if not isinstance(holder, list) or not holder:
+                continue
+            key = int(pick * len(holder))
+        elif key not in holder:
+            holder[key] = []
         apply_edit(holder, key, kind, at, value)
     return [json.dumps(obj) for obj in objs]
 
@@ -420,11 +462,12 @@ class TestPipelineArtifacts:
         assert c["emitted_triplets"] == 3
 
     def test_mask_output_groups_into_triples(self, pipeline):
-        masked = read_masked(pipeline["masked"])
-        items = group_items(masked)
-        assert len(masked) == 9  # three docs, three lines each
-        assert all(isinstance(item, tuple) and len(item) == 3 for item in items)
+        masked = read_masked_oracle(pipeline["masked"])
         vocab = read_vocab(pipeline["root"] / "vocab.json")
+        items, count, _longest = read_masked(pipeline["masked"], vocab.size, "vocab.json", 3)
+        assert len(masked) == 9  # three docs, three lines each
+        assert count == 3
+        assert all(isinstance(item, tuple) and len(item) == 3 for item in items)
         assert vocab.encode("spielberg") != 2
 
     def test_mask_manifest(self, pipeline):
@@ -726,7 +769,7 @@ class TestMaskMemory:
             assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1] - base
             before = tracemalloc.get_traced_memory()[0]
-            lines = read_masked(out)
+            lines = read_masked_oracle(out)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             if not was_tracing:
@@ -743,7 +786,7 @@ class TestMaskSources:
         out = tmp_path / "m.jsonl"
         assert main(["mask", "--ssm", str(self.ssm_path(pipeline)), "--out", str(out),
                      "--scheme", "salient_span"]) == 0
-        masked = read_masked(out)
+        masked = read_masked_oracle(out)
         assert len(masked) == 4  # one line per ssm paragraph
         assert {m.scheme.value for m in masked} == {"salient_span"}
 
@@ -751,7 +794,7 @@ class TestMaskSources:
         out = tmp_path / "m.jsonl"
         assert main(["mask", "--samples", str(pipeline["samples"]), "--out", str(out),
                      "--scheme", "salient_span"]) == 0
-        masked = read_masked(out)
+        masked = read_masked_oracle(out)
         assert [m.doc_id for m in masked] == ["p1", "p2", "p3"]
         assert {m.scheme.value for m in masked} == {"salient_span"}
 
@@ -852,6 +895,44 @@ class TestExitCodes:
         bad.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
         return main(["train", "--data", str(bad), "--vocab", str(pipeline["root"] / "vocab.json"),
                      "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
+
+    @pytest.mark.parametrize("fault, error", [
+        ("json", "{data}:9: invalid JSON: Expecting ',' delimiter"),
+        ("vocab size", "{data}: p3 has a token id outside the {size}-token vocabulary {vocab}"),
+        ("2**63", "{data}:9: key 'input_ids' must hold 64-bit integers"),
+        ("position", "{data}:9: mask_positions must index input_ids"),
+        ("ragged", "p3: the inputs of a contrastive group differ in length"),
+    ], ids=["json", "vocab_size", "int64", "position", "ragged"])
+    def test_fault_after_kept_items_is_data_error(self, pipeline, tmp_path, capsys, fault,
+                                                  error):
+        """``train --steps 1`` keeps only the first item, but still checks
+        every line: a fault on the last line exits 2 with its message, and no
+        checkpoint or log is written."""
+        lines = pipeline["masked"].read_text(encoding="utf-8").splitlines()
+        last = json.loads(lines[-1])
+        assert (len(lines), last["doc_id"], last["variant"]) == (9, "p3", "mask_random")
+        vocab = pipeline["root"] / "vocab.json"
+        size = read_vocab(vocab).size
+        if fault == "json":
+            lines[-1] = lines[-1][:-1]
+        else:
+            if fault == "vocab size":
+                last["input_ids"][0] = size
+            elif fault == "2**63":
+                last["input_ids"][0] = 2 ** 63
+            elif fault == "position":
+                last["mask_positions"][0] = len(last["input_ids"])
+            else:
+                last["input_ids"].append(3)
+            lines[-1] = json.dumps(last)
+        data = tmp_path / "masked.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["train", "--data", str(data), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
+        assert code == 2
+        message = error.format(data=data, size=size, vocab=vocab)
+        assert capsys.readouterr().err == f"detmask: error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["masked.jsonl"]
 
     def test_token_id_outside_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
         size = read_vocab(pipeline["root"] / "vocab.json").size
@@ -1076,6 +1157,37 @@ class TestExitCodes:
                 assert proc.returncode == 2, (seed, argv[0], proc.stderr)
                 assert ("id 'X9' referenced but not present" in proc.stderr), (
                     seed, argv[0], proc.stderr)
+
+    @pytest.mark.parametrize("tables, error", [
+        ({"triplets": "WarHorse\tdirectedBy\tX1\nJaws\tdirectedBy\n"},
+         "id 'X1' referenced but not present in alias tables (entity)"),
+        ({"triplets": "WarHorse\tdirectedBy\n", "entities": ENTITIES + "Jaws\tAgain\n"},
+         "entities.tsv:7: duplicate entity id 'Jaws'"),
+        ({"triplets": "WarHorse\tdirectedBy\n", "predicates": "directedBy\t|\n"},
+         "predicates.tsv:1: no aliases"),
+    ], ids=["dangling_before_short_line", "entities_before_triplets",
+            "predicates_before_triplets"])
+    def test_kb_loaders_report_one_error(self, pipeline, tmp_path, capsys, tables, error):
+        """``build-kb``, ``align`` and ``probe --kb`` read a broken KB in one
+        order (entities, predicates, then each triplet line, its fields before
+        its references), so they report the same first fault."""
+        kb_dir = tmp_path / "kb"
+        kb_dir.mkdir()
+        for name, text in {"triplets": TRIPLETS, "entities": ENTITIES,
+                           "predicates": PREDICATES, **tables}.items():
+            (kb_dir / f"{name}.tsv").write_text(text, encoding="utf-8")
+        runs = [
+            ["build-kb", "--triplets", str(kb_dir / "triplets.tsv"),
+             "--entities", str(kb_dir / "entities.tsv"),
+             "--predicates", str(kb_dir / "predicates.tsv"), "--out", str(tmp_path / "out")],
+            ["align", "--kb", str(kb_dir), "--corpus", str(pipeline["corpus"]),
+             "--out", str(tmp_path / "samples.jsonl")],
+            probe_split_argv(pipeline, tmp_path / "r.json", kb_dir, pipeline["samples"]),
+        ]
+        for argv in runs:
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr().err == f"detmask: error: {error}\n", argv[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kb"]
 
     def test_corpus_not_utf8_is_data_error(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -1328,6 +1440,23 @@ class TestExitCodes:
                           "--emit", "pair"],
                          probe_split_argv(pipeline, out / "r.json", pipeline["kb"], bad)):
                 assert main(argv) in (0, 2), (argv[0], lines)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(edits=st.lists(CORPUS_EDITS, min_size=1, max_size=3))
+    def test_edited_corpus_values_exit_zero_or_two(self, pipeline, edits):
+        """Valid JSON with edited values in a corpus, some of its paragraphs
+        pre-linked: ``align`` runs or reports a data error, never crashes."""
+        prelinked = [
+            {**CORPUS[0], "entity_spans": [[0, 9, "WarHorse"], [46, 62, "Spielberg"]]},
+            {**CORPUS[1], "entity_spans": [[0, 4, "Jaws"], [21, 30, "Spielberg"]]},
+        ]
+        lines = edit_corpus_lines(prelinked + CORPUS, edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus.jsonl"
+            corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv = ["align", "--kb", str(pipeline["kb"]), "--corpus", str(corpus),
+                    "--out", str(Path(tmp) / "samples.jsonl")]
+            assert main(argv) in (0, 2), lines
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(edits=st.lists(CHECKPOINT_EDITS, min_size=1, max_size=3))

@@ -6,19 +6,22 @@ import json
 import os
 import random
 import stat
+import tempfile
 import threading
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detmask import fileio
 from detmask.fileio import write_json
 from detmask.align import Aligner, Paragraph
-from detmask.errors import MalformedLine
+from detmask.errors import DataError, MalformedLine
 from detmask.formats import (
-    group_items,
     read_corpus,
     read_facts,
     read_jsonl,
@@ -38,6 +41,7 @@ from detmask.kb import Triplet, build_kb, write_kb_dir
 from detmask.masking import MaskScheme, MaskedSample, Variant, Vocabulary
 from detmask.model import LogEntry, ModelConfig, init, load_checkpoint, save_checkpoint
 from detmask.tokenizer import token_spans
+from oracles import check_token_ids_oracle, group_items_oracle, read_masked_oracle
 
 
 class _HalfWriter:
@@ -179,7 +183,8 @@ class TestMasked:
         path = tmp_path / "masked.jsonl"
         originals = [masked_sample(v) for v in Variant]
         write_masked(path, originals)
-        assert read_masked(path) == originals
+        assert read_masked(path, 6, "vocab.json", 2) == ([originals[0], tuple(originals[1:])],
+                                                         2, 3)
 
     def test_input_ids_stored_as_int64_arrays(self, tmp_path):
         """About 20k ids past the small-int cache: read back equal, at most 16
@@ -198,10 +203,11 @@ class TestMasked:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            loaded = read_masked(path)
+            items, _count, _longest = read_masked(path, 5000, "vocab.json", 67)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        loaded = [m for item in items for m in item]
         n_ids = sum(len(m.input_tokens) for m in loaded)
         assert n_ids == 20100
         assert held / n_ids <= 16, f"{held / n_ids:.1f} traced bytes per id"
@@ -224,7 +230,7 @@ class TestMasked:
             ],
         )
         with pytest.raises(MalformedLine):
-            read_masked(path)
+            read_masked(path, 10, "vocab.json", 1)
 
     def test_unknown_scheme_rejected(self, tmp_path):
         path = tmp_path / "masked.jsonl"
@@ -242,31 +248,137 @@ class TestMasked:
             ],
         )
         with pytest.raises(MalformedLine):
-            read_masked(path)
+            read_masked(path, 10, "vocab.json", 1)
 
 
 class TestGroupItems:
-    def test_grouping_shapes(self):
+    @staticmethod
+    def read_items(tmp_path, lines):
+        path = tmp_path / "masked.jsonl"
+        write_masked(path, lines)
+        return read_masked(path, 6, "vocab.json", len(lines))[0]
+
+    def test_grouping_shapes(self, tmp_path):
         keep = masked_sample(Variant.KEEP_CLUES)
         drop = masked_sample(Variant.MASK_CLUES)
         rand = masked_sample(Variant.MASK_RANDOM)
         plain = masked_sample(Variant.PLAIN)
-        items = group_items([plain, keep, drop, rand, keep, drop, plain])
+        items = self.read_items(tmp_path, [plain, keep, drop, rand, keep, drop, plain])
         assert items[0] == plain
         assert items[1] == (keep, drop, rand)
         assert items[2] == (keep, drop)
         assert items[3] == plain
         assert len(items) == 4
 
-    def test_doc_boundary_breaks_group(self):
+    def test_doc_boundary_breaks_group(self, tmp_path):
         keep = masked_sample(Variant.KEEP_CLUES, doc_id="a")
         drop = masked_sample(Variant.MASK_CLUES, doc_id="b")
-        items = group_items([keep, drop])
+        items = self.read_items(tmp_path, [keep, drop])
         assert items == [keep, drop]
 
-    def test_orphan_keep_stays_single(self):
+    def test_orphan_keep_stays_single(self, tmp_path):
         keep = masked_sample(Variant.KEEP_CLUES)
-        assert group_items([keep]) == [keep]
+        assert self.read_items(tmp_path, [keep]) == [keep]
+
+
+@st.composite
+def masked_line(draw, doc_id: str, variant: Variant, length: int) -> dict:
+    """A masked line with ids below 10 and sorted distinct mask positions."""
+    ids = draw(st.lists(st.integers(0, 9), min_size=length, max_size=length))
+    positions = sorted(draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=length)))
+    targets = draw(st.lists(st.integers(0, 9), min_size=len(positions),
+                            max_size=len(positions)))
+    return {"doc_id": doc_id, "variant": variant.value, "input_ids": ids,
+            "mask_positions": positions, "targets": targets,
+            "scheme": draw(st.sampled_from(MaskScheme)).value}
+
+
+# The line variants of each unit of a masked stream: a plain line, a pair, a
+# triple, a group whose last input is one id longer, or any one line.
+STREAM_UNITS = {
+    "plain": (Variant.PLAIN,),
+    "pair": (Variant.KEEP_CLUES, Variant.MASK_CLUES),
+    "triple": (Variant.KEEP_CLUES, Variant.MASK_CLUES, Variant.MASK_RANDOM),
+    "ragged": (Variant.KEEP_CLUES, Variant.MASK_CLUES),
+    **{f"one {v.value}": (v,) for v in Variant},
+}
+
+
+@st.composite
+def masked_stream(draw) -> list[dict]:
+    """Lines of pairs, triples and plain lines over two docs, so that units
+    of one doc may run together and orphans occur."""
+    lines = []
+    for unit in draw(st.lists(st.sampled_from(sorted(STREAM_UNITS)), max_size=10)):
+        doc_id = draw(st.sampled_from(["a", "b"]))
+        length = draw(st.integers(0, 5))
+        variants = STREAM_UNITS[unit]
+        for i, variant in enumerate(variants):
+            grow = unit == "ragged" and i == len(variants) - 1
+            lines.append(draw(masked_line(doc_id, variant, length + grow)))
+    return lines
+
+
+def three_pass_oracle(path, vocab_size: int, keep: int):
+    """``read_masked``'s result by the three-pass oracles."""
+    masked = read_masked_oracle(path)
+    items = group_items_oracle(masked)
+    longest = check_token_ids_oracle(masked, vocab_size, path, "vocab.json")
+    return items[:keep], len(items), longest
+
+
+class TestReadMaskedOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lines=masked_stream(), vocab_size=st.integers(9, 11), keep=st.integers(0, 12))
+    def test_matches_three_pass_oracle(self, lines, vocab_size, keep):
+        """The kept items, the item count and the longest input equal the
+        three-pass oracle's; a stream with faults (an id of 9 past a 9-token
+        vocabulary, a ragged group) raises the error that the oracle raises
+        on the shortest failing prefix of the stream, so faults are reported
+        in line order."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "masked.jsonl"
+            write_jsonl(path, lines)
+            try:
+                expected = three_pass_oracle(path, vocab_size, keep)
+            except DataError:
+                for n in range(1, len(lines) + 1):
+                    write_jsonl(path, lines[:n])
+                    try:
+                        three_pass_oracle(path, vocab_size, keep)
+                    except DataError as exc:
+                        first = str(exc)
+                        break
+                write_jsonl(path, lines)
+                with pytest.raises(DataError) as info:
+                    read_masked(path, vocab_size, "vocab.json", keep)
+                assert str(info.value) == first
+                return
+            assert read_masked(path, vocab_size, "vocab.json", keep) == expected
+
+    def test_kept_items_hold_memory_independent_of_the_file(self, tmp_path):
+        """With ``keep=1`` the reader's traced peak does not grow with the
+        number of lines: 100 and 1,600 lines of 300 ids peak alike."""
+        peaks = []
+        for n in (100, 1600):
+            path = tmp_path / f"masked{n}.jsonl"
+            line = {"doc_id": "d", "variant": "plain", "input_ids": list(range(300, 600)),
+                    "mask_positions": [1], "targets": [301], "scheme": "deterministic"}
+            write_jsonl(path, [line] * n)
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                items, count, longest = read_masked(path, 600, "vocab.json", 1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            assert (len(items), count, longest) == (1, n, 300)
+        # All 1,600 lines as arrays would take about 4 MB; one line's ids
+        # as Python ints take about 10 kB.
+        assert peaks[1] < peaks[0] + 20_000, peaks
 
 
 class TestSmallFormats:

@@ -23,7 +23,9 @@ from detmask.kb import (
     predicates_between,
     write_kb_dir,
 )
-from oracles import so_index_oracle, sp_index_oracle, unique_object_flags_oracle
+from detmask.kb import _triplet_rows
+from oracles import (so_index_oracle, sp_index_oracle, triplet_rows_oracle,
+                     unique_object_flags_oracle)
 from worldgen import make_world
 
 TRIPLETS = "A\tdirectedBy\tB\nC\tdirectedBy\tB\nC\tdirectedBy\tD\n# comment\n\nA\tdirectedBy\tB\n"
@@ -124,6 +126,41 @@ TRIPLET_LINES = st.lists(
 )
 
 
+# A field of a triplets.tsv line: ids, ids with "#" (leading or inside),
+# and whitespace that str.split strips (Unicode spaces, \x1c-\x1f, CR).
+LINE_FIELD = st.one_of(
+    st.sampled_from(["A", "B", "directedBy"]),
+    st.lists(st.sampled_from(["A", "B", "b#", "#c", "#", " ", "  ", "\u00a0", "\u2003",
+                              "\x1c", "\x1f", "\r"]), max_size=3).map("".join),
+)
+# Lines of three fields, most of them, or of any other count.
+TSV_LINES = st.lists(
+    st.one_of(st.lists(LINE_FIELD, min_size=3, max_size=3),
+              st.lists(LINE_FIELD, max_size=4)).map("\t".join),
+    max_size=4,
+)
+
+
+class TestTripletRows:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lines=TSV_LINES)
+    def test_matches_field_by_field_parse(self, lines):
+        """The one-split parse of a line gives the triplets, or the error
+        message, of checking each tab-separated field on its own."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "triplets.tsv"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                            newline="")
+            try:
+                expected = triplet_rows_oracle(path)
+            except MalformedLine as exc:
+                with pytest.raises(MalformedLine) as info:
+                    list(_triplet_rows(path))
+                assert str(info.value) == str(exc)
+                return
+            assert list(_triplet_rows(path)) == expected
+
+
 class TestUniqueObjectFlags:
     """``load_unique_object_flags`` equals the flags of the whole loaded KB."""
 
@@ -144,16 +181,17 @@ class TestUniqueObjectFlags:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(lines=TRIPLET_LINES)
     def test_generated_tables(self, lines):
-        """Equal flags, or a data error from both readers."""
+        """Equal flags, or the same data error from both readers."""
         with tempfile.TemporaryDirectory() as tmp:
             write_kb_tables(Path(tmp), "".join(line + "\n" for line in lines),
                             "".join(f"E{i}\tname {i}\n" for i in range(4)),
                             "# predicates\n" + "".join(f"P{i}\tp{i}\n" for i in range(4)))
             try:
                 expected = unique_object_flags_oracle(load_kb_dir(tmp))
-            except DataError:
-                with pytest.raises(DataError):
+            except DataError as exc:
+                with pytest.raises(DataError) as info:
                     load_unique_object_flags(tmp)
+                assert str(info.value) == str(exc)
                 return
             assert load_unique_object_flags(tmp) == expected
 
