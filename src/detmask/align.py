@@ -19,34 +19,28 @@ order, in this process.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .editdist import within_one
 from .errors import DataError, EmptyDataset
 from .kb import KnowledgeBase, Triplet, is_deterministic, predicates_between
 from .tokenizer import Tokens, lower_aligned, token_spans, tokens_inside, tokens_lower
 
-log = logging.getLogger("detmask.align")
 
-
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     char_start: int
     char_end: int
 
 
-@dataclass(frozen=True)
-class Paragraph:
+class Paragraph(NamedTuple):
     doc_id: str
     text: str
     # (char_start, char_end, entity_id) accepted verbatim when provided.
     pre_linked_spans: Optional[tuple[tuple[int, int, str], ...]] = None
 
 
-@dataclass(frozen=True)
-class AlignedTriplet:
+class AlignedTriplet(NamedTuple):
     triplet: Triplet
     subject_span: Span
     predicate_span: Span
@@ -54,34 +48,35 @@ class AlignedTriplet:
     edit_distance: int
 
 
-@dataclass(frozen=True)
-class AlignedSample:
+class AlignedSample(NamedTuple):
     paragraph: Paragraph
     entity_spans: tuple[tuple[Span, str], ...]
     aligned: tuple[AlignedTriplet, ...]
 
 
-@dataclass
-class AlignCounters:
-    """Run-level tallies; candidate counts are per distinct (s,p,o) per paragraph."""
+class AlignCounters(SimpleNamespace):
+    """Run-level tallies; candidate counts are per distinct (s,p,o) per paragraph.
 
-    paragraphs: int = 0
-    skipped: int = 0
-    candidates: int = 0
-    non_deterministic: int = 0
-    unmatched_deterministic: int = 0
-    emitted_triplets: int = 0
+    Mutable, and equal to another ``AlignCounters`` with the same tallies."""
+
+    def __init__(self, paragraphs: int = 0, skipped: int = 0, candidates: int = 0,
+                 non_deterministic: int = 0, unmatched_deterministic: int = 0,
+                 emitted_triplets: int = 0) -> None:
+        super().__init__(paragraphs=paragraphs, skipped=skipped, candidates=candidates,
+                         non_deterministic=non_deterministic,
+                         unmatched_deterministic=unmatched_deterministic,
+                         emitted_triplets=emitted_triplets)
 
 
-@dataclass
-class BuildResult:
+class BuildResult(NamedTuple):
     deterministic_samples: list[AlignedSample]
     span_samples: list[AlignedSample]
     counters: AlignCounters
+    # (doc_id, reason) of each skipped paragraph, in corpus order.
+    skips: list[tuple[str, str]]
 
 
-@dataclass
-class DatasetStats:
+class DatasetStats(NamedTuple):
     paragraph_count: int
     sample_count: int
     avg_tokens_per_paragraph: float
@@ -300,18 +295,19 @@ def build_dataset(
 
     A paragraph goes to ``deterministic_samples`` when it yields at least one
     emitted triplet and to ``span_samples`` when it has at least one linked
-    entity.  A paragraph that fails validation is logged, counted as skipped,
-    and never aborts the run.  Results keep corpus order.  ``threads`` is
-    accepted and has no effect: alignment always runs in this process.
+    entity.  A paragraph that fails validation is counted as skipped, its
+    reason goes to ``skips``, and it never aborts the run.  Results keep
+    corpus order.  ``threads`` is accepted and has no effect: alignment
+    always runs in this process.
     """
     aligner = Aligner(kb)
-    result = BuildResult([], [], aligner.counters)
+    result = BuildResult([], [], aligner.counters, [])
     for paragraph in corpus:
         try:
             sample = aligner.align(paragraph)
         except DataError as exc:
             result.counters.skipped += 1
-            log.warning("skipping paragraph %s: %s", paragraph.doc_id, exc)
+            result.skips.append((paragraph.doc_id, str(exc)))
             continue
         if sample.aligned:
             result.deterministic_samples.append(sample)
@@ -320,8 +316,7 @@ def build_dataset(
     return result
 
 
-@dataclass
-class ObjectGroup:
+class ObjectGroup(NamedTuple):
     """Token indices of the triplets in one sample that share an object span;
     ``clues`` pools their subject and predicate tokens."""
 
@@ -371,6 +366,8 @@ def compute_stats(
             groups += 1
             object_sum += len(group.objects)
             clue_sum += len(group.clues)
+    if not groups:
+        raise EmptyDataset("no sample has a triplet")
     fraction = 0.0
     paragraph_count = len(samples)
     if counters is not None:

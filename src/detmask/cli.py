@@ -13,27 +13,28 @@ own stage.  Besides ``errors`` and ``fileio``, ``build-kb`` loads only
 numpy; ``mask`` loads it only for the modes that draw at random, and
 ``train`` and ``probe`` always load it.  Logging verbosity
 comes from the DETMASK_LOG environment variable (error, info or debug;
-default error).
+default error).  Only ``align`` (a warning per skipped paragraph) and
+``mask`` (an info line per skipped group) log, so below info nothing can
+show and ``logging`` is never imported.  ``main`` sets OPENBLAS_NUM_THREADS
+to 1 unless it is already set, before any stage loads numpy: the stages'
+matrix products are small, and waking a second BLAS thread for each costs
+more than it saves.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
 import time
 from collections import Counter
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .errors import DataError, DetmaskError, EmptyDataset
 from .fileio import read_json, write_json
-
-log = logging.getLogger("detmask.cli")
 
 # What a manifest-writing stage returns: main output path, outputs, config, counters.
 StageResult = tuple[object, dict, dict, dict]
@@ -75,11 +76,17 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
-def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("DETMASK_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _logger(name: str):
+    """The logger ``name`` once logging is set up at the DETMASK_LOG level,
+    or None below info, where nothing detmask logs can show; any other value
+    means error."""
+    level = os.environ.get("DETMASK_LOG", "error").lower()
+    if level not in ("info", "debug"):
+        return None
+    import logging
+
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+    return logging.getLogger(name)
 
 
 def cmd_build_kb(args) -> StageResult:
@@ -104,6 +111,9 @@ def cmd_align(args) -> StageResult:
     kb = load_kb_dir(args.kb)
     corpus = formats.read_corpus(args.corpus)
     result = build_dataset(corpus, kb)
+    if result.skips and (log := _logger("detmask.align")):
+        for doc_id, reason in result.skips:
+            log.warning("skipping paragraph %s: %s", doc_id, reason)
     formats.write_samples(args.out, result.deterministic_samples)
     out = Path(args.out)
     ssm_out = args.ssm_out or out.with_name(out.stem + ".ssm" + out.suffix)
@@ -159,6 +169,7 @@ def cmd_mask(args) -> StageResult:
                                                      MaskScheme.OBJECT_SPAN)
     if draws:
         from numpy.random import default_rng
+    log = _logger("detmask.cli")
 
     def masked_lines():
         """Each output line as soon as it is made; a group that raises
@@ -176,7 +187,8 @@ def cmd_mask(args) -> StageResult:
                     made = (apply_mask(ts, scheme, rng),)
             except DataError as exc:
                 skipped[type(exc).__name__] += 1
-                log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
+                if log:
+                    log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
                 continue
             yield from made
 
@@ -399,10 +411,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    started = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     t0 = time.monotonic()
     try:
         result = args.func(args)

@@ -212,20 +212,39 @@ def read_ssm(path: PathLike) -> list[AlignedSample]:
 
 
 def write_masked(path: PathLike, samples: Iterable[MaskedSample]) -> int:
-    return write_jsonl(
-        path,
-        (
-            {
-                "doc_id": m.doc_id,
-                "variant": m.variant.value,
-                "input_ids": list(m.input_tokens),
-                "mask_positions": list(m.mask_positions),
-                "targets": list(m.targets),
-                "scheme": m.scheme.value,
-            }
-            for m in samples
-        ),
-    )
+    """Write one line per sample, byte for byte as ``write_jsonl`` would
+    write its dict with the keys below; returns the number of lines.
+
+    Consecutive lines of one paragraph share its unmasked ids, so their
+    decimal strings are made once: a line whose ids, with its targets put
+    back at its mask positions, equal the last paragraph's copies that
+    paragraph's strings and writes its own ids at its mask positions.  Only
+    the last paragraph, and the last doc_id's JSON string, are held.
+    """
+    n = 0
+    paragraph: list[int] = []
+    digits: list[str] = []
+    doc_id, doc_json = "", '""'
+    with atomic_write(path) as fh:
+        for m in samples:
+            ids, positions = m.input_tokens, m.mask_positions
+            unmasked = list(ids)
+            for p, t in zip(positions, m.targets):
+                unmasked[p] = t
+            if unmasked != paragraph:
+                paragraph, digits = unmasked, list(map(str, unmasked))
+            if m.doc_id != doc_id:
+                doc_id, doc_json = m.doc_id, json.dumps(m.doc_id, ensure_ascii=False)
+            line = digits.copy()
+            for p in positions:
+                line[p] = str(ids[p])
+            fh.write(f'{{"doc_id":{doc_json},"variant":"{m.variant.value}",'
+                     f'"input_ids":[{",".join(line)}],'
+                     f'"mask_positions":[{",".join(map(str, positions))}],'
+                     f'"targets":[{",".join(map(str, m.targets))}],'
+                     f'"scheme":"{m.scheme.value}"}}\n')
+            n += 1
+    return n
 
 
 class _MaskedLine(NamedTuple):

@@ -26,7 +26,6 @@ flag per predicate, for the probe's relation split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
@@ -47,16 +46,18 @@ class Triplet(NamedTuple):
     object: EntityId
 
 
-@dataclass(frozen=True, eq=False)
 class KnowledgeBase:
-    """Immutable triplet store with alias tables and two indexes built on first read.
+    """Triplet store with alias tables and two indexes built on first read.
 
-    eq=False keeps identity comparison: a field-wise hash would fail on the dicts.
+    Nothing changes its tables after load.  It compares by identity: a
+    field-wise comparison would walk every table.
     """
 
-    triplets: frozenset[Triplet]
-    entity_aliases: dict[str, tuple[str, ...]]
-    predicate_aliases: dict[str, tuple[str, ...]]
+    def __init__(self, triplets: frozenset[Triplet], entity_aliases: dict[str, tuple[str, ...]],
+                 predicate_aliases: dict[str, tuple[str, ...]]) -> None:
+        self.triplets = triplets
+        self.entity_aliases = entity_aliases
+        self.predicate_aliases = predicate_aliases
 
     @cached_property
     def sp_index(self) -> dict[tuple[EntityId, PredicateId], frozenset[EntityId]]:

@@ -20,10 +20,9 @@ Three families of outputs:
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .align import AlignedSample, Span, object_groups
 from .errors import DataError, InsufficientContext, NoClues, NoMaskableContent
@@ -56,12 +55,24 @@ class Variant(Enum):
     MASK_RANDOM = "mask_random"
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    """Closed vocabulary; ids 0..2 are the pad, mask and unknown sentinels."""
+    """Closed vocabulary; ids 0..2 are the pad, mask and unknown sentinels.
 
-    id_to_token: tuple[str, ...]
-    token_to_id: dict[str, int] = field(repr=False, compare=False)
+    Two vocabularies are equal when their token lists are; ``token_to_id``
+    is the index of ``id_to_token``.
+    """
+
+    def __init__(self, id_to_token: tuple[str, ...], token_to_id: dict[str, int]) -> None:
+        self.id_to_token = id_to_token
+        self.token_to_id = token_to_id
+
+    def __eq__(self, other):
+        if not isinstance(other, Vocabulary):
+            return NotImplemented
+        return self.id_to_token == other.id_to_token
+
+    def __hash__(self) -> int:
+        return hash(self.id_to_token)
 
     @classmethod
     def from_tokens(cls, content_tokens: Iterable[str]) -> "Vocabulary":
@@ -99,8 +110,7 @@ class Vocabulary:
         return self.id_to_token[token_id]
 
 
-@dataclass(frozen=True)
-class TokenizedSample:
+class TokenizedSample(NamedTuple):
     doc_id: str
     tokens: tuple[int, ...]
     word_boundaries: tuple[bool, ...]
@@ -115,25 +125,29 @@ class TokenizedSample:
     clue_positions: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class MaskedSample:
-    doc_id: str
-    # int64 ids, 8 bytes each: a corpus's masked inputs repeat every paragraph.
-    input_tokens: array
-    mask_positions: tuple[int, ...]
-    targets: tuple[int, ...]
-    variant: Variant
-    scheme: MaskScheme
+class MaskedSample(SimpleNamespace):
+    """One masked input line.  Not a tuple: a training item is one sample or
+    a tuple of two or three, and callers tell them apart by type.
+
+    ``input_tokens`` is a sequence of ids: a tuple made by masking, an int64
+    array read back by ``formats.read_masked``.  Samples with equal fields
+    are equal.
+    """
+
+    def __init__(self, doc_id: str, input_tokens: Sequence[int], mask_positions: tuple[int, ...],
+                 targets: tuple[int, ...], variant: Variant, scheme: MaskScheme) -> None:
+        super().__init__(doc_id=doc_id, input_tokens=input_tokens, mask_positions=mask_positions,
+                         targets=targets, variant=variant, scheme=scheme)
 
 
 def _masked(sample: TokenizedSample, positions: Sequence[int], variant: Variant,
             scheme: MaskScheme) -> MaskedSample:
     order = tuple(sorted(positions))
-    inputs = array("q", sample.tokens)
+    inputs = list(sample.tokens)
     targets = tuple(inputs[p] for p in order)
     for p in order:
         inputs[p] = MASK_ID
-    return MaskedSample(sample.doc_id, inputs, order, targets, variant, scheme)
+    return MaskedSample(sample.doc_id, tuple(inputs), order, targets, variant, scheme)
 
 
 def _entity_token_spans(
@@ -158,10 +172,11 @@ def tokenize_groups(sample: AlignedSample, tokens: Tokens,
     out: list[TokenizedSample] = []
     for g in groups:
         a, b = g.span
-        out.append(replace(base, object_positions=tuple(g.objects),
-                           clue_positions=tuple(sorted(g.clues.difference(g.objects))),
-                           foreign_clue_positions=frozenset(clues.difference(g.clues, g.objects)),
-                           object_word_count=count_words(sample.paragraph.text[a:b])))
+        out.append(base._replace(
+            object_positions=tuple(g.objects),
+            clue_positions=tuple(sorted(g.clues.difference(g.objects))),
+            foreign_clue_positions=frozenset(clues.difference(g.clues, g.objects)),
+            object_word_count=count_words(sample.paragraph.text[a:b])))
     return out
 
 

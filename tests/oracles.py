@@ -49,6 +49,10 @@ then the whole list grouped into training items with index lookahead, then
 every sample's ids against the vocabulary.  ``formats.read_masked`` does all
 three in one pass and keeps only the first items.
 
+``write_masked_oracle`` writes each masked line as a dict through
+``formats.write_jsonl``, where ``formats.write_masked`` formats the line
+itself and makes the decimal strings of a paragraph's ids once.
+
 ``train_oracle`` is the training loop at its plainest: fresh gradients from
 ``model.loss_and_grad`` on every step and a ``p -= lr * g`` update, with no
 buffer reuse and no in-place scaling.
@@ -65,7 +69,7 @@ import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
 from detmask.errors import BadTemplate, DataError, MalformedLine
-from detmask.formats import _require, read_jsonl
+from detmask.formats import _require, read_jsonl, write_jsonl
 from detmask.kb import KnowledgeBase, Triplet, _iter_lines, _parse_id
 from detmask.masking import MASK_TOKEN, MaskedSample, MaskScheme, Variant
 from detmask.model import ModelConfig, ModelState, TrainItem, init, loss_and_grad
@@ -585,3 +589,21 @@ def check_token_ids_oracle(masked: list[MaskedSample], vocab_size: int, data_pat
                                 f"{vocab_size}-token vocabulary {vocab_path}")
         longest = max(longest, len(m.input_tokens))
     return longest
+
+
+def write_masked_oracle(path, samples) -> int:
+    """Each sample as one ``json.dumps`` line of its dict."""
+    return write_jsonl(
+        path,
+        (
+            {
+                "doc_id": m.doc_id,
+                "variant": m.variant.value,
+                "input_ids": list(m.input_tokens),
+                "mask_positions": list(m.mask_positions),
+                "targets": list(m.targets),
+                "scheme": m.scheme.value,
+            }
+            for m in samples
+        ),
+    )

@@ -617,16 +617,30 @@ class TestPipelineArtifacts:
         assert "no manifest" not in out
 
 
+def stage_env() -> dict:
+    """The environment for a stage subprocess that imports this checkout's detmask."""
+    src = str(Path(fileio.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 class TestStageImports:
     def test_stages_import_only_what_they_use(self, tmp_path):
         """build-kb, align, stats and report never load numpy; build-kb and report
         load no reader, aligner or masking code; mask loads no model code, and
-        numpy only in the modes that draw at random."""
+        numpy only in the modes that draw at random.  Outside those modes no
+        stage loads logging, dataclasses, datetime or inspect unless a bare
+        interpreter in the same environment already has."""
         paths = write_inputs(tmp_path)
         kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"format": "detmask-report", "splits": {}}), encoding="utf-8")
-        numpy_free = ("numpy", "detmask.model", "detmask.probe")
+        env = stage_env()
+        bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        lean = tuple({"logging", "dataclasses", "datetime", "inspect"}
+                     - set(bare.stdout.split()))
+        numpy_free = ("numpy", "detmask.model", "detmask.probe", *lean)
         kb_only = (*numpy_free, "detmask.formats", "detmask.align", "detmask.masking",
                    "detmask.tokenizer", "detmask.editdist")
         runs = [
@@ -649,13 +663,94 @@ class TestStageImports:
                 "assert main(sys.argv[2:]) == 0\n"
                 "loaded = [m for m in sys.argv[1].split(',') if m in sys.modules]\n"
                 "assert not loaded, loaded\n")
-        src = str(Path(fileio.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         for argv, absent in runs:
             proc = subprocess.run([sys.executable, "-c", code, ",".join(absent), *argv],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, (argv[0], proc.stderr)
+
+
+class TestLogging:
+    """Only align (a warning per skipped paragraph) and mask (an info line per
+    skipped group) log; DETMASK_LOG picks error, info or debug, and any other
+    value means error."""
+
+    @pytest.mark.parametrize("level", [None, "error", "info", "DEBUG", "loud"])
+    def test_skip_messages_show_from_info_on(self, tmp_path, level):
+        paths = write_inputs(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        bad = {"doc_id": "bad", "text": "x", "entity_spans": [[0, 99, "Jaws"]]}
+        corpus.write_text(corpus.read_text(encoding="utf-8") + json.dumps(bad) + "\n",
+                          encoding="utf-8")
+        samples = tmp_path / "samples.jsonl"
+        env = {k: v for k, v in stage_env().items() if k != "DETMASK_LOG"}
+        if level is not None:
+            env["DETMASK_LOG"] = level
+        shown = level in ("info", "DEBUG")
+
+        def run(*argv):
+            proc = subprocess.run([sys.executable, "-m", "detmask.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            return proc.returncode, proc.stderr
+
+        assert run("build-kb", "--triplets", str(paths["triplets"]),
+                   "--entities", str(paths["entities"]),
+                   "--predicates", str(paths["predicates"]), "--out", str(tmp_path / "kb")
+                   ) == (0, "")
+        warning = ("WARNING detmask.align: skipping paragraph bad: "
+                   "pre-linked span [0,99) outside text of length 1\n")
+        assert run("align", "--kb", str(tmp_path / "kb"), "--corpus", str(corpus),
+                   "--out", str(samples)) == (0, warning if shown else "")
+        # A triplet whose subject and predicate are its object: no clue tokens.
+        loop = {"doc_id": "loop", "text": "Jaws", "entities": [[0, 4, "Jaws"]],
+                "triplets": [{"s": "Jaws", "p": "directedBy", "o": "Jaws", "s_span": [0, 4],
+                              "p_span": [0, 4], "o_span": [0, 4], "edit_distance": 0}]}
+        with open(samples, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(loop) + "\n")
+        info = "INFO detmask.cli: skipping loop: sample has no clue tokens\n"
+        assert run("mask", "--samples", str(samples), "--out", str(tmp_path / "masked.jsonl"),
+                   "--emit", "pair") == (0, info if shown else "")
+
+
+class TestBlasThreads:
+    VAR = "OPENBLAS_NUM_THREADS"
+
+    @pytest.mark.parametrize("value", [None, "2"])
+    def test_main_sets_one_thread_unless_set(self, monkeypatch, tmp_path, value):
+        """An unset variable becomes 1; a user's own value stays.  The
+        conftest fixture puts the variable back after the test."""
+        if value is None:
+            monkeypatch.delenv(self.VAR, raising=False)
+        else:
+            monkeypatch.setenv(self.VAR, value)
+        assert main(["stats", "--samples", str(tmp_path / "absent.jsonl")]) == 2
+        assert os.environ[self.VAR] == (value or "1")
+
+    def test_numpy_stages_byte_identical_across_thread_counts(self, pipeline, tmp_path):
+        """train and probe as subprocesses give the same bytes on one BLAS
+        thread as on two.  At ``--dim 256`` the feed-forward products of
+        each 7- to 11-token input (at least 7 x 256 x 1,024) are large
+        enough that OpenBLAS splits them across its threads."""
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            ckpt, report = out / "model.ckpt", out / "report.json"
+            argvs = [
+                ["train", "--data", str(pipeline["masked"]),
+                 "--vocab", str(pipeline["root"] / "vocab.json"),
+                 "--out", str(ckpt), "--steps", "20", "--dim", "256"],
+                ["probe", "--model", str(ckpt), "--templates", str(pipeline["templates"]),
+                 "--facts", str(pipeline["facts"]), "--out", str(report),
+                 "--kb", str(pipeline["kb"]), "--pretrain", str(pipeline["samples"])],
+            ]
+            env = {**stage_env(), self.VAR: threads}
+            for argv in argvs:
+                proc = subprocess.run([sys.executable, "-m", "detmask.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 0, (argv[0], proc.stderr)
+            outputs.append([p.read_bytes() for p in
+                            (ckpt, Path(str(ckpt) + ".log.jsonl"), report)])
+        assert outputs[0] == outputs[1]
 
 
 class TestTracedStage:
@@ -665,9 +760,7 @@ class TestTracedStage:
         and the checkpoint and log it leaves are those of an untraced run."""
         tracer = Path(__file__).parents[1] / "perfbench" / "tracer.py"
         trace = tmp_path / "train.trace.json"
-        src = str(Path(fileio.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        env = stage_env()
         ckpt, log = tmp_path / "model.ckpt", tmp_path / "model.ckpt.log.jsonl"
         argv = ["train", "--data", str(pipeline["masked"]),
                 "--vocab", str(pipeline["root"] / "vocab.json"),
@@ -857,6 +950,13 @@ class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["stats", "--samples", str(tmp_path / "absent.jsonl")])
         assert code == 2
+
+    def test_stats_on_samples_without_triplets_is_data_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text('{"doc_id":"d1","text":"Paris is nice","entities":[[0,5,"E1"]],'
+                           '"triplets":[]}\n', encoding="utf-8")
+        assert main(["stats", "--samples", str(samples)]) == 2
+        assert capsys.readouterr().err == "detmask: error: no sample has a triplet\n"
 
     def test_empty_training_data_is_data_error(self, tmp_path):
         (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")

@@ -38,10 +38,11 @@ from detmask.formats import (
     write_vocab,
 )
 from detmask.kb import Triplet, build_kb, write_kb_dir
-from detmask.masking import MaskScheme, MaskedSample, Variant, Vocabulary
+from detmask.masking import MASK_ID, MaskScheme, MaskedSample, Variant, Vocabulary
 from detmask.model import LogEntry, ModelConfig, init, load_checkpoint, save_checkpoint
 from detmask.tokenizer import token_spans
-from oracles import check_token_ids_oracle, group_items_oracle, read_masked_oracle
+from oracles import (check_token_ids_oracle, group_items_oracle, read_masked_oracle,
+                     write_masked_oracle)
 
 
 class _HalfWriter:
@@ -249,6 +250,87 @@ class TestMasked:
         )
         with pytest.raises(MalformedLine):
             read_masked(path, 10, "vocab.json", 1)
+
+
+# Doc ids that JSON must escape or may pass through: quotes, backslashes,
+# control characters, non-ASCII and the line separator U+2028.
+DOC_IDS = st.one_of(st.sampled_from(['d', 'say "hi"', "back\\slash", "tab\tnul\x00\x1f\x7f",
+                                     "caf\u00e9 \u4e2d", "line\u2028sep", ""]),
+                    st.text(max_size=6))
+STREAMS = {"pair": (Variant.KEEP_CLUES, Variant.MASK_CLUES),
+           "triple": (Variant.KEEP_CLUES, Variant.MASK_CLUES, Variant.MASK_RANDOM),
+           "plain": (Variant.PLAIN,)}
+
+
+@st.composite
+def masked_samples(draw):
+    """A pair, triple or plain stream over a few paragraphs, whose lines of
+    one paragraph need not be consecutive.  Ids reach past 256; inputs are
+    tuples, as masking makes them, or int64 arrays, as the reader does.  A
+    line's masked inputs and targets are mostly the mask id and its
+    paragraph's ids, but may be any ids."""
+    paragraphs = draw(st.lists(st.tuples(DOC_IDS, st.lists(st.integers(0, 70_000), min_size=1,
+                                                            max_size=10)),
+                               min_size=1, max_size=4))
+    variants = STREAMS[draw(st.sampled_from(sorted(STREAMS)))]
+    lines = []
+    for k in draw(st.lists(st.integers(0, len(paragraphs) - 1), min_size=1, max_size=8)):
+        doc_id, ids = paragraphs[k]
+        for variant in variants:
+            positions = tuple(sorted(draw(st.sets(st.integers(0, len(ids) - 1)))))
+            fill = draw(st.one_of(st.just(MASK_ID), st.integers(0, 70_000)))
+            inputs = [fill if p in positions else i for p, i in enumerate(ids)]
+            targets = (tuple(ids[p] for p in positions) if draw(st.booleans())
+                       else tuple(draw(st.lists(st.integers(0, 70_000), min_size=len(positions),
+                                                max_size=len(positions)))))
+            as_array = draw(st.booleans())
+            lines.append(MaskedSample(doc_id, array("q", inputs) if as_array else tuple(inputs),
+                                      positions, targets, variant,
+                                      draw(st.sampled_from(list(MaskScheme)))))
+    return lines
+
+
+class TestWriteMasked:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lines=masked_samples())
+    def test_matches_the_json_dumps_writer(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp) / "ours.jsonl", Path(tmp) / "oracle.jsonl"
+            assert write_masked(ours, lines) == write_masked_oracle(oracle, lines) == len(lines)
+            assert ours.read_bytes() == oracle.read_bytes()
+
+    def test_memory_does_not_grow_with_the_paragraphs(self, tmp_path):
+        """Streamed 40 or 800 paragraphs of 100 ids past the small-int cache,
+        the writer's traced peak is alike: it holds one paragraph."""
+        def lines(n):
+            for i in range(n):
+                ids = list(range(1000 + i, 1100 + i))
+                for variant, positions in ((Variant.KEEP_CLUES, (1,)),
+                                           (Variant.MASK_CLUES, (1, 2))):
+                    inputs = tuple(MASK_ID if p in positions else t for p, t in enumerate(ids))
+                    yield MaskedSample(f"doc{i}", inputs, positions,
+                                       tuple(ids[p] for p in positions), variant,
+                                       MaskScheme.DETERMINISTIC)
+
+        path = tmp_path / "masked.jsonl"
+        peaks = []
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            # A first run of 4,000 lines fills the interpreter's free lists of
+            # small tuples (up to 2,000 each), which would read as growth.
+            write_masked(path, lines(2000))
+            for n in (40, 800):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert write_masked(path, lines(n)) == 2 * n
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # The strings of all 800 paragraphs' ids would take about 4 MB; one
+        # paragraph's about 6 kB.
+        assert peaks[1] < peaks[0] + 20_000, peaks
 
 
 class TestGroupItems:

@@ -277,6 +277,8 @@ class TestLazyIndexes:
         write_kb_dir(reloaded, tmp_path / "again")
         for loaded in (kb, reloaded):
             assert not {"sp_index", "so_index"} & loaded.__dict__.keys()
+        # A KB compares by identity: no field-wise walk of its tables.
+        assert kb == kb and kb != reloaded
 
     def test_indexes_equal_the_oracles(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,7 @@ from detmask.masking import (
     MASK_ID,
     PAD_ID,
     UNK_ID,
+    MaskedSample,
     MaskScheme,
     TokenizedSample,
     Variant,
@@ -91,6 +90,24 @@ class TestVocabulary:
     def test_reserved_not_duplicated(self):
         v = Vocabulary.from_tokens(["<mask>", "x"])
         assert v.id_to_token.count("<mask>") == 1
+
+
+class TestRecords:
+    def test_masked_sample_is_not_a_tuple(self):
+        """A training item is one sample or a tuple of them, told apart by
+        type; samples with equal fields are equal."""
+        tok = groups_of(film_sample(), Vocabulary.build(map(token_spans, [FILM_TEXT])))[0]
+        keep, drop = make_contrastive_pair(tok)
+        assert not isinstance(keep, tuple)
+        assert keep == MaskedSample(keep.doc_id, tuple(keep.input_tokens), keep.mask_positions,
+                                    keep.targets, keep.variant, keep.scheme)
+        assert keep != drop
+
+    def test_vocabulary_equality_leaves_out_its_index(self):
+        v = Vocabulary.from_tokens(["film"])
+        same = Vocabulary(v.id_to_token, {})
+        assert v == same and hash(v) == hash(same)
+        assert v != Vocabulary.from_tokens(["war"])
 
 
 class TestTokenize:
@@ -203,9 +220,8 @@ class TestTokenizeGroups:
                 first, second, third = list(heads.values())[:3]
                 extra = AlignedTriplet(third.triplet, first.subject_span, second.object_span,
                                        third.object_span, 0)
-                for s in (sample, replace(sample, aligned=sample.aligned + (extra,))):
-                    got = [{f.name: getattr(ts, f.name) for f in fields(ts)}
-                           for ts in groups_of(s, vocab)]
+                for s in (sample, sample._replace(aligned=sample.aligned + (extra,))):
+                    got = [ts._asdict() for ts in groups_of(s, vocab)]
                     assert got == tokenize_groups_oracle(s, vocab.token_to_id, UNK_ID)
                     checked += 1
         assert checked >= 80
