@@ -174,8 +174,9 @@ def _iter_samples(path: PathLike) -> Iterator[AlignedSample]:
             for key in ("s_span", "p_span", "o_span", "edit_distance"):
                 if key not in item:
                     raise MalformedLine(name, line_no, f"triplet missing key {key!r}")
-            if type(item["edit_distance"]) is not int:
-                raise MalformedLine(name, line_no, "edit_distance must be an integer")
+            # The aligner keeps a predicate match only below edit distance 2.
+            if type(item["edit_distance"]) is not int or item["edit_distance"] not in (0, 1):
+                raise MalformedLine(name, line_no, "edit_distance must be 0 or 1")
             triplets.append(
                 AlignedTriplet(
                     triplet=_triplet(item, name, line_no),

@@ -21,6 +21,7 @@ Three families of outputs:
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
@@ -185,7 +186,7 @@ def tokenize_for_spans(sample: AlignedSample, tokens: Tokens,
     """A paragraph with its ``tokens``, keeping only its entity spans (span masking input)."""
     return TokenizedSample(
         doc_id=sample.paragraph.doc_id,
-        tokens=tuple(map(vocab.encode, tokens.lower)),
+        tokens=tuple(map(vocab.token_to_id.get, tokens.lower, repeat(UNK_ID))),
         word_boundaries=tuple(tokens.word_starts),
         entity_token_spans=_entity_token_spans(tokens, sample.entity_spans),
     )

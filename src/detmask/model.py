@@ -18,12 +18,18 @@ Three losses over a (keep, drop, random) item:
 Total = L_mlm + lambda_con * L_con + lambda_cls * L_cls.  Gradients are exact;
 the test suite checks them against central finite differences.
 
-The losses read the vocabulary distribution only at the object positions, so
-the LM head (``h2 @ tok_emb.T + lm_bias``) and its softmax run only at those
-rows: for the keep and drop inputs in training, at the mask positions in
-prediction, and not at all for the random input, which the classifier reads
-through ``h2``.  The backward pass takes the head gradient at those rows
-alone.  One forward serves a single sequence or a batch of sequences of one
+Every loss reads only the object positions: the fill and contrast losses
+read the vocabulary distribution there, and the classifier reads ``h2``
+there.  The block has one attention layer, so row i of ``h2`` depends only on
+position i's query and on every position's keys and values.  The forward
+pass therefore runs the embeddings and the key and value projections at
+every position, and the query, the attention row, the feed-forward block and
+``h2`` only at the read rows: k x n scores and k x 4d activations for k rows,
+not n x n and n x 4d.  The LM head (``h2 @ tok_emb.T + lm_bias``) and its
+softmax run at those rows for the keep and drop inputs in training and at
+the mask positions in prediction; the random input's pass skips the head.
+The backward pass sends dK and dV to every position and dq and dh1 to the
+rows.  One forward serves a single sequence or a batch of sequences of one
 length; ``predict_fill_batch`` fills a batch in one pass.
 """
 
@@ -135,13 +141,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _forward(state: ModelState, tokens, rows=None) -> dict:
-    """Forward one sequence, or a (B, n) batch of sequences of one length.
+def _forward(state: ModelState, tokens, rows, head: bool = True) -> dict:
+    """Forward one sequence, or a (B, n) batch of sequences of one length,
+    at ``rows``: a position array for one sequence, or the batch and position
+    arrays that ``np.nonzero`` gives for a batch.  A position may repeat.
 
-    The LM head and its softmax run only at ``rows``, an index into the
-    token array's positions (a position array for one sequence, a pair of
-    batch and position arrays for a batch): ``probs`` holds one vocabulary
-    distribution per indexed row.  With ``rows`` None the head is skipped.
+    Keys and values cover every position; from the query on, everything runs
+    at the rows only.  With ``head`` the LM head and its softmax run there
+    too: ``probs`` holds one vocabulary distribution per row.
     """
     toks = np.asarray(tokens, dtype=np.int64)
     n = toks.shape[-1]
@@ -150,26 +157,36 @@ def _forward(state: ModelState, tokens, rows=None) -> dict:
         raise SequenceTooLong(f"sequence of {n} tokens exceeds max_len {max_len}")
     d = state.tok_emb.shape[1]
     x = state.tok_emb[toks] + state.pos_emb[:n]
-    key_mask = toks == PAD_ID
-    q = x @ state.wq
     k = x @ state.wk
     v = x @ state.wv
-    scores = (q @ np.swapaxes(k, -1, -2)) / math.sqrt(d)
-    if key_mask.any():
-        scores = np.where(key_mask[..., None, :], _NEG_INF, scores)
+    key_mask = toks == PAD_ID
+    xr = x[rows]
+    q = xr @ state.wq
+    # Each row attends over the keys and values of its own sequence.
+    if toks.ndim == 1:
+        seq_k, seq_v, row_pad = k, v, key_mask
+    else:
+        seq = rows[0]
+        seq_k, seq_v, row_pad = k[seq], v[seq], key_mask[seq]
+    scores = np.matmul(seq_k, q[:, :, None])[:, :, 0]
+    scores /= math.sqrt(d)
+    if row_pad.any():
+        np.copyto(scores, _NEG_INF, where=row_pad)
     attn = _softmax(scores)
-    ctx = attn @ v
-    h1 = x + ctx @ state.wo
+    ctx = np.matmul(attn[:, None, :], seq_v)[:, 0, :]
+    h1 = xr + ctx @ state.wo
     pre = h1 @ state.w1 + state.b1
     f = np.maximum(pre, 0.0)
     h2 = h1 + f @ state.w2 + state.b2
     cache = {
         "toks": toks,
+        "rows": rows,
         "key_mask": key_mask,
         "x": x,
-        "q": q,
         "k": k,
         "v": v,
+        "xr": xr,
+        "q": q,
         "attn": attn,
         "ctx": ctx,
         "h1": h1,
@@ -177,8 +194,8 @@ def _forward(state: ModelState, tokens, rows=None) -> dict:
         "f": f,
         "h2": h2,
     }
-    if rows is not None:
-        logits = h2[rows] @ state.tok_emb.T
+    if head:
+        logits = h2 @ state.tok_emb.T
         logits += state.lm_bias
         cache["probs"] = _softmax(logits)
     return cache
@@ -191,7 +208,8 @@ def _zero_grads(state: ModelState) -> dict[str, np.ndarray]:
 def _backward(state: ModelState, cache: dict, dh2: np.ndarray,
               grads: dict[str, np.ndarray]) -> None:
     """Accumulate into ``grads`` the gradients that ``dh2``, the loss gradient
-    at ``h2`` of one sequence, sends back through the block and embeddings."""
+    at the rows' ``h2`` of one sequence, sends back through the block and
+    embeddings.  dq and dh1 reach the rows; dK and dV reach every position."""
     d = state.tok_emb.shape[1]
     grads["b2"] += dh2.sum(axis=0)
     df = dh2 @ state.w2.T
@@ -202,21 +220,22 @@ def _backward(state: ModelState, cache: dict, dh2: np.ndarray,
     dh1 = dh2 + dpre @ state.w1.T
     dctx = dh1 @ state.wo.T
     grads["wo"] += cache["ctx"].T @ dh1
-    dx = dh1.copy()
+    attn = cache["attn"]
     dattn = dctx @ cache["v"].T
-    dv = cache["attn"].T @ dctx
-    grads["wv"] += cache["x"].T @ dv
-    dx += dv @ state.wv.T
-    row_dot = (dattn * cache["attn"]).sum(axis=1, keepdims=True)
-    dscores = cache["attn"] * (dattn - row_dot)
+    dv = attn.T @ dctx
+    row_dot = (dattn * attn).sum(axis=1, keepdims=True)
+    dscores = attn * (dattn - row_dot)
     if cache["key_mask"].any():
         dscores[:, cache["key_mask"]] = 0.0
     scale = 1.0 / math.sqrt(d)
     dq = dscores @ cache["k"] * scale
     dk = dscores.T @ cache["q"] * scale
-    grads["wq"] += cache["x"].T @ dq
+    grads["wq"] += cache["xr"].T @ dq
     grads["wk"] += cache["x"].T @ dk
-    dx += dq @ state.wq.T + dk @ state.wk.T
+    grads["wv"] += cache["x"].T @ dv
+    dx = dk @ state.wk.T + dv @ state.wv.T
+    # A position may be listed more than once: add.at sums every row's share.
+    np.add.at(dx, cache["rows"], dh1 + dq @ state.wq.T)
     np.add.at(grads["tok_emb"], cache["toks"], dx)
     grads["pos_emb"][: len(cache["toks"])] += dx
 
@@ -254,7 +273,8 @@ def loss_and_grad(
     if drop is not None:
         passes["drop"] = _forward(state, drop.input_tokens, pos)
     if randv is not None:
-        passes["rand"] = _forward(state, randv.input_tokens)
+        # The classifier reads only the random input's h2 at the rows.
+        passes["rand"] = _forward(state, randv.input_tokens, pos, head=False)
 
     if grads is None:
         grads = _zero_grads(state)
@@ -263,10 +283,10 @@ def loss_and_grad(
         for name, buf in grads.items():
             if name != "tok_emb":
                 buf.fill(0.0)
-    # Loss gradients at the head rows, for the passes whose head gets one;
-    # row i of probs and of dlogits is mask position i.
+    # Loss gradients at the rows, for the passes that get one; row i of
+    # probs, h2, dlogits and dh2 is mask position i.
     dlogits: dict[str, np.ndarray] = {}
-    dh2 = {name: np.zeros_like(c["h2"]) for name, c in passes.items()}
+    dh2: dict[str, np.ndarray] = {}
     rank = np.arange(n_obj)
 
     p_keep = passes["keep"]["probs"][rank, tgt]
@@ -291,7 +311,7 @@ def loss_and_grad(
         total = 3 * n_obj
         acc = 0.0
         for label, name in enumerate(("keep", "drop", "rand")):
-            e = passes[name]["h2"][pos]
+            e = passes[name]["h2"]
             y = _softmax(e @ state.w_cls)
             acc += float(-np.log(y[:, label]).sum())
             if w_cls:
@@ -299,7 +319,7 @@ def loss_and_grad(
                 ds[:, label] -= 1.0
                 ds *= w_cls / total
                 grads["w_cls"] += e.T @ ds
-                np.add.at(dh2[name], pos, ds @ state.w_cls.T)
+                dh2[name] = ds @ state.w_cls.T
         l_cls = acc / total
 
     l_total = w_mlm * l_mlm + w_con * l_con + w_cls * l_cls
@@ -311,15 +331,16 @@ def loss_and_grad(
         # Nothing has reached the tok_emb gradient yet, so the V x d product
         # is written straight into its buffer.
         dl = np.concatenate(list(dlogits.values()))
-        np.matmul(dl.T, np.concatenate([passes[name]["h2"][pos] for name in dlogits]),
+        np.matmul(dl.T, np.concatenate([passes[name]["h2"] for name in dlogits]),
                   out=grads["tok_emb"])
         grads["lm_bias"] += dl.sum(axis=0)
         for name, dh in zip(dlogits, np.split(dl @ state.tok_emb, len(dlogits))):
-            np.add.at(dh2[name], pos, dh)
+            dh2[name] = dh2.get(name, 0.0) + dh
     else:
         grads["tok_emb"].fill(0.0)
     for name, cache in passes.items():
-        _backward(state, cache, dh2[name], grads)
+        if name in dh2:
+            _backward(state, cache, dh2[name], grads)
     return (l_mlm, l_con, l_cls, l_total), grads
 
 

@@ -727,9 +727,12 @@ class TestBlasThreads:
 
     def test_numpy_stages_byte_identical_across_thread_counts(self, pipeline, tmp_path):
         """train and probe as subprocesses give the same bytes on one BLAS
-        thread as on two.  At ``--dim 256`` the feed-forward products of
-        each 7- to 11-token input (at least 7 x 256 x 1,024) are large
-        enough that OpenBLAS splits them across its threads."""
+        thread as on two.  At ``--dim 256`` the key and value weight
+        gradients of each 7- to 11-token input, ``x.T @ dK`` and
+        ``x.T @ dV`` (256 x n by n x 256), are products that OpenBLAS splits
+        across both threads: with two threads, its worker thread's CPU time
+        matches the calling thread's on each.  The feed-forward products, which
+        run at the one or two mask rows only, are too small to rely on."""
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -1313,6 +1316,28 @@ class TestExitCodes:
         bad.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
         assert main(["stats", "--samples", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("detmask: error:")
+
+    @pytest.mark.parametrize("distance", [-5, 2, 7])
+    def test_edit_distance_outside_alignment_rule_is_data_error(self, pipeline, tmp_path,
+                                                              capsys, distance):
+        """The aligner writes only 0 or 1 (edit distance below 2); any other
+        integer is a malformed line in every reader of samples.jsonl."""
+        lines = pipeline["samples"].read_text(encoding="utf-8").splitlines()
+        second = json.loads(lines[1])
+        second["triplets"][0]["edit_distance"] = distance
+        bad = tmp_path / "samples.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(second), *lines[2:]]) + "\n",
+                       encoding="utf-8")
+        message = f"detmask: error: {bad}:2: edit_distance must be 0 or 1\n"
+        for argv in (["stats", "--samples", str(bad)],
+                     ["mask", "--samples", str(bad), "--out", str(tmp_path / "m.jsonl"),
+                      "--emit", "pair"],
+                     ["probe", "--model", str(pipeline["ckpt"]),
+                      "--templates", str(pipeline["templates"]),
+                      "--facts", str(pipeline["facts"]), "--out", str(tmp_path / "r.json"),
+                      "--kb", str(pipeline["kb"]), "--pretrain", str(bad)]):
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr().err == message, argv[0]
 
     def test_kb_table_not_utf8_is_data_error(self, tmp_path, capsys):
         paths = write_inputs(tmp_path)

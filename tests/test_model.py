@@ -30,6 +30,7 @@ from detmask.masking import (
     make_contrastive_pair,
 )
 from detmask.model import (
+    _forward,
     ModelConfig,
     ModelState,
     init,
@@ -40,7 +41,7 @@ from detmask.model import (
     save_checkpoint,
     train,
 )
-from oracles import finite_diff_check, full_head_losses_oracle, train_oracle
+from oracles import _full_forward, finite_diff_check, full_head_losses_oracle, train_oracle
 from worldgen import random_tokenized_sample
 
 
@@ -253,6 +254,25 @@ class TestGradientCheck:
         item = (keep, drop, rand)
         assert finite_diff_check(state, item, coeffs=(1, 1, 1), **self.CFG) < 1e-4
 
+    @pytest.mark.parametrize("positions", [[1, 2], [1, 1]])
+    def test_every_coordinate_of_a_small_model(self, positions):
+        # Small enough (V = 8, d = 4, n = 4) to check all 280 parameters.  A
+        # repeated position must send each of its rows back to the
+        # embeddings: a scatter that keeps one row per position passes the
+        # sampled checks above but not this one.
+        state = init(ModelConfig(vocab_size=8, d=4, max_len=4, seed=2))
+        rng = np.random.default_rng(3)
+        for arr in state.params().values():
+            arr += rng.normal(0.0, 0.3, size=arr.shape)
+        count = sum(arr.size for arr in state.params().values())
+        plain = masked([3, MASK_ID, MASK_ID, 4], positions, [5, 6])
+        keep = masked([3, MASK_ID, 4, 5], positions, [5, 6], Variant.KEEP_CLUES)
+        drop = masked([MASK_ID, MASK_ID, 4, 5], positions, [5, 6], Variant.MASK_CLUES)
+        rand = masked([3, MASK_ID, MASK_ID, 7], positions, [5, 6], Variant.MASK_RANDOM)
+        for item in (plain, (keep, drop, rand)):
+            assert finite_diff_check(state, item, coeffs=(1, 1, 1), eps=1e-4,
+                                     min_coords=count) < 1e-4
+
     def test_grad_uses_config_weights(self):
         # One training step moves the weights by lr times the gradient at the
         # config's loss weights.
@@ -292,6 +312,61 @@ class TestFullHeadOracle:
                 assert (l_mlm, l_con, l_cls) == pytest.approx(expected, rel=0, abs=1e-12)
                 checked += 1
         assert checked == 36
+
+
+class TestRowForward:
+    """h2 and the head at the read rows equal a forward of every position."""
+
+    def state(self, seed: int) -> ModelState:
+        state = init(ModelConfig(vocab_size=12, d=4, max_len=10, seed=seed))
+        rng = np.random.default_rng(seed)
+        for arr in state.params().values():
+            arr += rng.normal(0.0, 0.5, size=arr.shape)
+        return state
+
+    def check_rows(self, state, tokens, rows):
+        cache = _forward(state, tokens, rows)
+        seqs, positions = (np.zeros_like(rows), rows) if np.ndim(tokens) == 1 else rows
+        assert cache["h2"].shape == (len(positions), 4)
+        for i, (b, p) in enumerate(zip(seqs, positions)):
+            h2, probs = _full_forward(state.params(), tuple(np.atleast_2d(tokens)[b]), PAD_ID)
+            np.testing.assert_allclose(cache["h2"][i], h2[p], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache["probs"][i], probs[p], rtol=0, atol=1e-12)
+
+    def test_one_sequence_with_pad_keys_and_repeats(self):
+        state = self.state(1)
+        tokens = [3, MASK_ID, 4, MASK_ID, PAD_ID, PAD_ID]
+        self.check_rows(state, tokens, np.array([1, 3, 1, 0]))
+
+    def test_batch_with_different_mask_counts(self):
+        state = self.state(2)
+        batch = [[3, MASK_ID, 4, PAD_ID, MASK_ID],
+                 [MASK_ID, 5, 6, 7, 8],
+                 [PAD_ID, MASK_ID, MASK_ID, MASK_ID, 9]]
+        self.check_rows(state, batch, np.nonzero(np.asarray(batch) == MASK_ID))
+        # The same sequence twice and a row listed twice.
+        self.check_rows(state, [batch[2], batch[2]], (np.array([0, 0, 1]), np.array([2, 2, 3])))
+
+    def test_long_sequence_holds_no_n_by_n_matrix(self):
+        # One read row of a 2,048-token sequence: the attention is one row
+        # of scores, so a step peaks far below one n x n float64 matrix.
+        n = 2048
+        state = init(ModelConfig(vocab_size=8, d=4, max_len=n, seed=4))
+        tokens = [3 + i % 5 for i in range(n)]
+        tokens[7] = MASK_ID
+        item = masked(tokens, [7], [5])
+        grads = loss_and_grad(state, item, (1, 0, 0))[1]
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loss_and_grad(state, item, (1, 0, 0), grads=grads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < (8 * n * n) // 16
 
 
 class TestTrain:
