@@ -2,23 +2,22 @@
 
 Every stage reads and writes materialized files, so any step can be re-run
 in isolation and outputs can be diffed across runs.  Exit codes: 0 success,
-1 usage error, 2 data error.  ``main`` runs each stage: once a stage that
-returns a ``StageResult`` succeeds, ``main`` writes a manifest JSON next to
-its main output, last of all its files, recording the input paths, seed,
+1 usage error (also two outputs of one stage that resolve to one file), 2
+data error.  ``main`` runs each stage: once a stage that returns a
+``StageResult`` succeeds, ``main`` writes a manifest JSON next to its main
+output, last of all its files, recording the input paths, seed,
 configuration, counters, ``started`` (when the stage began) and
 ``duration_s`` (the whole stage, reading and every write included).  A
 failed stage writes no manifest.  Each ``cmd_*`` imports the modules of its
 own stage.  Besides ``errors`` and ``fileio``, ``build-kb`` loads only
-``kb`` and ``report`` nothing more; ``align`` and ``stats`` start without
-numpy; ``mask`` loads it only for the modes that draw at random, and
-``train`` and ``probe`` always load it.  Logging verbosity
-comes from the DETMASK_LOG environment variable (error, info or debug;
-default error).  Only ``align`` (a warning per skipped paragraph) and
-``mask`` (an info line per skipped group) log, so below info nothing can
-show and ``logging`` is never imported.  ``main`` sets OPENBLAS_NUM_THREADS
-to 1 unless it is already set, before any stage loads numpy: the stages'
-matrix products are small, and waking a second BLAS thread for each costs
-more than it saves.
+``kb`` and ``report`` nothing more; only ``train`` and ``probe`` load numpy
+(``mask`` draws with ``random.Random``).  Logging verbosity comes from the
+DETMASK_LOG environment variable (error, info or debug; default error).
+Only ``align`` (a warning per skipped paragraph) and ``mask`` (an info line
+per skipped group) log, so below info nothing can show and ``logging`` is
+never imported.  ``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is
+already set, before any stage loads numpy: the stages' matrix products are
+small, and waking a second BLAS thread for each costs more than it saves.
 """
 
 from __future__ import annotations
@@ -89,6 +88,17 @@ def _logger(name: str):
     return logging.getLogger(name)
 
 
+def _distinct_outputs(**paths) -> None:
+    """Raise ``UsageError`` if two of a stage's outputs (flag=path, the main
+    output first, whose manifest is one too) resolve to one file."""
+    flag, path = next(iter(paths.items()))
+    paths[f"the {flag} manifest"] = f"{path}.manifest.json"
+    seen: dict[str, str] = {}
+    for flag, path in paths.items():
+        if (other := seen.setdefault(os.path.realpath(path), flag)) != flag:
+            raise UsageError(f"{other} and {flag} name the same file {path}")
+
+
 def cmd_build_kb(args) -> StageResult:
     from .kb import load_kb, write_kb_dir
 
@@ -108,6 +118,9 @@ def cmd_align(args) -> StageResult:
     from .align import build_dataset
     from .kb import load_kb_dir
 
+    out = Path(args.out)
+    ssm_out = args.ssm_out or out.with_name(out.stem + ".ssm" + out.suffix)
+    _distinct_outputs(**{"--out": out, "--ssm-out": ssm_out})
     kb = load_kb_dir(args.kb)
     corpus = formats.read_corpus(args.corpus)
     result = build_dataset(corpus, kb)
@@ -115,8 +128,6 @@ def cmd_align(args) -> StageResult:
         for doc_id, reason in result.skips:
             log.warning("skipping paragraph %s: %s", doc_id, reason)
     formats.write_samples(args.out, result.deterministic_samples)
-    out = Path(args.out)
-    ssm_out = args.ssm_out or out.with_name(out.stem + ".ssm" + out.suffix)
     formats.write_ssm(ssm_out, result.span_samples)
     c = result.counters
     counters = {
@@ -135,6 +146,8 @@ def cmd_align(args) -> StageResult:
 
 
 def cmd_mask(args) -> StageResult:
+    from random import Random
+
     from . import formats
     from .masking import (MaskScheme, Vocabulary, apply_mask, make_classification_triple,
                           make_contrastive_pair, tokenize_for_spans, tokenize_groups)
@@ -142,6 +155,8 @@ def cmd_mask(args) -> StageResult:
 
     if (args.scheme is None) == (args.emit is None):
         raise UsageError("exactly one of --scheme or --emit is required")
+    vocab_path = args.vocab or Path(args.out).with_name("vocab.json")
+    _distinct_outputs(**{"--out": args.out, "--vocab": vocab_path})
     samples = formats.read_samples(args.samples) if args.samples else []
     ssm = formats.read_ssm(args.ssm) if args.ssm else []
     # One tokenization per distinct paragraph, shared by the vocabulary and the samples.
@@ -150,7 +165,6 @@ def cmd_mask(args) -> StageResult:
     if not tokenized:
         raise EmptyDataset("no input samples (pass --samples and/or --ssm)")
     vocab = Vocabulary.build(tokenized.values())
-    vocab_path = args.vocab or Path(args.out).with_name("vocab.json")
     formats.write_vocab(vocab_path, vocab)
 
     skipped: Counter = Counter()
@@ -164,11 +178,9 @@ def cmd_mask(args) -> StageResult:
     else:
         pairs = ((s, ts) for s in samples
                  for ts in tokenize_groups(s, tokenized[s.paragraph.text], vocab))
-    # Pairs and the object schemes draw nothing; the others seed a Generator per group.
+    # Pairs and the object schemes draw nothing; the others seed a Random per group.
     draws = args.emit == "triple" or scheme not in (None, MaskScheme.DETERMINISTIC,
                                                      MaskScheme.OBJECT_SPAN)
-    if draws:
-        from numpy.random import default_rng
     log = _logger("detmask.cli")
 
     def masked_lines():
@@ -176,7 +188,7 @@ def cmd_mask(args) -> StageResult:
         ``DataError`` is skipped whole and counted."""
         nonlocal groups
         for sample, ts in pairs:
-            rng = default_rng([args.seed, groups]) if draws else None
+            rng = Random(f"{args.seed}/{groups}") if draws else None
             groups += 1
             try:
                 if args.emit == "pair":
@@ -207,6 +219,8 @@ def cmd_train(args) -> StageResult:
     from . import formats
     from .model import ModelConfig, save_checkpoint, train
 
+    log_path = args.log or str(args.out) + ".log.jsonl"
+    _distinct_outputs(**{"--out": args.out, "--log": log_path})
     vocab = formats.read_vocab(args.vocab)
     # Training reads item ``step % len(items)``, so it never reads past item ``steps``.
     items, n_items, longest = formats.read_masked(args.data, vocab.size, args.vocab,
@@ -221,7 +235,6 @@ def cmd_train(args) -> StageResult:
     )
     state, train_log = train(config, items, args.steps, args.lr)
     save_checkpoint(args.out, state, config, vocab)
-    log_path = args.log or str(args.out) + ".log.jsonl"
     formats.write_train_log(log_path, train_log)
     run_config = {
         "steps": args.steps,

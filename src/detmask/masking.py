@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import repeat
+from random import Random
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .align import AlignedSample, Span, object_groups
 from .errors import DataError, InsufficientContext, NoClues, NoMaskableContent
 from .tokenizer import Tokens, count_words, tokens_inside
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PAD_ID = 0
 MASK_ID = 1
@@ -192,24 +190,14 @@ def tokenize_for_spans(sample: AlignedSample, tokens: Tokens,
     )
 
 
-def _words(sample: TokenizedSample) -> list[range]:
-    starts = [i for i, first in enumerate(sample.word_boundaries) if first or i == 0]
-    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(sample.tokens)])]
-
-
-def _choose(rng: np.random.Generator, candidates: Sequence, k: int) -> list:
-    picked = rng.choice(len(candidates), size=k, replace=False)
-    return [candidates[int(i)] for i in picked]
-
-
 def apply_mask(sample: TokenizedSample, scheme: MaskScheme,
-               rng: Optional[np.random.Generator]) -> MaskedSample:
+               rng: Optional[Random]) -> MaskedSample:
     """Mask ``sample`` under one scheme; counts are tied to the object span.
 
-    Random-token masking draws as many positions as the object has tokens;
-    whole-word masking draws as many whole words as the object surface has
-    space-separated words; span masking picks one linked entity span; the
-    object schemes mask exactly the object tokens and leave ``rng`` unused.
+    Random-token masking draws (``rng.sample``) as many positions as the
+    object has tokens, whole-word masking as many whole words as the object
+    surface has space-separated words; span masking picks one linked entity
+    span (``rng.randrange``); the object schemes mask the object, no ``rng``.
     """
     objects = sample.object_positions
     if scheme in (MaskScheme.DETERMINISTIC, MaskScheme.OBJECT_SPAN):
@@ -220,19 +208,19 @@ def apply_mask(sample: TokenizedSample, scheme: MaskScheme,
         k = len(objects)
         if k == 0 or k > len(sample.tokens):
             raise NoMaskableContent("token budget empty or larger than the sample")
-        return _masked(sample, _choose(rng, range(len(sample.tokens)), k),
-                       Variant.PLAIN, scheme)
+        return _masked(sample, rng.sample(range(len(sample.tokens)), k), Variant.PLAIN, scheme)
     if scheme is MaskScheme.WHOLE_WORD:
         k = sample.object_word_count
-        words = _words(sample)
+        starts = [i for i, first in enumerate(sample.word_boundaries) if first or i == 0]
+        words = [range(a, b) for a, b in zip(starts, starts[1:] + [len(sample.tokens)])]
         if k == 0 or k > len(words):
             raise NoMaskableContent("word budget empty or larger than the sample")
-        positions = [p for w in _choose(rng, words, k) for p in w]
+        positions = [p for w in rng.sample(words, k) for p in w]
         return _masked(sample, positions, Variant.PLAIN, scheme)
     if scheme is MaskScheme.SALIENT_SPAN:
         if not sample.entity_token_spans:
             raise NoMaskableContent("no entity spans to mask")
-        a, b = sample.entity_token_spans[int(rng.integers(len(sample.entity_token_spans)))]
+        a, b = sample.entity_token_spans[rng.randrange(len(sample.entity_token_spans))]
         return _masked(sample, range(a, b), Variant.PLAIN, scheme)
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -251,14 +239,13 @@ def make_contrastive_pair(sample: TokenizedSample) -> tuple[MaskedSample, Masked
 
 
 def make_classification_triple(
-    sample: TokenizedSample, rng: np.random.Generator
+    sample: TokenizedSample, rng: Random
 ) -> tuple[MaskedSample, MaskedSample, MaskedSample]:
     """The three classifier inputs: clues kept, clues masked, random context masked.
 
-    The third input masks the object plus exactly as many uniformly chosen
-    context tokens as there are clue tokens: ascending positions that are
-    neither the group's object or clues nor a clue of any other triplet in
-    the paragraph.
+    The third input masks the object plus as many context tokens as there
+    are clue tokens, drawn by ``rng.sample`` from the positions that are
+    neither the group's object or clues nor a clue of any other triplet.
     """
     keep, drop = make_contrastive_pair(sample)
     clues = sample.clue_positions
@@ -267,7 +254,7 @@ def make_classification_triple(
     if len(eligible) < len(clues):
         raise InsufficientContext(f"need {len(clues)} maskable context tokens, "
                                   f"have {len(eligible)}")
-    randoms = _choose(rng, eligible, len(clues))
+    randoms = rng.sample(eligible, len(clues))
     randv = _masked(sample, sample.object_positions + tuple(randoms),
                     Variant.MASK_RANDOM, MaskScheme.DETERMINISTIC)
     return keep, drop, randv

@@ -626,11 +626,10 @@ def stage_env() -> dict:
 
 class TestStageImports:
     def test_stages_import_only_what_they_use(self, tmp_path):
-        """build-kb, align, stats and report never load numpy; build-kb and report
-        load no reader, aligner or masking code; mask loads no model code, and
-        numpy only in the modes that draw at random.  Outside those modes no
-        stage loads logging, dataclasses, datetime or inspect unless a bare
-        interpreter in the same environment already has."""
+        """build-kb, align, stats, report and every mode of mask never load
+        numpy or model code; build-kb and report load no reader, aligner or
+        masking code.  None of them loads logging, dataclasses, datetime or
+        inspect unless a bare interpreter in the same environment already has."""
         paths = write_inputs(tmp_path)
         kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
         report = tmp_path / "report.json"
@@ -651,12 +650,13 @@ class TestStageImports:
               "--out", str(samples)], numpy_free),
             (["stats", "--samples", str(samples)], numpy_free),
             (["report", "--report", str(report)], (*kb_only, "detmask.kb")),
-            (["mask", "--samples", str(samples), "--out", str(tmp_path / "masked.jsonl"),
-              "--emit", "triple"], ("detmask.model", "detmask.probe")),
-            (["mask", "--samples", str(samples), "--out", str(tmp_path / "pairs.jsonl"),
-              "--emit", "pair"], numpy_free),
-            (["mask", "--samples", str(samples), "--out", str(tmp_path / "objects.jsonl"),
-              "--scheme", "deterministic"], numpy_free),
+            *((["mask", "--samples", str(samples), "--out", str(tmp_path / f"masked{i}.jsonl"),
+                *mode], numpy_free)
+              for i, mode in enumerate([("--emit", "triple"), ("--emit", "pair"),
+                                        ("--scheme", "deterministic"),
+                                        ("--scheme", "random_token"),
+                                        ("--scheme", "whole_word"),
+                                        ("--scheme", "salient_span")])),
         ]
         code = ("import sys\n"
                 "from detmask.cli import main\n"
@@ -829,6 +829,44 @@ class TestDeterminism:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_random_modes_follow_the_seed_not_the_hash_seed(self, tmp_path):
+        samples = tmp_path / "samples.jsonl"
+        write_many_group_samples(samples, paragraphs=4, groups=5, filler=20)
+        modes = [("--emit", "triple"), ("--scheme", "random_token"),
+                 ("--scheme", "whole_word"), ("--scheme", "salient_span")]
+
+        def argv(i: int, seed: int, name: str) -> list[str]:
+            return ["mask", "--samples", str(samples), "--out", str(tmp_path / f"{name}.jsonl"),
+                    *modes[i], "--seed", str(seed)]
+
+        code = ("import json, sys\n"
+                "from detmask.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n")
+        for hash_seed in ("0", "12345"):
+            runs = [argv(i, 7, f"{hash_seed}-{i}") for i in range(len(modes))]
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                                  env={**stage_env(), "PYTHONHASHSEED": hash_seed},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        for i, mode in enumerate(modes):
+            made = (tmp_path / f"0-{i}.jsonl").read_bytes()
+            assert made == (tmp_path / f"12345-{i}.jsonl").read_bytes(), mode
+            assert main(argv(i, 8, "other")) == 0
+            assert (tmp_path / "other.jsonl").read_bytes() != made, mode
+
+    @pytest.mark.parametrize("mode", [("--emit", "pair"), ("--scheme", "deterministic"),
+                                      ("--scheme", "object_span")])
+    def test_modes_that_draw_nothing_ignore_the_seed(self, tmp_path, mode):
+        samples, out = tmp_path / "samples.jsonl", tmp_path / "masked.jsonl"
+        write_many_group_samples(samples, paragraphs=4, groups=5, filler=20)
+        blobs = set()
+        for seed in ("0", "1", "99"):
+            assert main(["mask", "--samples", str(samples), "--out", str(out), *mode,
+                         "--seed", seed]) == 0
+            blobs.add(out.read_bytes())
+        assert len(blobs) == 1
+
 
 def write_many_group_samples(path: Path, paragraphs: int, groups: int, filler: int) -> None:
     """An aligned file whose paragraphs each hold ``groups`` triplets with
@@ -928,6 +966,34 @@ class TestExitCodes:
     def test_neither_scheme_nor_emit_rejected(self, tmp_path):
         code = main(["mask", "--samples", "x.jsonl", "--out", str(tmp_path / "m.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("stage, outputs, flags", [
+        ("align", ["--out", "s.jsonl", "--ssm-out", "s.jsonl"], "--out and --ssm-out"),
+        ("align", ["--out", "s.jsonl", "--ssm-out", "link/s.jsonl"], "--out and --ssm-out"),
+        ("align", ["--out", "s.jsonl", "--ssm-out", "s.jsonl.manifest.json"],
+         "--ssm-out and the --out manifest"),
+        ("mask", ["--out", "v.json", "--vocab", "v.json"], "--out and --vocab"),
+        ("mask", ["--out", "vocab.json"], "--out and --vocab"),
+        ("train", ["--out", "m.ckpt", "--log", "m.ckpt"], "--out and --log"),
+        ("train", ["--out", "m.ckpt", "--log", "m.ckpt.manifest.json"],
+         "--log and the --out manifest"),
+    ], ids=["align", "align_symlink", "align_manifest", "mask", "mask_default_vocab", "train",
+            "train_manifest"])
+    def test_outputs_naming_one_file_are_usage_error(self, pipeline, tmp_path, monkeypatch,
+                                                     capsys, stage, outputs, flags):
+        """Two outputs of one stage that resolve to one file exit 1 naming
+        both flags, before any input is read, and write nothing."""
+        inputs = {
+            "align": ["--kb", str(pipeline["kb"]), "--corpus", str(pipeline["corpus"])],
+            "mask": ["--samples", str(pipeline["samples"]), "--emit", "pair"],
+            "train": ["--data", str(pipeline["masked"]),
+                      "--vocab", str(pipeline["root"] / "vocab.json"), "--steps", "1"],
+        }[stage]
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        assert main([stage, *inputs, *outputs]) == 1
+        assert f"error: {flags} name the same file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
 
     def test_probe_kb_without_pretrain_rejected(self, tmp_path):
         code = main([

@@ -6,8 +6,9 @@ vocabulary, report text) must match the sha256 digests in
 not pinned, since their bytes may depend on the BLAS build, but two runs
 under different hash seeds and ``--threads`` values must agree on them.
 
-A change that means to alter output bytes regenerates the digest file with
-``PYTHONPATH=src python tests/test_golden.py`` and says so.
+A change that means to alter output bytes says so and regenerates the
+digest file with ``PYTHONPATH=src python tests/test_golden.py``, which prints
+each pinned name whose digest changed (old → new) and how many stayed.
 """
 
 from __future__ import annotations
@@ -129,5 +130,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         write_world(Path(tmp) / "inputs")
         digests = run_pipeline(Path(tmp) / "inputs", Path(tmp) / "run", "0", "1")
+    old = read_digests() if DIGESTS.exists() else {}
+    changed = [name for name in PINNED if old.get(name) != digests[name]]
+    for name in changed:
+        print(f"{name}: {old.get(name, '(none)')[:8]}… → {digests[name][:8]}…")
+    print(f"{len(changed)} changed, {len(PINNED) - len(changed)} unchanged")
     DIGESTS.write_text("".join(f"{digests[name]}  {name}\n" for name in PINNED),
                        encoding="utf-8")

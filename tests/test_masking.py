@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import numpy as np
 import pytest
 
@@ -256,7 +258,7 @@ class TestApplyMask:
 
     def test_deterministic_masks_exactly_object(self):
         tok = self.group()
-        masked = apply_mask(tok, MaskScheme.DETERMINISTIC, np.random.default_rng(0))
+        masked = apply_mask(tok, MaskScheme.DETERMINISTIC, Random(0))
         assert masked.mask_positions == (9, 10)
         assert masked.targets == (tok.tokens[9], tok.tokens[10])
         assert masked.input_tokens[9] == MASK_ID and masked.input_tokens[10] == MASK_ID
@@ -265,27 +267,27 @@ class TestApplyMask:
 
     def test_object_span_equals_deterministic_positions(self):
         tok = self.group()
-        a = apply_mask(tok, MaskScheme.DETERMINISTIC, np.random.default_rng(0))
-        b = apply_mask(tok, MaskScheme.OBJECT_SPAN, np.random.default_rng(0))
+        a = apply_mask(tok, MaskScheme.DETERMINISTIC, Random(0))
+        b = apply_mask(tok, MaskScheme.OBJECT_SPAN, Random(0))
         assert a.mask_positions == b.mask_positions
         assert b.scheme is MaskScheme.OBJECT_SPAN
 
     def test_random_token_budget(self):
         tok = self.group()
-        masked = apply_mask(tok, MaskScheme.RANDOM_TOKEN, np.random.default_rng(1))
+        masked = apply_mask(tok, MaskScheme.RANDOM_TOKEN, Random(1))
         assert len(masked.mask_positions) == len(tok.object_positions) == 2
         assert len(set(masked.mask_positions)) == 2
         assert unmask(masked) == tok.tokens
 
     def test_whole_word_budget(self):
         tok = self.group()
-        masked = apply_mask(tok, MaskScheme.WHOLE_WORD, np.random.default_rng(2))
+        masked = apply_mask(tok, MaskScheme.WHOLE_WORD, Random(2))
         # Every token of the film text is its own word, so two positions.
         assert len(masked.mask_positions) == tok.object_word_count == 2
 
     def test_salient_span_masks_one_entity(self):
         tok = self.group()
-        masked = apply_mask(tok, MaskScheme.SALIENT_SPAN, np.random.default_rng(3))
+        masked = apply_mask(tok, MaskScheme.SALIENT_SPAN, Random(3))
         covered = tuple(range(masked.mask_positions[0], masked.mask_positions[-1] + 1))
         assert masked.mask_positions == covered
         assert (covered[0], covered[-1] + 1) in tok.entity_token_spans
@@ -300,20 +302,56 @@ class TestApplyMask:
             MaskScheme.WHOLE_WORD,
         ):
             with pytest.raises(NoMaskableContent):
-                apply_mask(tok, scheme, np.random.default_rng(0))
+                apply_mask(tok, scheme, Random(0))
 
     def test_no_entity_spans_raises_for_salient(self):
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = plain(FILM_TEXT, vocab)
         with pytest.raises(NoMaskableContent):
-            apply_mask(tok, MaskScheme.SALIENT_SPAN, np.random.default_rng(0))
+            apply_mask(tok, MaskScheme.SALIENT_SPAN, Random(0))
 
     def test_same_seed_same_mask(self):
         tok = self.group()
         for scheme in (MaskScheme.RANDOM_TOKEN, MaskScheme.WHOLE_WORD, MaskScheme.SALIENT_SPAN):
-            a = apply_mask(tok, scheme, np.random.default_rng([9, 4]))
-            b = apply_mask(tok, scheme, np.random.default_rng([9, 4]))
+            a = apply_mask(tok, scheme, Random("9/4"))
+            b = apply_mask(tok, scheme, Random("9/4"))
             assert a == b
+
+
+class TestDrawFrequencies:
+    """Seeded as ``mask`` seeds its groups, ``Random(f"{seed}/{group}")``,
+    the draws are uniform: over 4,000 groups each outcome's count lies within
+    five binomial standard deviations of its expectation."""
+
+    GROUPS = 4000
+
+    def assert_uniform(self, counts, p: float) -> None:
+        expected = self.GROUPS * p
+        bound = 5 * (self.GROUPS * p * (1 - p)) ** 0.5
+        for outcome, count in enumerate(counts):
+            assert abs(count - expected) <= bound, (outcome, count, expected, bound)
+
+    def test_salient_span_picks_each_span_uniformly(self):
+        spans = ((0, 2), (3, 4), (5, 8), (9, 12))
+        tok = TokenizedSample(doc_id="x", tokens=tuple(range(3, 15)),
+                              word_boundaries=(True,) * 12, entity_token_spans=spans)
+        counts = [0] * len(spans)
+        for group in range(self.GROUPS):
+            masked = apply_mask(tok, MaskScheme.SALIENT_SPAN, Random(f"4/{group}"))
+            counts[spans.index((masked.mask_positions[0], masked.mask_positions[-1] + 1))] += 1
+        self.assert_uniform(counts, 1 / len(spans))
+
+    def test_random_token_picks_each_position_uniformly(self):
+        n, k = 10, 3
+        tok = TokenizedSample(doc_id="x", tokens=tuple(range(3, 3 + n)),
+                              word_boundaries=(True,) * n, object_positions=(2, 3, 4))
+        counts = [0] * n
+        for group in range(self.GROUPS):
+            masked = apply_mask(tok, MaskScheme.RANDOM_TOKEN, Random(f"4/{group}"))
+            assert len(set(masked.mask_positions)) == k
+            for p in masked.mask_positions:
+                counts[p] += 1
+        self.assert_uniform(counts, k / n)
 
 
 class TestContrastivePair:
@@ -358,7 +396,7 @@ class TestClassificationTriple:
         sample = film_sample()
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = groups_of(sample, vocab)[0]
-        a, b, c = make_classification_triple(tok, np.random.default_rng(7))
+        a, b, c = make_classification_triple(tok, Random(7))
         assert len(a.mask_positions) == len(tok.object_positions)
         assert len(b.mask_positions) == len(c.mask_positions)
         extra = set(c.mask_positions) - set(tok.object_positions)
@@ -377,7 +415,7 @@ class TestClassificationTriple:
         )
         # Two clues but only one Other token.
         with pytest.raises(InsufficientContext):
-            make_classification_triple(tok, np.random.default_rng(0))
+            make_classification_triple(tok, Random(0))
 
     def test_foreign_positions_shrink_eligible_pool(self):
         tok = TokenizedSample(
@@ -389,7 +427,7 @@ class TestClassificationTriple:
             clue_positions=(0,),
         )
         for seed in range(20):
-            _a, _b, c = make_classification_triple(tok, np.random.default_rng(seed))
+            _a, _b, c = make_classification_triple(tok, Random(seed))
             assert set(c.mask_positions) == {1, 4}
 
 
@@ -400,7 +438,7 @@ class TestRandomSampleProperties:
         rng = np.random.default_rng(123)
         for trial in range(500):
             sample = random_tokenized_sample(rng)
-            mask_rng = np.random.default_rng([55, trial])
+            mask_rng = Random(f"55/{trial}")
 
             det = apply_mask(sample, MaskScheme.DETERMINISTIC, mask_rng)
             assert det.mask_positions == sample.object_positions

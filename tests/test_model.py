@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from random import Random
 
 import numpy as np
 import pytest
@@ -70,11 +71,11 @@ def masked(inputs, positions, targets, variant=Variant.PLAIN) -> MaskedSample:
 
 def sample_triple(seed: int, vocab_size: int = 30):
     """A classification triple from a generated sample that supports one."""
-    rng = np.random.default_rng(seed)
+    rng, mask_rng = np.random.default_rng(seed), Random(seed)
     for _ in range(50):
         sample = random_tokenized_sample(rng, vocab_size=vocab_size, max_len=20)
         try:
-            return make_classification_triple(sample, rng)
+            return make_classification_triple(sample, mask_rng)
         except InsufficientContext:
             continue
     raise AssertionError("generator never produced a usable sample")
@@ -288,25 +289,25 @@ class TestGradientCheck:
 class TestFullHeadOracle:
     """The losses of the mask-row head equal a full n x V head's."""
 
-    def items(self, rng):
+    def items(self, rng, mask_rng):
         while True:
             sample = random_tokenized_sample(rng, vocab_size=30, max_len=20)
             scheme = (MaskScheme.DETERMINISTIC, MaskScheme.RANDOM_TOKEN,
                       MaskScheme.WHOLE_WORD)[int(rng.integers(3))]
             try:
-                return [apply_mask(sample, scheme, rng), make_contrastive_pair(sample),
-                        make_classification_triple(sample, rng)]
+                return [apply_mask(sample, scheme, mask_rng), make_contrastive_pair(sample),
+                        make_classification_triple(sample, mask_rng)]
             except InsufficientContext:
                 continue
 
     def test_losses_match_on_worldgen_items(self):
-        rng = np.random.default_rng(17)
+        rng, mask_rng = np.random.default_rng(17), Random(17)
         checked = 0
         for seed in range(12):
             state = init(ModelConfig(vocab_size=30, d=8, max_len=20, seed=seed))
             for arr in state.params().values():
                 arr += rng.normal(0.0, 0.5, size=arr.shape)
-            for item in self.items(rng):
+            for item in self.items(rng, mask_rng):
                 (l_mlm, l_con, l_cls, _), _ = loss_and_grad(state, item, (1, 1, 1))
                 expected = full_head_losses_oracle(state.params(), item, PAD_ID)
                 assert (l_mlm, l_con, l_cls) == pytest.approx(expected, rel=0, abs=1e-12)
