@@ -88,12 +88,16 @@ def _logger(name: str):
     return logging.getLogger(name)
 
 
-def _distinct_outputs(**paths) -> None:
+def _distinct_outputs(args, **paths) -> None:
     """Raise ``UsageError`` if two of a stage's outputs (flag=path, the main
-    output first, whose manifest is one too) resolve to one file."""
+    output first, whose manifest is one too), or an output and one of the
+    stage's ``args.inputs``, resolve to one file."""
     flag, path = next(iter(paths.items()))
     paths[f"the {flag} manifest"] = f"{path}.manifest.json"
     seen: dict[str, str] = {}
+    for name in args.inputs:
+        if path := getattr(args, name):
+            seen.setdefault(os.path.realpath(path), f"--{name}")
     for flag, path in paths.items():
         if (other := seen.setdefault(os.path.realpath(path), flag)) != flag:
             raise UsageError(f"{other} and {flag} name the same file {path}")
@@ -120,7 +124,7 @@ def cmd_align(args) -> StageResult:
 
     out = Path(args.out)
     ssm_out = args.ssm_out or out.with_name(out.stem + ".ssm" + out.suffix)
-    _distinct_outputs(**{"--out": out, "--ssm-out": ssm_out})
+    _distinct_outputs(args, **{"--out": out, "--ssm-out": ssm_out})
     kb = load_kb_dir(args.kb)
     corpus = formats.read_corpus(args.corpus)
     result = build_dataset(corpus, kb)
@@ -155,10 +159,15 @@ def cmd_mask(args) -> StageResult:
 
     if (args.scheme is None) == (args.emit is None):
         raise UsageError("exactly one of --scheme or --emit is required")
+    scheme = MaskScheme(args.scheme) if args.scheme else None
+    if scheme is not MaskScheme.SALIENT_SPAN and not args.samples:
+        raise UsageError("this mode requires --samples")
     vocab_path = args.vocab or Path(args.out).with_name("vocab.json")
-    _distinct_outputs(**{"--out": args.out, "--vocab": vocab_path})
+    _distinct_outputs(args, **{"--out": args.out, "--vocab": vocab_path})
     samples = formats.read_samples(args.samples) if args.samples else []
     ssm = formats.read_ssm(args.ssm) if args.ssm else []
+    if scheme is not MaskScheme.SALIENT_SPAN and not samples:
+        raise EmptyDataset(f"{args.samples} holds no samples")
     # One tokenization per distinct paragraph, shared by the vocabulary and the samples.
     tokenized = {text: token_spans(text)
                  for text in dict.fromkeys(s.paragraph.text for s in (*samples, *ssm))}
@@ -169,12 +178,9 @@ def cmd_mask(args) -> StageResult:
 
     skipped: Counter = Counter()
     groups = 0
-    scheme = MaskScheme(args.scheme) if args.scheme else None
     if scheme is MaskScheme.SALIENT_SPAN:
         pairs = ((s, tokenize_for_spans(s, tokenized[s.paragraph.text], vocab))
                  for s in ssm or samples)
-    elif not samples:
-        raise UsageError("this mode requires --samples")
     else:
         pairs = ((s, ts) for s in samples
                  for ts in tokenize_groups(s, tokenized[s.paragraph.text], vocab))
@@ -220,7 +226,7 @@ def cmd_train(args) -> StageResult:
     from .model import ModelConfig, save_checkpoint, train
 
     log_path = args.log or str(args.out) + ".log.jsonl"
-    _distinct_outputs(**{"--out": args.out, "--log": log_path})
+    _distinct_outputs(args, **{"--out": args.out, "--log": log_path})
     vocab = formats.read_vocab(args.vocab)
     # Training reads item ``step % len(items)``, so it never reads past item ``steps``.
     items, n_items, longest = formats.read_masked(args.data, vocab.size, args.vocab,
@@ -263,6 +269,7 @@ def cmd_probe(args) -> StageResult:
 
     if (args.kb is None) != (args.pretrain is None):
         raise UsageError("--kb and --pretrain must be given together")
+    _distinct_outputs(args, **{"--out": args.out})
     state, _config, vocab = load_checkpoint(args.model)
     if vocab is None:
         raise DataError("checkpoint does not embed a vocabulary")

@@ -26,11 +26,13 @@ pass therefore runs the embeddings and the key and value projections at
 every position, and the query, the attention row, the feed-forward block and
 ``h2`` only at the read rows: k x n scores and k x 4d activations for k rows,
 not n x n and n x 4d.  The LM head (``h2 @ tok_emb.T + lm_bias``) and its
-softmax run at those rows for the keep and drop inputs in training and at
-the mask positions in prediction; the random input's pass skips the head.
-The backward pass sends dK and dV to every position and dq and dh1 to the
-rows.  One forward serves a single sequence or a batch of sequences of one
-length; ``predict_fill_batch`` fills a batch in one pass.
+softmax run at those rows for the keep and drop inputs in training; the
+random input's pass skips the head.  Prediction runs the head at the mask
+positions and reads each answer off the logits, with the softmax only for
+rows where rounding could make the two disagree.  The backward pass sends
+dK and dV to every position and dq and dh1 to the rows.  One forward serves
+a single sequence or a batch of sequences of one length;
+``predict_fill_batch`` fills a batch in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import (DataError, DetmaskError, EmptyMaskSet, NoMask, NonFiniteLoss,
                      SequenceTooLong)
 from .fileio import atomic_write
-from .masking import MASK_ID, PAD_ID, UNK_ID, MaskedSample, Vocabulary
+from .masking import MASK_ID, PAD_ID, MaskedSample, Vocabulary
 
 _NEG_INF = -1e30
 
@@ -195,14 +197,25 @@ def _forward(state: ModelState, tokens, rows, head: bool = True) -> dict:
         "h2": h2,
     }
     if head:
-        logits = h2 @ state.tok_emb.T
-        logits += state.lm_bias
-        cache["probs"] = _softmax(logits)
+        cache["probs"] = _softmax(_logits(state, h2))
     return cache
+
+
+def _logits(state: ModelState, h2: np.ndarray) -> np.ndarray:
+    """The tied LM head at the rows of ``h2``: one row of V logits each."""
+    logits = h2 @ state.tok_emb.T
+    logits += state.lm_bias
+    return logits
 
 
 def _zero_grads(state: ModelState) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in state.params().items()}
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` over the read rows.  With one row the product sums
+    nothing, and a broadcast multiply gives the same numbers faster."""
+    return a.T * b if len(a) == 1 else a.T @ b
 
 
 def _backward(state: ModelState, cache: dict, dh2: np.ndarray,
@@ -213,13 +226,13 @@ def _backward(state: ModelState, cache: dict, dh2: np.ndarray,
     d = state.tok_emb.shape[1]
     grads["b2"] += dh2.sum(axis=0)
     df = dh2 @ state.w2.T
-    grads["w2"] += cache["f"].T @ dh2
+    grads["w2"] += _rows_product(cache["f"], dh2)
     dpre = df * (cache["pre"] > 0)
-    grads["w1"] += cache["h1"].T @ dpre
+    grads["w1"] += _rows_product(cache["h1"], dpre)
     grads["b1"] += dpre.sum(axis=0)
     dh1 = dh2 + dpre @ state.w1.T
     dctx = dh1 @ state.wo.T
-    grads["wo"] += cache["ctx"].T @ dh1
+    grads["wo"] += _rows_product(cache["ctx"], dh1)
     attn = cache["attn"]
     dattn = dctx @ cache["v"].T
     dv = attn.T @ dctx
@@ -230,7 +243,7 @@ def _backward(state: ModelState, cache: dict, dh2: np.ndarray,
     scale = 1.0 / math.sqrt(d)
     dq = dscores @ cache["k"] * scale
     dk = dscores.T @ cache["q"] * scale
-    grads["wq"] += cache["xr"].T @ dq
+    grads["wq"] += _rows_product(cache["xr"], dq)
     grads["wk"] += cache["x"].T @ dk
     grads["wv"] += cache["x"].T @ dv
     dx = dk @ state.wk.T + dv @ state.wv.T
@@ -390,7 +403,8 @@ def train(
 
 
 def predict_fill(state: ModelState, tokens: Sequence[int]) -> list[int]:
-    """Independent argmax at every mask position, skipping sentinel ids.
+    """Independent argmax of the head softmax at every mask position,
+    skipping sentinel ids.
 
     Ties resolve to the lowest token id.
     """
@@ -398,20 +412,68 @@ def predict_fill(state: ModelState, tokens: Sequence[int]) -> list[int]:
 
 
 def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]]) -> list[list[int]]:
-    """``predict_fill`` of each sequence in ``batch``, all of one length, in one pass;
-    parameters so large that the forward pass overflows raise ``DataError``."""
+    """``predict_fill`` of each sequence in ``batch``, all of one length, in one pass.
+
+    Each answer is read off the logits where that provably equals the
+    softmax's argmax, and from the softmax elsewhere (``_fill_argmax``).
+    Parameters so large that the forward pass overflows raise ``DataError``.
+    """
     toks = np.asarray(batch, dtype=np.int64)
     is_mask = toks == MASK_ID
     if not is_mask.any(axis=1).all():
         raise NoMask("input has no mask positions")
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _forward(state, toks, np.nonzero(is_mask))["probs"]
-    if not np.isfinite(probs).all():
-        raise DataError("non-finite activations: the model's parameters overflow its forward pass")
-    probs[:, [PAD_ID, MASK_ID, UNK_ID]] = -1.0
+        h2 = _forward(state, toks, np.nonzero(is_mask), head=False)["h2"]
+        answers = _fill_argmax(_logits(state, h2))
     # np.nonzero lists the rows sequence by sequence, each in position order.
     ends = np.cumsum(is_mask.sum(axis=1))[:-1]
-    return [part.tolist() for part in np.split(probs.argmax(axis=1), ends)]
+    return [part.tolist() for part in np.split(answers, ends)]
+
+
+# The sentinels PAD_ID, MASK_ID and UNK_ID are ids 0-2; content starts here.
+_CONTENT = 3
+
+
+def _fill_argmax(logits: np.ndarray) -> np.ndarray:
+    """Each row's argmax over the content ids of the head softmax, lowest id
+    on ties; ``DataError`` if a row's softmax is non-finite.
+
+    That softmax is non-finite exactly when the row max ``m`` over all V is:
+    NaN, +inf, or a row of -inf.  Otherwise a row is answered from its
+    logits when the softmax provably agrees.  The softmax computes
+    ``p_j = fl(e_j / S)`` with ``e_j = fl(exp(fl(l_j - m)))``.  Let ``b`` be
+    the best content logit and ``r`` the runner-up, so every other content
+    logit is some ``l <= r``, and let ``u = 2**-53``.  The subtraction errs
+    by at most ``u (m - l)`` and ``m - l = (m - b) + (b - l)``; exp errs by
+    a few ulps.  So ``ln(e_b / e_l) >= (b - l)(1 - u) - 2u(|b| + |m|) - 10u``.
+    If ``b - r > 1e-12 (1 + |b| + |m|)``, about ``9000u (1 + |b| + |m|)``,
+    that bound exceeds 4u, a gap that the correctly rounded division by
+    ``S`` cannot close while ``p_b`` is a normal number.  ``b >= m - 600``
+    ensures that: ``e_b >= exp(-600) ~ 1e-261`` and ``S <= V``.  Every other
+    row goes through the softmax itself: exact and near ties, and content
+    probabilities that underflow beneath a dominating sentinel.
+    """
+    # Whole-row reductions run on contiguous rows; the sentinels sit at -inf
+    # meanwhile.  argmax stops at a NaN, so m is NaN whenever the row holds one.
+    rank = np.arange(len(logits))
+    sentinels = logits[:, :_CONTENT].copy()
+    logits[:, :_CONTENT] = -np.inf
+    best = logits.argmax(axis=1)
+    b = logits[rank, best]
+    m = np.maximum(b, sentinels.max(axis=1))
+    if not np.isfinite(m).all():
+        raise DataError("non-finite activations: the model's parameters overflow its forward pass")
+    logits[rank, best] = -np.inf
+    r = logits.max(axis=1)
+    logits[rank, best] = b
+    logits[:, :_CONTENT] = sentinels
+    clear = (b - r > 1e-12 * (1.0 + np.abs(b) + np.abs(m))) & (b >= m - 600.0)
+    slow = np.flatnonzero(~clear)
+    if len(slow):
+        probs = _softmax(logits[slow])
+        probs[:, :_CONTENT] = -1.0
+        best[slow] = probs.argmax(axis=1)
+    return best
 
 
 CHECKPOINT_FORMAT = "detmask-checkpoint"

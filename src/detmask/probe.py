@@ -20,7 +20,7 @@ fact in the pre-training data) and unique-object vs multi-object relations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -62,18 +62,22 @@ class Fact:
 
 @dataclass(frozen=True)
 class ClozeQuestion:
+    """One prompt of one fact.  ``gold_tokens`` (the object surface's tokens,
+    tokenized here unless given) and ``question_id`` are set once, at
+    construction."""
+
     fact: Fact
     prompt_tokens: tuple[str, ...]
     prompt_id: int
+    gold_tokens: Optional[tuple[str, ...]] = field(default=None, repr=False, compare=False)
+    question_id: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def question_id(self) -> str:
+    def __post_init__(self) -> None:
+        if self.gold_tokens is None:
+            object.__setattr__(self, "gold_tokens", tuple(tokens_lower(self.fact.object_surface)))
         t = self.fact.triplet
-        return f"{t.subject}|{t.predicate}|{t.object}#{self.prompt_id}"
-
-    @property
-    def gold_tokens(self) -> tuple[str, ...]:
-        return tuple(tokens_lower(self.fact.object_surface))
+        object.__setattr__(self, "question_id",
+                           f"{t.subject}|{t.predicate}|{t.object}#{self.prompt_id}")
 
 
 @dataclass(frozen=True)
@@ -116,45 +120,75 @@ class MetricsReport:
 _PLACEHOLDER = re.compile(r"(\[X\]|\[Y\])")
 
 
+def _template_pieces(template: Template) -> list:
+    """The pattern split at its placeholders: each placeholder as its own
+    string, every other piece as its token list."""
+    pieces = _PLACEHOLDER.split(template.pattern)
+    for ph in ("[X]", "[Y]"):
+        if pieces.count(ph) != 1:
+            raise BadTemplate(f"pattern must contain exactly one {ph}: {template.pattern!r}")
+    return [p if p in ("[X]", "[Y]") else tokens_lower(p) for p in pieces]
+
+
+def _fact_tokens(fact: Fact) -> tuple[tuple[str, ...], list[str]]:
+    """The object and subject surfaces' tokens; an object without tokens
+    cannot be asked for."""
+    gold = tuple(tokens_lower(fact.object_surface))
+    if not gold:
+        raise DataError(f"object surface {fact.object_surface!r} has no tokens")
+    return gold, tokens_lower(fact.subject_surface)
+
+
+def _render(pieces: list, fact: Fact, gold: tuple[str, ...], subject: list[str],
+            prompt_id: int) -> ClozeQuestion:
+    fill = {"[X]": subject, "[Y]": [MASK_TOKEN] * len(gold)}
+    tokens = [t for piece in pieces for t in (fill[piece] if isinstance(piece, str) else piece)]
+    return ClozeQuestion(fact=fact, prompt_tokens=tuple(tokens), prompt_id=prompt_id,
+                         gold_tokens=gold)
+
+
 def instantiate(template: Template, fact: Fact, prompt_id: int = 0) -> ClozeQuestion:
     """Render one cloze question: subject filled in, object slot masked.
 
     The placeholders are substituted at the token level, so surfaces that
     happen to contain bracket sequences cannot corrupt the prompt.
     """
-    gold = tokens_lower(fact.object_surface)
-    if not gold:
-        raise DataError(f"object surface {fact.object_surface!r} has no tokens")
-    pieces = _PLACEHOLDER.split(template.pattern)
-    for ph in ("[X]", "[Y]"):
-        if pieces.count(ph) != 1:
-            raise BadTemplate(f"pattern must contain exactly one {ph}: {template.pattern!r}")
-    fill = {"[X]": tokens_lower(fact.subject_surface), "[Y]": [MASK_TOKEN] * len(gold)}
-    tokens = [t for piece in pieces
-              for t in (fill[piece] if piece in fill else tokens_lower(piece))]
-    return ClozeQuestion(fact=fact, prompt_tokens=tuple(tokens), prompt_id=prompt_id)
+    gold, subject = _fact_tokens(fact)
+    return _render(_template_pieces(template), fact, gold, subject, prompt_id)
 
 
 def build_questions(
     templates: Sequence[Template], facts: Sequence[Fact]
 ) -> list[ClozeQuestion]:
     """All prompts for all facts, whose triplets must be distinct (they name the
-    questions); prompt ids follow template order per relation."""
+    questions); prompt ids follow template order per relation.
+
+    The same as ``instantiate`` of every fact with each template of its
+    relation, but each fact's surfaces and each template's pieces are
+    tokenized once; a template is checked when a fact first uses it.
+    """
     by_relation: dict[str, list[Template]] = {}
     for t in templates:
         by_relation.setdefault(t.relation, []).append(t)
+    pieces: dict[Template, list] = {}
     questions: list[ClozeQuestion] = []
     for fact in facts:
-        for i, template in enumerate(by_relation.get(fact.triplet.predicate, [])):
-            questions.append(instantiate(template, fact, prompt_id=i))
+        relation_templates = by_relation.get(fact.triplet.predicate)
+        if not relation_templates:
+            continue
+        gold, subject = _fact_tokens(fact)
+        for i, template in enumerate(relation_templates):
+            if template not in pieces:
+                pieces[template] = _template_pieces(template)
+            questions.append(_render(pieces[template], fact, gold, subject, i))
     return questions
 
 
-def _contains_run(haystack: Sequence[str], needle: Sequence[str]) -> bool:
+def _contains_run(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
     n, m = len(haystack), len(needle)
     if m == 0 or m > n:
         return False
-    return any(tuple(haystack[i : i + m]) == tuple(needle) for i in range(n - m + 1))
+    return any(haystack[i : i + m] == needle for i in range(n - m + 1))
 
 
 def filter_leakage(
@@ -191,7 +225,8 @@ def split_questions(
 
 
 def _metrics(questions: Sequence[ClozeQuestion],
-             predictions: Mapping[str, Sequence[str]]) -> SplitMetrics:
+             answers: Mapping[str, tuple[str, ...]]) -> SplitMetrics:
+    """One split's metrics from the lowercased answers by question id."""
     by_fact: dict[Triplet, list[ClozeQuestion]] = {}
     for q in questions:
         by_fact.setdefault(q.fact.triplet, []).append(q)
@@ -200,24 +235,24 @@ def _metrics(questions: Sequence[ClozeQuestion],
     pairs = 0
     joint_facts = 0
     for fact_questions in by_fact.values():
-        answers = []
+        fact_answers = []
         all_right = True
         for q in fact_questions:
-            if q.question_id not in predictions:
+            answer = answers.get(q.question_id)
+            if answer is None:
                 raise MissingPrediction(q.question_id)
-            answer = tuple(t.lower() for t in predictions[q.question_id])
-            answers.append(answer)
+            fact_answers.append(answer)
             if answer == q.gold_tokens:
                 n_correct += 1
             else:
                 all_right = False
         if all_right:
             joint_facts += 1
-        n = len(answers)
+        n = len(fact_answers)
         pairs += n * (n - 1) // 2
         for i in range(n):
             for j in range(i + 1, n):
-                if answers[i] == answers[j]:
+                if fact_answers[i] == fact_answers[j]:
                     agreeing += 1
     n_questions = len(questions)
     n_facts = len(by_fact)
@@ -244,12 +279,14 @@ _LABELLED_SPLITS = MappingProxyType({
 def evaluate(
     questions: Sequence[ClozeQuestion], predictions: Mapping[str, Sequence[str]]
 ) -> MetricsReport:
-    """Score predictions; split sub-reports appear when facts carry the labels."""
-    splits = {"total": _metrics(questions, predictions)}
+    """Score predictions, compared case-insensitively; split sub-reports
+    appear when facts carry the labels."""
+    answers = {qid: tuple(t.lower() for t in answer) for qid, answer in predictions.items()}
+    splits = {"total": _metrics(questions, answers)}
     for name, (label, value) in _LABELLED_SPLITS.items():
         if questions and all(getattr(q.fact, label) is not None for q in questions):
             splits[name] = _metrics(
-                [q for q in questions if getattr(q.fact, label) == value], predictions
+                [q for q in questions if getattr(q.fact, label) == value], answers
             )
     return MetricsReport(**splits)
 

@@ -30,6 +30,11 @@ the non-pad keys, and nothing from ``detmask.model``; its ``_full_forward``
 also gives the tests the contextual embeddings and every position's
 vocabulary distribution of one sequence.
 
+``predict_fill_oracle`` answers a batch of cloze prompts from the whole
+head softmax at every mask row: the sentinel ids set to -1, then an id by id
+scan that keeps the first of equal maxima.  ``model.predict_fill_batch``
+reads most answers straight off the logits.
+
 ``finite_diff_check`` compares ``model.loss_and_grad``'s analytic gradients
 with central differences of its own losses.
 
@@ -71,8 +76,9 @@ from detmask.align import AlignedSample, Paragraph
 from detmask.errors import BadTemplate, DataError, MalformedLine
 from detmask.formats import _require, read_jsonl, write_jsonl
 from detmask.kb import KnowledgeBase, Triplet, _iter_lines, _parse_id
-from detmask.masking import MASK_TOKEN, MaskedSample, MaskScheme, Variant
-from detmask.model import ModelConfig, ModelState, TrainItem, init, loss_and_grad
+from detmask.masking import (MASK_ID, MASK_TOKEN, PAD_ID, UNK_ID, MaskedSample, MaskScheme,
+                             Variant)
+from detmask.model import ModelConfig, ModelState, TrainItem, _forward, init, loss_and_grad
 from detmask.tokenizer import lower_aligned, tokens_lower
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -425,6 +431,30 @@ def _full_forward(params: dict, tokens: tuple[int, ...], pad_id: int):
     h2 = h1 + hidden @ params["w2"] + params["b2"]
     probs = _softmax_rows(h2 @ params["tok_emb"].T + params["lm_bias"])
     return h2, probs
+
+
+def predict_fill_oracle(state: ModelState, batch) -> list[list[int]]:
+    """Each sequence's answer ids at its mask positions, from the full head
+    softmax with the sentinels at -1 and ties to the lowest id.  A
+    non-finite probability raises ``DataError``.  ``h2`` comes from
+    ``model._forward``, which ``_full_forward`` checks on its own, so that
+    the head and the argmax are all that differ from the model."""
+    toks = np.asarray(batch, dtype=np.int64)
+    h2 = _forward(state, toks, np.nonzero(toks == MASK_ID), head=False)["h2"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _softmax_rows(h2 @ state.tok_emb.T + state.lm_bias)
+    if not np.isfinite(probs).all():
+        raise DataError("non-finite head softmax")
+    probs[:, [PAD_ID, MASK_ID, UNK_ID]] = -1.0
+    answers = []
+    for row in probs:
+        best = 0
+        for j in range(1, len(row)):
+            if row[j] > row[best]:
+                best = j
+        answers.append(best)
+    counts = [list(seq).count(MASK_ID) for seq in batch]
+    return [answers[sum(counts[:i]):sum(counts[:i + 1])] for i in range(len(counts))]
 
 
 def full_head_losses_oracle(params: dict, item, pad_id: int) -> tuple[float, float, float]:

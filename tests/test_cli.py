@@ -933,10 +933,12 @@ class TestMaskSources:
         assert {m.scheme.value for m in masked} == {"salient_span"}
 
     def test_pair_from_ssm_only_is_usage_error(self, pipeline, tmp_path, capsys):
+        """The usage error comes before any read or write: no vocabulary is left."""
         code = main(["mask", "--ssm", str(self.ssm_path(pipeline)),
                      "--out", str(tmp_path / "m.jsonl"), "--emit", "pair"])
         assert code == 1
         assert "requires --samples" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:
@@ -994,6 +996,32 @@ class TestExitCodes:
         assert main([stage, *inputs, *outputs]) == 1
         assert f"error: {flags} name the same file" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    @pytest.mark.parametrize("stage, args, flags", [
+        ("mask", ["--samples", "samples.jsonl", "--out", "samples.jsonl", "--emit", "pair"],
+         "--samples and --out"),
+        ("mask", ["--samples", "samples.jsonl", "--out", "m.jsonl", "--vocab", "link/samples.jsonl",
+                  "--emit", "pair"], "--samples and --vocab"),
+        ("train", ["--data", "masked.jsonl", "--vocab", "vocab.json", "--out", "masked.jsonl",
+                   "--steps", "1"], "--data and --out"),
+        ("train", ["--data", "masked.jsonl", "--vocab", "vocab.json", "--out", "m.ckpt",
+                   "--log", "vocab.json", "--steps", "1"], "--vocab and --log"),
+        ("probe", ["--model", "model.ckpt", "--templates", "templates.jsonl",
+                   "--facts", "facts.jsonl", "--out", "facts.jsonl"], "--facts and --out"),
+    ], ids=["mask", "mask_vocab_symlink", "train", "train_log", "probe"])
+    def test_output_naming_an_input_is_usage_error(self, pipeline, tmp_path, monkeypatch,
+                                                   capsys, stage, args, flags):
+        """An output that resolves to one of the stage's inputs exits 1 naming
+        both flags, before any read, and leaves every file as it was."""
+        for name in ("samples.jsonl", "masked.jsonl", "vocab.json", "model.ckpt",
+                     "templates.jsonl", "facts.jsonl"):
+            (tmp_path / name).write_bytes((pipeline["root"] / name).read_bytes())
+        (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        monkeypatch.chdir(tmp_path)
+        assert main([stage, *args]) == 1
+        assert f"error: {flags} name the same file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
     def test_probe_kb_without_pretrain_rejected(self, tmp_path):
         code = main([

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+import warnings
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import detmask.model
 from detmask.errors import (
     DataError,
     DetmaskError,
@@ -22,6 +26,7 @@ from detmask.errors import (
 from detmask.masking import (
     MASK_ID,
     PAD_ID,
+    UNK_ID,
     MaskScheme,
     MaskedSample,
     Variant,
@@ -42,7 +47,8 @@ from detmask.model import (
     save_checkpoint,
     train,
 )
-from oracles import _full_forward, finite_diff_check, full_head_losses_oracle, train_oracle
+from oracles import (_full_forward, finite_diff_check, full_head_losses_oracle,
+                     predict_fill_oracle, train_oracle)
 from worldgen import random_tokenized_sample
 
 
@@ -274,6 +280,22 @@ class TestGradientCheck:
             assert finite_diff_check(state, item, coeffs=(1, 1, 1), eps=1e-4,
                                      min_coords=count) < 1e-4
 
+    def test_one_row_products_equal_matmul(self, monkeypatch):
+        # With one mask position the weight products a.T @ b sum nothing, and
+        # their broadcast form gives the same gradients, bit for bit.
+        state = init(ModelConfig(vocab_size=12, d=8, max_len=6, seed=5))
+        for arr in state.params().values():
+            arr *= 20.0
+        keep = masked([3, MASK_ID, 4, 5, PAD_ID], [1], [6], Variant.KEEP_CLUES)
+        drop = masked([MASK_ID, MASK_ID, 4, 5, PAD_ID], [1], [6], Variant.MASK_CLUES)
+        rand = masked([3, MASK_ID, MASK_ID, 5, PAD_ID], [1], [6], Variant.MASK_RANDOM)
+        _, broadcast = loss_and_grad(state, (keep, drop, rand), (1.0, 1.0, 1.0))
+        monkeypatch.setattr(detmask.model, "_rows_product", lambda a, b: a.T @ b)
+        _, matmul = loss_and_grad(state, (keep, drop, rand), (1.0, 1.0, 1.0))
+        for name, grad in broadcast.items():
+            assert np.array_equal(grad, matmul[name]), name
+            assert np.any(grad), name
+
     def test_grad_uses_config_weights(self):
         # One training step moves the weights by lr times the gradient at the
         # config's loss weights.
@@ -476,6 +498,110 @@ class TestPredictFill:
     def test_no_mask_raises(self):
         with pytest.raises(NoMask):
             predict_fill(zero_state(), [3, 4])
+
+
+# Crafted heads: with zero attention and feed-forward weights and a zero mask
+# embedding, h2 at a mask position i is pos_emb[i] + b2, so logit j there is
+# tok_emb[j] . (pos_emb[i] + b2) + lm_bias[j].  CRAFT_V is no prompt's length,
+# so a softmax over CRAFT_V columns is the head's.
+CRAFT_V = 10
+
+
+def crafted_state() -> ModelState:
+    state = zero_state(v=CRAFT_V, d=4, max_len=4)
+    state.b2[0] = 1.0
+    state.tok_emb[3:, 0] = np.arange(3, CRAFT_V) / 4.0
+    return state
+
+
+@pytest.fixture
+def head_softmax_rows(monkeypatch) -> list[int]:
+    """Rows of each head softmax that ``predict_fill_batch`` falls back to."""
+    rows: list[int] = []
+    real = detmask.model._softmax
+
+    def counting(z):
+        if z.shape[-1] == CRAFT_V:
+            rows.append(len(z))
+        return real(z)
+
+    monkeypatch.setattr(detmask.model, "_softmax", counting)
+    return rows
+
+
+class TestPredictFillFromLogits:
+    """``predict_fill_batch`` reads an answer off the logits only where the
+    full head softmax must agree, and equals ``predict_fill_oracle``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**16), vocab=st.integers(4, 40), d=st.integers(2, 8),
+           n=st.integers(1, 8), sequences=st.integers(1, 4), scale=st.floats(0.05, 40.0))
+    def test_random_states_equal_full_softmax(self, seed, vocab, d, n, sequences, scale):
+        state = init(ModelConfig(vocab_size=vocab, d=d, max_len=8, seed=seed))
+        for arr in state.params().values():
+            arr *= scale
+        rng = np.random.default_rng(seed)
+        state.lm_bias[:] = rng.normal(0.0, 0.02 * scale, size=vocab)
+        batch = rng.integers(0, vocab, size=(sequences, n))
+        batch[np.arange(sequences), rng.integers(0, n, size=sequences)] = MASK_ID
+        batch = batch.tolist()
+        assert predict_fill_batch(state, batch) == predict_fill_oracle(state, batch)
+
+    def test_exact_ties_take_the_softmax(self, head_softmax_rows):
+        state = zero_state(v=CRAFT_V)
+        assert predict_fill_batch(state, [[3, MASK_ID, MASK_ID]]) == [[3, 3]]
+        assert predict_fill_oracle(state, [[3, MASK_ID, MASK_ID]]) == [[3, 3]]
+        assert head_softmax_rows == [2]
+
+    @pytest.mark.parametrize("lower, upper", [(5, 8), (8, 5)])
+    def test_logits_one_ulp_apart_take_the_softmax(self, head_softmax_rows, lower, upper):
+        state = crafted_state()
+        state.tok_emb[lower, 0] = 4.0
+        state.tok_emb[upper, 0] = np.nextafter(4.0, 5.0)
+        assert predict_fill_batch(state, [[MASK_ID]]) == predict_fill_oracle(state, [[MASK_ID]])
+        assert head_softmax_rows == [1]
+
+    def test_sentinel_that_underflows_content_takes_the_softmax(self, head_softmax_rows):
+        """Every content probability is 0 beneath the pad logit, so the answer
+        is the lowest content id, not the best content logit."""
+        state = crafted_state()
+        state.lm_bias[PAD_ID] = 1000.0
+        assert predict_fill_batch(state, [[MASK_ID]]) == [[3]]
+        assert predict_fill_oracle(state, [[MASK_ID]]) == [[3]]
+        assert head_softmax_rows == [1]
+
+    def test_only_uncertain_rows_take_the_softmax(self, head_softmax_rows):
+        """Position 0's row ties; position 1's row is clear; both in one batch."""
+        state = crafted_state()
+        state.b2[0] = 0.0
+        state.pos_emb[1, 0] = 1.0
+        batch = [[4, MASK_ID, 4], [MASK_ID, MASK_ID, 3]]
+        assert predict_fill_batch(state, batch) == [[CRAFT_V - 1], [3, CRAFT_V - 1]]
+        assert predict_fill_oracle(state, batch) == [[CRAFT_V - 1], [3, CRAFT_V - 1]]
+        assert head_softmax_rows == [1]
+
+    @pytest.mark.parametrize("ids", [[4], [UNK_ID, 3, 4, 5, 6, 7, 8]], ids=["one", "all_but_one"])
+    def test_minus_inf_logits(self, head_softmax_rows, ids):
+        state = crafted_state()
+        state.lm_bias[ids] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert predict_fill_batch(state, [[MASK_ID]]) == [[CRAFT_V - 1]]
+        assert predict_fill_oracle(state, [[MASK_ID]]) == [[CRAFT_V - 1]]
+        assert head_softmax_rows == []
+
+    @pytest.mark.parametrize("where, value", [
+        (4, np.nan), (PAD_ID, np.nan), (4, np.inf), (slice(None), -np.inf),
+    ], ids=["nan", "nan_sentinel", "inf", "all_minus_inf"])
+    def test_non_finite_rows_are_data_error(self, where, value):
+        state = crafted_state()
+        state.lm_bias[where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError):
+                predict_fill_batch(state, [[MASK_ID]])
+        with pytest.raises(DataError):
+            predict_fill_oracle(state, [[MASK_ID]])
 
 
 class TestCheckpoint:
