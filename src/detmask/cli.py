@@ -2,22 +2,18 @@
 
 Every stage reads and writes materialized files, so any step can be re-run
 in isolation and outputs can be diffed across runs.  Exit codes: 0 success,
-1 usage error (also two outputs of one stage that resolve to one file), 2
-data error.  ``main`` runs each stage: once a stage that returns a
-``StageResult`` succeeds, ``main`` writes a manifest JSON next to its main
-output, last of all its files, recording the input paths, seed,
-configuration, counters, ``started`` (when the stage began) and
-``duration_s`` (the whole stage, reading and every write included).  A
-failed stage writes no manifest.  Each ``cmd_*`` imports the modules of its
-own stage.  Besides ``errors`` and ``fileio``, ``build-kb`` loads only
-``kb`` and ``report`` nothing more; only ``train`` and ``probe`` load numpy
-(``mask`` draws with ``random.Random``).  Logging verbosity comes from the
-DETMASK_LOG environment variable (error, info or debug; default error).
-Only ``align`` (a warning per skipped paragraph) and ``mask`` (an info line
-per skipped group) log, so below info nothing can show and ``logging`` is
-never imported.  ``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is
-already set, before any stage loads numpy: the stages' matrix products are
-small, and waking a second BLAS thread for each costs more than it saves.
+1 usage error (also an output that resolves to another of the stage's files),
+2 data error.  Once a stage that returns a ``StageResult`` succeeds, ``main``
+writes a manifest JSON next to its main output, last of all its files,
+recording the input paths, seed, configuration, counters, ``started`` (when
+the stage began) and ``duration_s`` (the whole stage, reading and every write
+included); a failed stage writes none.  Each ``cmd_*`` imports only the
+modules of its own stage.  Logging verbosity comes from the DETMASK_LOG
+environment variable (error, info or debug; default error); only ``align``
+and ``mask`` log, and below info ``logging`` is never imported.  ``main``
+sets OPENBLAS_NUM_THREADS to 1 unless it is already set, before any stage
+loads numpy: the stages' matrix products are small, and waking a second BLAS
+thread for each costs more than it saves.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .errors import DataError, DetmaskError, EmptyDataset
@@ -303,15 +298,6 @@ _SPLITS = ("total", "in_domain", "out_of_domain", "n1_or_11", "nm")
 _METRICS = ("accuracy", "consistency", "joint", "facts", "questions")
 
 
-def _fmt_metrics(name: str, m: Optional[dict]) -> str:
-    if not m:
-        return f"{name:<14} -"
-    return (
-        f"{name:<14} acc {m['accuracy']:.4f}  consis {m['consistency']:.4f}  "
-        f"joint {m['joint']:.4f}  ({m['facts']} facts, {m['questions']} questions)"
-    )
-
-
 def cmd_report(args) -> None:
     doc = read_json(args.report)
     if doc.get("format") != "detmask-report":
@@ -327,7 +313,10 @@ def cmd_report(args) -> None:
             raise DataError(f"{args.report}: split {name!r} must hold the numbers "
                             + ", ".join(_METRICS))
     for name in _SPLITS:
-        print(_fmt_metrics(name, splits.get(name)))
+        m = splits.get(name)
+        print(f"{name:<14} acc {m['accuracy']:.4f}  consis {m['consistency']:.4f}  "
+              f"joint {m['joint']:.4f}  ({m['facts']} facts, {m['questions']} questions)"
+              if m else f"{name:<14} -")
     if counts:
         print(
             f"questions: built {counts.get('questions_built')}, kept "
@@ -343,7 +332,7 @@ def cmd_stats(args) -> None:
     samples = formats.read_samples(args.samples)
     manifest_path = Path(args.manifest or str(args.samples) + ".manifest.json")
     counters = None
-    if manifest_path.exists():
+    if args.manifest or manifest_path.exists():
         c = read_json(manifest_path).get("counters", {})
         if not isinstance(c, dict) or any(type(v) is not int for v in c.values()):
             raise DataError(f"{manifest_path}: counters must be an object of integers")
@@ -450,12 +439,9 @@ def main(argv=None) -> int:
                 "duration_s": round(time.monotonic() - t0, 6),
                 "counters": counters,
             })
-    except UsageError as exc:
+    except (UsageError, DetmaskError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
-    except (DetmaskError, OSError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
     return 0
 
 

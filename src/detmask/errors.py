@@ -18,18 +18,11 @@ class DataError(DetmaskError):
 class MalformedLine(DataError):
     def __init__(self, source: str, line_no: int, reason: str):
         super().__init__(f"{source}:{line_no}: {reason}")
-        self.source = source
-        self.line_no = line_no
-        self.reason = reason
 
 
 class DanglingReference(DataError):
-    def __init__(self, ref_id: str, context: str = ""):
-        msg = f"id {ref_id!r} referenced but not present in alias tables"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
-        self.ref_id = ref_id
+    def __init__(self, ref_id: str, kind: str):
+        super().__init__(f"id {ref_id!r} referenced but not present in alias tables ({kind})")
 
 
 class EmptyDataset(DataError):
@@ -74,4 +67,3 @@ class BadTemplate(DataError):
 class MissingPrediction(DataError):
     def __init__(self, question_id: str):
         super().__init__(f"no prediction for question {question_id}")
-        self.question_id = question_id

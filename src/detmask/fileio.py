@@ -1,5 +1,5 @@
 """Whole-file helpers: writes that never leave a partial file at their
-destination, and the indented JSON documents of reports and manifests."""
+destination, JSON documents, and the JSON decoding that every reader shares."""
 
 from __future__ import annotations
 
@@ -41,14 +41,30 @@ def atomic_write(path, mode: str = "w"):
 def write_json(path, obj: dict) -> None:
     """Write ``obj`` as indented JSON, replacing ``path`` only once complete."""
     with atomic_write(path) as fh:
-        fh.write(json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=False) + "\n")
+        fh.write(json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+
+
+def decode_json(text):
+    """``json.loads`` of ``text`` (str or bytes), which raises ``ValueError``
+    also for nesting too deep to parse and for a lone surrogate such as
+    ``\\ud800``, valid JSON that no UTF-8 writer can write (looked for only
+    in text with a ``\\u``)."""
+    try:
+        obj = json.loads(text)
+        if (b"\\u" if isinstance(text, bytes) else "\\u") in text:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    except UnicodeEncodeError:
+        raise ValueError("a string holds a lone surrogate") from None
+    return obj
 
 
 def read_json(path) -> dict:
     """The JSON object in ``path``; anything else raises ``DataError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = decode_json(fh.read())
         except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise DataError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(obj, dict):

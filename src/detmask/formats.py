@@ -10,18 +10,18 @@ from __future__ import annotations
 import json
 from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .align import AlignedSample, AlignedTriplet, Paragraph, Span
 from .errors import DataError, MalformedLine
-from .fileio import atomic_write, read_json
+from .fileio import atomic_write, decode_json, read_json
 from .kb import Triplet, _parse_id
 from .masking import MaskedSample, MaskScheme, Variant, Vocabulary
 
 # Annotations only, so that importing formats loads neither numpy nor the
 # model; the probe readers import their types when called.
 if TYPE_CHECKING:
-    from .model import LogEntry, TrainItem
+    from .model import LogEntry
     from .probe import Fact, Template
 
 PathLike = Union[str, Path]
@@ -36,9 +36,10 @@ def read_jsonl(path: PathLike) -> Iterator[tuple[int, dict]]:
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedLine(name, line_no, f"invalid JSON: {exc.msg}") from None
+                    obj = decode_json(line)
+                except ValueError as exc:  # a JSONDecodeError's msg leaves out the position
+                    raise MalformedLine(name, line_no,
+                                        f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
                 if not isinstance(obj, dict):
                     raise MalformedLine(name, line_no, "expected a JSON object")
                 yield line_no, obj
@@ -248,21 +249,6 @@ def write_masked(path: PathLike, samples: Iterable[MaskedSample]) -> int:
     return n
 
 
-class _MaskedLine(NamedTuple):
-    """One checked line of a masked file, its id lists as read."""
-
-    doc_id: str
-    variant: Variant
-    scheme: MaskScheme
-    ids: list[int]
-    positions: list[int]
-    targets: list[int]
-
-    def sample(self) -> MaskedSample:
-        return MaskedSample(self.doc_id, array("q", self.ids), tuple(self.positions),
-                            tuple(self.targets), self.variant, self.scheme)
-
-
 def _id_list(obj: dict, key: str, name: str, line_no: int,
              token_ids: frozenset[int]) -> tuple[list[int], bool]:
     """The integers under ``key``, and whether all are in ``token_ids``; an
@@ -277,9 +263,9 @@ def _id_list(obj: dict, key: str, name: str, line_no: int,
 
 
 def _masked_line(obj: dict, name: str, line_no: int,
-                 token_ids: frozenset[int]) -> tuple[_MaskedLine, bool]:
-    """A masked line once its shape is checked, and whether all its input ids
-    and targets are in ``token_ids``."""
+                 token_ids: frozenset[int]) -> tuple[MaskedSample, bool]:
+    """A masked line once its shape is checked, its id lists as read, and
+    whether all its input ids and targets are in ``token_ids``."""
     doc_id = _require(obj, "doc_id", str, name, line_no)
     try:
         variant = Variant(_require(obj, "variant", str, name, line_no))
@@ -293,7 +279,7 @@ def _masked_line(obj: dict, name: str, line_no: int,
         raise MalformedLine(name, line_no, "mask_positions and targets differ in length")
     if positions and (min(positions) < 0 or max(positions) >= len(ids)):
         raise MalformedLine(name, line_no, "mask_positions must index input_ids")
-    line = _MaskedLine(doc_id, variant, scheme, ids, positions, targets)
+    line = MaskedSample(doc_id, ids, positions, targets, variant, scheme)
     return line, ids_known and targets_known
 
 
@@ -302,7 +288,7 @@ _GROUP_NEXT = (None, Variant.MASK_CLUES, Variant.MASK_RANDOM)
 
 
 def _masked_items(path: PathLike, vocab_size: int,
-                  vocab_path: PathLike) -> Iterator[tuple[_MaskedLine, ...]]:
+                  vocab_path: PathLike) -> Iterator[tuple[MaskedSample, ...]]:
     """The lines of each training item of a masked file, in order.
 
     A keep_clues line followed by a mask_clues line (and optionally a
@@ -314,12 +300,12 @@ def _masked_items(path: PathLike, vocab_size: int,
     """
     name = str(path)
     token_ids = frozenset(range(vocab_size))
-    group: list[_MaskedLine] = []
+    group: list[MaskedSample] = []
     for line_no, obj in read_jsonl(path):
         line, known = _masked_line(obj, name, line_no, token_ids)
         joins = (bool(group) and line.variant is _GROUP_NEXT[len(group)]
                  and line.doc_id == group[0].doc_id)
-        if joins and len(line.ids) != len(group[0].ids):
+        if joins and len(line.input_tokens) != len(group[0].input_tokens):
             raise DataError(f"{line.doc_id}: the inputs of a contrastive group differ in length")
         if not known:
             raise DataError(f"{name}: {line.doc_id} has a token id outside the "
@@ -338,24 +324,27 @@ def _masked_items(path: PathLike, vocab_size: int,
 
 
 def read_masked(path: PathLike, vocab_size: int, vocab_path: PathLike,
-                keep: int) -> tuple[list[TrainItem], int, int]:
+                keep: int) -> tuple[list[tuple[MaskedSample, ...]], int, int]:
     """The first ``keep`` training items of a masked file, the number of its
     items, and its longest input, in one pass that checks every line.
 
     Lines form items, and are checked in file order, as ``_masked_items``
     says; ids must lie below ``vocab_size``, the size of the vocabulary in
-    ``vocab_path``.  Only the kept items hold their lines, as
-    ``MaskedSample``s with int64 input arrays.
+    ``vocab_path``.  Each item is a tuple of its one to three lines.  Only
+    the kept items hold their lines, as ``MaskedSample``s with int64 input
+    arrays and tuples of mask positions and targets.
     """
-    items: list[TrainItem] = []
+    items: list[tuple[MaskedSample, ...]] = []
     count = longest = 0
     for group in _masked_items(path, vocab_size, vocab_path):
         count += 1
         # The lines of a group have inputs of one length.
-        longest = max(longest, len(group[0].ids))
+        longest = max(longest, len(group[0].input_tokens))
         if count <= keep:
-            items.append(group[0].sample() if len(group) == 1
-                         else tuple(line.sample() for line in group))
+            items.append(tuple(
+                m._replace(input_tokens=array("q", m.input_tokens),
+                           mask_positions=tuple(m.mask_positions), targets=tuple(m.targets))
+                for m in group))
     return items, count, longest
 
 

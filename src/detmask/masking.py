@@ -16,6 +16,9 @@ Three families of outputs:
 * the contrastive pair: object masked with clues kept vs. clues masked too,
 * the classification triple: the pair plus a third input that masks the object
   and as many uniformly chosen context tokens as there are clue tokens.
+
+Each masked input is a ``MaskedSample``, and a training item is a tuple of
+one to three of them: a plain input, a pair or a triple.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from enum import Enum
 from itertools import repeat
 from random import Random
-from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .align import AlignedSample, Span, object_groups
@@ -124,19 +126,17 @@ class TokenizedSample(NamedTuple):
     clue_positions: tuple[int, ...] = ()
 
 
-class MaskedSample(SimpleNamespace):
-    """One masked input line.  Not a tuple: a training item is one sample or
-    a tuple of two or three, and callers tell them apart by type.
-
-    ``input_tokens`` is a sequence of ids: a tuple made by masking, an int64
-    array read back by ``formats.read_masked``.  Samples with equal fields
-    are equal.
+class MaskedSample(NamedTuple):
+    """One masked input line.  ``input_tokens`` is a sequence of ids: a
+    tuple made by masking, an int64 array read back by ``formats.read_masked``.
     """
 
-    def __init__(self, doc_id: str, input_tokens: Sequence[int], mask_positions: tuple[int, ...],
-                 targets: tuple[int, ...], variant: Variant, scheme: MaskScheme) -> None:
-        super().__init__(doc_id=doc_id, input_tokens=input_tokens, mask_positions=mask_positions,
-                         targets=targets, variant=variant, scheme=scheme)
+    doc_id: str
+    input_tokens: Sequence[int]
+    mask_positions: tuple[int, ...]
+    targets: tuple[int, ...]
+    variant: Variant
+    scheme: MaskScheme
 
 
 def _masked(sample: TokenizedSample, positions: Sequence[int], variant: Variant,

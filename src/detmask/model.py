@@ -7,7 +7,9 @@ d-by-3 matrix classifies contextual embeddings into the three masked-input
 variants.  Everything runs in float64 numpy on sequences of at most max_len
 tokens; pad tokens are excluded from attention as keys.
 
-Three losses over a (keep, drop, random) item:
+A training item is a tuple of one to three masked inputs: (keep,),
+(keep, drop) or (keep, drop, random).  Three losses, each 0 on an item
+without the inputs it reads:
 
 * L_mlm   mean cross-entropy at the object positions of the keep input,
 * L_con   mean truth probability at those positions under the drop input
@@ -39,27 +41,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import (DataError, DetmaskError, EmptyMaskSet, NoMask, NonFiniteLoss,
                      SequenceTooLong)
-from .fileio import atomic_write
+from .fileio import atomic_write, decode_json
 from .masking import MASK_ID, PAD_ID, MaskedSample, Vocabulary
 
 _NEG_INF = -1e30
 
-TrainItem = Union[
-    MaskedSample,
-    tuple[MaskedSample, MaskedSample],
-    tuple[MaskedSample, MaskedSample, MaskedSample],
-]
 
-
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
     vocab_size: int
     d: int = 16
     max_len: int = 128
@@ -67,15 +61,8 @@ class ModelConfig:
     lambda_con: float = 1.0
     lambda_cls: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError("embedding dimension must be at least 2")
-        if self.vocab_size < 4:
-            raise ValueError("vocabulary needs pad, mask, unknown and a content token")
 
-
-@dataclass
-class ModelState:
+class ModelState(NamedTuple):
     tok_emb: np.ndarray
     pos_emb: np.ndarray
     wq: np.ndarray
@@ -91,11 +78,10 @@ class ModelState:
 
     def params(self) -> dict[str, np.ndarray]:
         """Every parameter by name, in field order: the checkpoint order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     step: int
     l_mlm: float
     l_con: float
@@ -107,7 +93,12 @@ _BIASES = frozenset({"b1", "b2", "lm_bias"})
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every ``ModelState`` field under ``config``, in field order."""
+    """Shape of every ``ModelState`` field under ``config``, in field order;
+    ``ValueError`` if the config is too small for the model."""
+    if config.d < 2:
+        raise ValueError("embedding dimension must be at least 2")
+    if config.vocab_size < 4:
+        raise ValueError("vocabulary needs pad, mask, unknown and a content token")
     d, v, h = config.d, config.vocab_size, 4 * config.d
     return {
         "tok_emb": (v, d),
@@ -253,21 +244,14 @@ def _backward(state: ModelState, cache: dict, dh2: np.ndarray,
     grads["pos_emb"][: len(cache["toks"])] += dx
 
 
-def _unpack(item: TrainItem) -> tuple[MaskedSample, Optional[MaskedSample], Optional[MaskedSample]]:
-    if isinstance(item, MaskedSample):
-        return item, None, None
-    if len(item) == 2:
-        return item[0], item[1], None
-    return item[0], item[1], item[2]
-
-
 def loss_and_grad(
     state: ModelState,
-    item: TrainItem,
+    item: tuple[MaskedSample, ...],
     coeffs: tuple[float, float, float],
     grads: Optional[dict[str, np.ndarray]] = None,
 ) -> tuple[tuple[float, float, float, float], dict[str, np.ndarray]]:
-    """Losses and exact parameter gradients of the weighted total.
+    """Losses and exact parameter gradients of the weighted total over an
+    item: a (keep,) input, a (keep, drop) pair or a (keep, drop, random) triple.
 
     ``coeffs`` weights (mlm, con, cls) in the total; a zero weight skips that
     component's gradient so each can be checked in isolation.  The gradients
@@ -275,19 +259,16 @@ def loss_and_grad(
     and into fresh buffers otherwise.
     """
     w_mlm, w_con, w_cls = coeffs
-    keep, drop, randv = _unpack(item)
+    keep = item[0]
     if len(keep.mask_positions) == 0:
         raise EmptyMaskSet("keep input has no mask positions")
     pos = np.asarray(keep.mask_positions, dtype=np.int64)
     tgt = np.asarray(keep.targets, dtype=np.int64)
     n_obj = len(pos)
 
-    passes: dict[str, dict] = {"keep": _forward(state, keep.input_tokens, pos)}
-    if drop is not None:
-        passes["drop"] = _forward(state, drop.input_tokens, pos)
-    if randv is not None:
-        # The classifier reads only the random input's h2 at the rows.
-        passes["rand"] = _forward(state, randv.input_tokens, pos, head=False)
+    # The classifier reads only the random input's h2 at the rows.
+    passes = {name: _forward(state, m.input_tokens, pos, head=name != "rand")
+              for name, m in zip(("keep", "drop", "rand"), item)}
 
     if grads is None:
         grads = _zero_grads(state)
@@ -310,7 +291,7 @@ def loss_and_grad(
         dlogits["keep"] = (w_mlm / n_obj) * g
 
     l_con = 0.0
-    if drop is not None:
+    if "drop" in passes:
         p_drop = passes["drop"]["probs"][rank, tgt]
         l_con = float(p_drop.mean() - p_keep.mean())
         if w_con:
@@ -320,7 +301,7 @@ def loss_and_grad(
                 dlogits[name] = dlogits.get(name, 0.0) + (sign * w_con / n_obj) * jac
 
     l_cls = 0.0
-    if randv is not None:
+    if "rand" in passes:
         total = 3 * n_obj
         acc = 0.0
         for label, name in enumerate(("keep", "drop", "rand")):
@@ -359,7 +340,7 @@ def loss_and_grad(
 
 def train(
     config: ModelConfig,
-    items: Iterable[TrainItem],
+    items: Iterable[tuple[MaskedSample, ...]],
     steps: int,
     lr: float,
 ) -> tuple[ModelState, list[LogEntry]]:
@@ -496,7 +477,7 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": asdict(config),
+        "config": config._asdict(),
         "dtype": "<f8",
         "vocab": list(vocab.id_to_token) if vocab is not None else None,
         "tensors": entries,
@@ -520,7 +501,7 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
         first = fh.readline()
         body = fh.read()
     try:
-        header = json.loads(first)
+        header = decode_json(first)
     except ValueError:
         raise DataError(f"{path}: checkpoint header is not JSON") from None
     if (not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT
@@ -529,6 +510,7 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
     try:
         entries = {e["name"]: (tuple(e["shape"]), e["offset"]) for e in header["tensors"]}
         config = ModelConfig(**header["config"])
+        shapes = _param_shapes(config)
         toks = header.get("vocab")
         vocab = None if toks is None else Vocabulary.from_stored(toks, path)
     except (KeyError, TypeError, ValueError) as exc:
@@ -538,7 +520,6 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
     if vocab is not None and vocab.size != config.vocab_size:
         raise DataError(f"{path}: vocabulary has {vocab.size} tokens, "
                         f"but the config has {config.vocab_size}")
-    shapes = _param_shapes(config)
     if set(entries) != set(shapes):
         raise DataError(f"{path}: checkpoint tensors are not the model's parameters")
     tensors: dict[str, np.ndarray] = {}

@@ -20,10 +20,9 @@ fact in the pre-training data) and unique-object vs multi-object relations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BadTemplate, DataError, MissingPrediction
 from .kb import Triplet
@@ -45,14 +44,12 @@ class RelationType(Enum):
     NM = "nm"
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     relation: str
     pattern: str
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     triplet: Triplet
     subject_surface: str
     object_surface: str
@@ -60,48 +57,30 @@ class Fact:
     in_domain: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class ClozeQuestion:
-    """One prompt of one fact.  ``gold_tokens`` (the object surface's tokens,
-    tokenized here unless given) and ``question_id`` are set once, at
-    construction."""
+class ClozeQuestion(NamedTuple):
+    """One prompt of one fact, with the object surface's tokens and the
+    question's id (``subject|predicate|object#prompt_id``), both made once
+    by ``build_questions``."""
 
     fact: Fact
     prompt_tokens: tuple[str, ...]
     prompt_id: int
-    gold_tokens: Optional[tuple[str, ...]] = field(default=None, repr=False, compare=False)
-    question_id: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.gold_tokens is None:
-            object.__setattr__(self, "gold_tokens", tuple(tokens_lower(self.fact.object_surface)))
-        t = self.fact.triplet
-        object.__setattr__(self, "question_id",
-                           f"{t.subject}|{t.predicate}|{t.object}#{self.prompt_id}")
+    gold_tokens: tuple[str, ...]
+    question_id: str
 
 
-@dataclass(frozen=True)
-class SplitMetrics:
+class SplitMetrics(NamedTuple):
+    """One split's metrics, its fields named as in ``report.json``."""
+
     accuracy: float
     consistency: float
     joint: float
-    n_facts: int
-    n_questions: int
-    n_pairs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "consistency": self.consistency,
-            "joint": self.joint,
-            "facts": self.n_facts,
-            "questions": self.n_questions,
-            "pairs": self.n_pairs,
-        }
+    facts: int
+    questions: int
+    pairs: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     total: SplitMetrics
     in_domain: Optional[SplitMetrics] = None
     out_of_domain: Optional[SplitMetrics] = None
@@ -109,10 +88,7 @@ class MetricsReport:
     nm: Optional[SplitMetrics] = None
 
     def to_dict(self) -> dict:
-        splits = {}
-        for f in fields(self):
-            m = getattr(self, f.name)
-            splits[f.name] = m.to_dict() if m else None
+        splits = {name: m._asdict() if m else None for name, m in self._asdict().items()}
         return {"format": "detmask-report", "version": 1, "splits": splits}
 
 
@@ -130,41 +106,16 @@ def _template_pieces(template: Template) -> list:
     return [p if p in ("[X]", "[Y]") else tokens_lower(p) for p in pieces]
 
 
-def _fact_tokens(fact: Fact) -> tuple[tuple[str, ...], list[str]]:
-    """The object and subject surfaces' tokens; an object without tokens
-    cannot be asked for."""
-    gold = tuple(tokens_lower(fact.object_surface))
-    if not gold:
-        raise DataError(f"object surface {fact.object_surface!r} has no tokens")
-    return gold, tokens_lower(fact.subject_surface)
-
-
-def _render(pieces: list, fact: Fact, gold: tuple[str, ...], subject: list[str],
-            prompt_id: int) -> ClozeQuestion:
-    fill = {"[X]": subject, "[Y]": [MASK_TOKEN] * len(gold)}
-    tokens = [t for piece in pieces for t in (fill[piece] if isinstance(piece, str) else piece)]
-    return ClozeQuestion(fact=fact, prompt_tokens=tuple(tokens), prompt_id=prompt_id,
-                         gold_tokens=gold)
-
-
-def instantiate(template: Template, fact: Fact, prompt_id: int = 0) -> ClozeQuestion:
-    """Render one cloze question: subject filled in, object slot masked.
-
-    The placeholders are substituted at the token level, so surfaces that
-    happen to contain bracket sequences cannot corrupt the prompt.
-    """
-    gold, subject = _fact_tokens(fact)
-    return _render(_template_pieces(template), fact, gold, subject, prompt_id)
-
-
 def build_questions(
     templates: Sequence[Template], facts: Sequence[Fact]
 ) -> list[ClozeQuestion]:
     """All prompts for all facts, whose triplets must be distinct (they name the
     questions); prompt ids follow template order per relation.
 
-    The same as ``instantiate`` of every fact with each template of its
-    relation, but each fact's surfaces and each template's pieces are
+    Each question renders one template for one fact: the subject filled in,
+    the object slot a run of masks.  The placeholders are substituted at the
+    token level, so surfaces that happen to contain bracket sequences cannot
+    corrupt the prompt.  Each fact's surfaces and each template's pieces are
     tokenized once; a template is checked when a fact first uses it.
     """
     by_relation: dict[str, list[Template]] = {}
@@ -176,11 +127,18 @@ def build_questions(
         relation_templates = by_relation.get(fact.triplet.predicate)
         if not relation_templates:
             continue
-        gold, subject = _fact_tokens(fact)
+        # An object without tokens cannot be asked for.
+        gold = tuple(tokens_lower(fact.object_surface))
+        if not gold:
+            raise DataError(f"object surface {fact.object_surface!r} has no tokens")
+        fill = {"[X]": tokens_lower(fact.subject_surface), "[Y]": [MASK_TOKEN] * len(gold)}
+        s, p, o = fact.triplet
         for i, template in enumerate(relation_templates):
             if template not in pieces:
                 pieces[template] = _template_pieces(template)
-            questions.append(_render(pieces[template], fact, gold, subject, i))
+            tokens = tuple([t for piece in pieces[template]
+                            for t in (fill[piece] if isinstance(piece, str) else piece)])
+            questions.append(ClozeQuestion(fact, tokens, i, gold, f"{s}|{p}|{o}#{i}"))
     return questions
 
 
@@ -218,9 +176,8 @@ def split_questions(
     for fact in facts:
         p = fact.triplet.predicate
         rel = RelationType.N1_OR_11 if unique_object.get(p, True) else RelationType.NM
-        out.append(
-            replace(fact, relation_type=rel, in_domain=fact.triplet in pretraining_triplets)
-        )
+        out.append(fact._replace(relation_type=rel,
+                                 in_domain=fact.triplet in pretraining_triplets))
     return out
 
 
@@ -260,9 +217,9 @@ def _metrics(questions: Sequence[ClozeQuestion],
         accuracy=n_correct / n_questions if n_questions else 0.0,
         consistency=agreeing / pairs if pairs else 0.0,
         joint=joint_facts / n_facts if n_facts else 0.0,
-        n_facts=n_facts,
-        n_questions=n_questions,
-        n_pairs=pairs,
+        facts=n_facts,
+        questions=n_questions,
+        pairs=pairs,
     )
 
 

@@ -78,7 +78,7 @@ from detmask.formats import _require, read_jsonl, write_jsonl
 from detmask.kb import KnowledgeBase, Triplet, _iter_lines, _parse_id
 from detmask.masking import (MASK_ID, MASK_TOKEN, PAD_ID, UNK_ID, MaskedSample, MaskScheme,
                              Variant)
-from detmask.model import ModelConfig, ModelState, TrainItem, _forward, init, loss_and_grad
+from detmask.model import ModelConfig, ModelState, _forward, init, loss_and_grad
 from detmask.tokenizer import lower_aligned, tokens_lower
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -458,12 +458,12 @@ def predict_fill_oracle(state: ModelState, batch) -> list[list[int]]:
 
 
 def full_head_losses_oracle(params: dict, item, pad_id: int) -> tuple[float, float, float]:
-    """(L_mlm, L_con, L_cls) of a plain sample or a (keep, drop[, random]) tuple.
+    """(L_mlm, L_con, L_cls) of a (keep,), (keep, drop) or (keep, drop, random) item.
 
     Every member is scored at the keep input's mask positions and targets;
     L_con and L_cls are 0 when the item has no drop or random member.
     """
-    members = list(item) if isinstance(item, tuple) else [item]
+    members = list(item)
     at = list(zip(members[0].mask_positions, members[0].targets))
     runs = [_full_forward(params, m.input_tokens, pad_id) for m in members]
 
@@ -486,7 +486,7 @@ def full_head_losses_oracle(params: dict, item, pad_id: int) -> tuple[float, flo
 
 def finite_diff_check(
     state: ModelState,
-    item: TrainItem,
+    item: tuple[MaskedSample, ...],
     eps: float = 1e-5,
     coeffs: tuple[float, float, float] = (1.0, 1.0, 1.0),
     min_coords: int = 200,
@@ -574,11 +574,12 @@ def read_masked_oracle(path) -> list[MaskedSample]:
     return out
 
 
-def group_items_oracle(masked: list[MaskedSample]) -> list[TrainItem]:
+def group_items_oracle(masked: list[MaskedSample]) -> list[tuple[MaskedSample, ...]]:
     """A keep_clues line followed by a mask_clues line (and optionally a
-    mask_random line) for the same doc forms one tuple; other lines stand
-    alone.  A tuple whose inputs differ in length raises ``DataError``."""
-    items: list[TrainItem] = []
+    mask_random line) for the same doc forms one tuple; every other line is
+    a tuple of its own.  A tuple whose inputs differ in length raises
+    ``DataError``."""
+    items: list[tuple[MaskedSample, ...]] = []
     i = 0
     n = len(masked)
     while i < n:
@@ -602,7 +603,7 @@ def group_items_oracle(masked: list[MaskedSample]) -> list[TrainItem]:
             items.append(group)
             i += size
         else:
-            items.append(m)
+            items.append((m,))
             i += 1
     return items
 

@@ -33,7 +33,7 @@ from detmask.masking import (
     tokenize_groups,
 )
 from detmask.model import ModelConfig, init, train
-from detmask.probe import Fact, Template, build_questions, evaluate, instantiate, run_model
+from detmask.probe import Fact, Template, build_questions, evaluate, run_model
 from detmask.tokenizer import token_spans
 from oracles import (
     _full_forward,
@@ -413,7 +413,7 @@ def test_deterministic_pretraining_yields_more_consistent_probe_answers():
     for seed in range(3):
         for scheme in scores:
             mask_rng = Random(100 + seed)
-            items = [apply_mask(s, scheme, mask_rng) for s in samples]
+            items = [(apply_mask(s, scheme, mask_rng),) for s in samples]
             config = ModelConfig(vocab_size=vocab.size, d=16, max_len=8, seed=seed)
             state, _ = train(config, items, steps=3000, lr=0.1)
             report = evaluate(questions, run_model(state, vocab, questions))
@@ -485,8 +485,8 @@ def test_probe_metrics_match_hand_computed_fixtures():
         for row, (gold, answers) in enumerate(fact_rows):
             fact = Fact(Triplet(f"S{row}", "P", f"O{row}"), f"s{row}", gold)
             template = Template("P", "[X] maps to [Y]")
-            for prompt_id, answer in enumerate(answers):
-                question = instantiate(template, fact, prompt_id=prompt_id)
+            fact_questions = build_questions([template] * len(answers), [fact])
+            for question, answer in zip(fact_questions, answers):
                 questions.append(question)
                 predictions[question.question_id] = answer.split()
         report = evaluate(questions, predictions)

@@ -629,7 +629,9 @@ class TestStageImports:
         """build-kb, align, stats, report and every mode of mask never load
         numpy or model code; build-kb and report load no reader, aligner or
         masking code.  None of them loads logging, dataclasses, datetime or
-        inspect unless a bare interpreter in the same environment already has."""
+        inspect unless a bare interpreter in the same environment already has;
+        train and probe, which load numpy (and with it inspect and datetime),
+        load neither logging nor dataclasses."""
         paths = write_inputs(tmp_path)
         kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
         report = tmp_path / "report.json"
@@ -640,6 +642,8 @@ class TestStageImports:
         lean = tuple({"logging", "dataclasses", "datetime", "inspect"}
                      - set(bare.stdout.split()))
         numpy_free = ("numpy", "detmask.model", "detmask.probe", *lean)
+        numpy_stage = tuple({"logging", "dataclasses"}.intersection(lean))
+        ckpt = tmp_path / "model.ckpt"
         kb_only = (*numpy_free, "detmask.formats", "detmask.align", "detmask.masking",
                    "detmask.tokenizer", "detmask.editdist")
         runs = [
@@ -657,6 +661,12 @@ class TestStageImports:
                                         ("--scheme", "random_token"),
                                         ("--scheme", "whole_word"),
                                         ("--scheme", "salient_span")])),
+            (["train", "--data", str(tmp_path / "masked0.jsonl"), "--vocab",
+              str(tmp_path / "vocab.json"), "--out", str(ckpt), "--steps", "3", "--dim", "4"],
+             numpy_stage),
+            (["probe", "--model", str(ckpt), "--templates", str(paths["templates"]),
+              "--facts", str(paths["facts"]), "--out", str(tmp_path / "probe.json"),
+              "--kb", str(kb_dir), "--pretrain", str(samples)], numpy_stage),
         ]
         code = ("import sys\n"
                 "from detmask.cli import main\n"
@@ -1453,6 +1463,80 @@ class TestExitCodes:
             code = main(["stats", "--samples", str(pipeline["samples"]), "--manifest", str(path)])
             assert code == 2, name
             assert capsys.readouterr().err.startswith("detmask: error:"), name
+
+    def test_explicit_missing_manifest_is_data_error(self, pipeline, tmp_path, capsys):
+        absent = tmp_path / "absent.manifest.json"
+        code = main(["stats", "--samples", str(pipeline["samples"]), "--manifest", str(absent)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("detmask: error:") and str(absent) in captured.err
+        assert captured.out == ""
+
+    def test_default_manifest_may_be_absent(self, pipeline, tmp_path, capsys):
+        samples = tmp_path / "samples.jsonl"
+        samples.write_bytes(pipeline["samples"].read_bytes())
+        assert main(["stats", "--samples", str(samples)]) == 0
+        assert "(no manifest found: " in capsys.readouterr().out
+
+    def test_deeply_nested_json_is_data_error(self, pipeline, tmp_path, capsys):
+        """Nesting too deep for the parser in a JSONL line, a JSON document or
+        a checkpoint header exits 2, and no output is written."""
+        nested = "[" * 100_000 + "]" * 100_000
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(nested + "\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(nested, encoding="utf-8")
+        blob = pipeline["ckpt"].read_bytes()
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(nested.encode("utf-8") + blob[blob.index(b"\n"):])
+        out = tmp_path / "out"
+        runs = [
+            (["align", "--kb", str(pipeline["kb"]), "--corpus", str(corpus), "--out", str(out)],
+             f"{corpus}:1: invalid JSON: nested too deeply"),
+            (["train", "--data", str(pipeline["masked"]), "--vocab", str(vocab),
+              "--out", str(out), "--steps", "1"], f"{vocab}: not a JSON file: nested too deeply"),
+            (["probe", "--model", str(ckpt), "--templates", str(pipeline["templates"]),
+              "--facts", str(pipeline["facts"]), "--out", str(out)],
+             f"{ckpt}: checkpoint header is not JSON"),
+        ]
+        for argv, error in runs:
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr().err == f"detmask: error: {error}\n", argv[0]
+            assert not out.exists(), argv[0]
+
+    def test_lone_surrogate_escape_is_data_error(self, pipeline, tmp_path, capsys):
+        """A ``\\ud800`` escape is valid JSON that no UTF-8 writer can write:
+        a corpus text, a vocabulary token or a report count holding one exits 2
+        before anything is written or printed; a paired escape reads fine."""
+        lines = pipeline["corpus"].read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        corpus = tmp_path / "corpus.jsonl"
+        vocab = tmp_path / "vocab.json"
+        report = tmp_path / "report.json"
+        out = tmp_path / "out"
+        tokens = read_json(pipeline["root"] / "vocab.json")["tokens"]
+        doc = read_json(pipeline["report"])
+        runs = [
+            (corpus, json.dumps({**first, "text": first["text"] + " \ud800"}) + "\n",
+             ["align", "--kb", str(pipeline["kb"]), "--corpus", str(corpus), "--out", str(out)],
+             f"{corpus}:1: invalid JSON"),
+            (vocab, json.dumps({"tokens": tokens + ["\ud800"]}),
+             ["train", "--data", str(pipeline["masked"]), "--vocab", str(vocab),
+              "--out", str(out), "--steps", "1"], f"{vocab}: not a JSON file"),
+            (report, json.dumps({**doc, "counts": {**doc["counts"], "facts": "\ud800"}}),
+             ["report", "--report", str(report)], f"{report}: not a JSON file"),
+        ]
+        for path, text, argv, error in runs:
+            assert "\\ud800" in text
+            path.write_text(text, encoding="utf-8")
+            assert main(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.err == f"detmask: error: {error}: a string holds a lone surrogate\n"
+            assert captured.out == "" and not out.exists(), argv[0]
+        corpus.write_text(json.dumps({**first, "text": first["text"] + " \U0001f600"}) + "\n",
+                          encoding="utf-8")
+        assert main(["align", "--kb", str(pipeline["kb"]), "--corpus", str(corpus),
+                     "--out", str(out)]) == 0
 
     def test_checkpoint_shape_mismatch_is_data_error(self, pipeline, tmp_path, capsys):
         blob = pipeline["ckpt"].read_bytes()

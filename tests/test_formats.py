@@ -184,8 +184,8 @@ class TestMasked:
         path = tmp_path / "masked.jsonl"
         originals = [masked_sample(v) for v in Variant]
         write_masked(path, originals)
-        assert read_masked(path, 6, "vocab.json", 2) == ([originals[0], tuple(originals[1:])],
-                                                         2, 3)
+        items = [tuple(originals[:1]), tuple(originals[1:])]
+        assert read_masked(path, 6, "vocab.json", 2) == (items, 2, 3)
 
     def test_input_ids_stored_as_int64_arrays(self, tmp_path):
         """About 20k ids past the small-int cache: read back equal, at most 16
@@ -346,21 +346,21 @@ class TestGroupItems:
         rand = masked_sample(Variant.MASK_RANDOM)
         plain = masked_sample(Variant.PLAIN)
         items = self.read_items(tmp_path, [plain, keep, drop, rand, keep, drop, plain])
-        assert items[0] == plain
+        assert items[0] == (plain,)
         assert items[1] == (keep, drop, rand)
         assert items[2] == (keep, drop)
-        assert items[3] == plain
+        assert items[3] == (plain,)
         assert len(items) == 4
 
     def test_doc_boundary_breaks_group(self, tmp_path):
         keep = masked_sample(Variant.KEEP_CLUES, doc_id="a")
         drop = masked_sample(Variant.MASK_CLUES, doc_id="b")
         items = self.read_items(tmp_path, [keep, drop])
-        assert items == [keep, drop]
+        assert items == [(keep,), (drop,)]
 
     def test_orphan_keep_stays_single(self, tmp_path):
         keep = masked_sample(Variant.KEEP_CLUES)
-        assert self.read_items(tmp_path, [keep]) == [keep]
+        assert self.read_items(tmp_path, [keep]) == [(keep,)]
 
 
 @st.composite

@@ -95,12 +95,13 @@ class TestVocabulary:
 
 
 class TestRecords:
-    def test_masked_sample_is_not_a_tuple(self):
-        """A training item is one sample or a tuple of them, told apart by
-        type; samples with equal fields are equal."""
+    def test_masked_sample_is_a_named_tuple(self):
+        """A training item is a tuple of one to three samples, each a named
+        tuple of its six fields; samples with equal fields are equal."""
         tok = groups_of(film_sample(), Vocabulary.build(map(token_spans, [FILM_TEXT])))[0]
         keep, drop = make_contrastive_pair(tok)
-        assert not isinstance(keep, tuple)
+        assert keep._fields == ("doc_id", "input_tokens", "mask_positions", "targets",
+                                "variant", "scheme")
         assert keep == MaskedSample(keep.doc_id, tuple(keep.input_tokens), keep.mask_positions,
                                     keep.targets, keep.variant, keep.scheme)
         assert keep != drop

@@ -107,9 +107,9 @@ class TestInit:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ModelConfig(vocab_size=10, d=1)
+            init(ModelConfig(vocab_size=10, d=1))
         with pytest.raises(ValueError):
-            ModelConfig(vocab_size=3)
+            init(ModelConfig(vocab_size=3))
 
 
 def head_probs(state: ModelState, tokens) -> np.ndarray:
@@ -117,7 +117,7 @@ def head_probs(state: ModelState, tokens) -> np.ndarray:
     entry (i, t) is exp(-L_mlm) of filling position i with token t."""
     out = np.empty((len(tokens), state.tok_emb.shape[0]))
     for i, t in np.ndindex(out.shape):
-        (l_mlm, _, _, _), _ = loss_and_grad(state, masked(tokens, [i], [t]), (1, 0, 0))
+        (l_mlm, _, _, _), _ = loss_and_grad(state, (masked(tokens, [i], [t]),), (1, 0, 0))
         out[i, t] = math.exp(-l_mlm)
     return out
 
@@ -147,7 +147,7 @@ class TestForward:
     def test_sequence_too_long(self):
         state = init(ModelConfig(vocab_size=12, d=4, max_len=4, seed=0))
         with pytest.raises(SequenceTooLong):
-            loss_and_grad(state, masked([3] * 5, [0], [3]), (1, 0, 0))
+            loss_and_grad(state, (masked([3] * 5, [0], [3]),), (1, 0, 0))
         with pytest.raises(SequenceTooLong):
             predict_fill_batch(state, [[3, 3, 3, 3, MASK_ID]])
 
@@ -163,7 +163,7 @@ class TestForward:
                     - head_probs(state, keep.input_tokens)[rows, tgt].mean())
         assert l_con == pytest.approx(expected, abs=1e-15)
         with pytest.raises(EmptyMaskSet):
-            loss_and_grad(state, masked([3, 4], [], []), (1, 0, 0))
+            loss_and_grad(state, (masked([3, 4], [], []),), (1, 0, 0))
 
 
 class TestLossValues:
@@ -199,7 +199,7 @@ class TestLossValues:
         keep = masked([3, MASK_ID, 4], [1], [5])
         drop = masked([MASK_ID, MASK_ID, 4], [1], [5])
         _, g_pair = loss_and_grad(state, (keep, drop), (1.0, 0.0, 0.0))
-        _, g_solo = loss_and_grad(state, keep, (1.0, 0.0, 0.0))
+        _, g_solo = loss_and_grad(state, (keep,), (1.0, 0.0, 0.0))
         for name in g_solo:
             assert np.array_equal(g_pair[name], g_solo[name]), name
 
@@ -219,7 +219,7 @@ class TestLossValues:
     def test_all_positions_masked_stays_finite(self):
         state = init(ModelConfig(vocab_size=10, d=4, seed=8))
         keep = masked([MASK_ID] * 4, [0, 1, 2, 3], [3, 4, 5, 6])
-        (l_mlm, _, _, l_total), grads = loss_and_grad(state, keep, (1, 0, 0))
+        (l_mlm, _, _, l_total), grads = loss_and_grad(state, (keep,), (1, 0, 0))
         assert math.isfinite(l_total) and l_mlm > 0
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
@@ -250,7 +250,7 @@ class TestGradientCheck:
     def test_with_padding_in_input(self):
         state = init(ModelConfig(vocab_size=12, d=4, max_len=10, seed=13))
         keep = masked([3, MASK_ID, 4, PAD_ID, PAD_ID], [1], [5])
-        assert finite_diff_check(state, keep, coeffs=(1, 0, 0), **self.CFG) < 1e-4
+        assert finite_diff_check(state, (keep,), coeffs=(1, 0, 0), **self.CFG) < 1e-4
 
     def test_repeated_mask_position(self):
         # Each listed position is one loss term, even when a position repeats.
@@ -276,7 +276,7 @@ class TestGradientCheck:
         keep = masked([3, MASK_ID, 4, 5], positions, [5, 6], Variant.KEEP_CLUES)
         drop = masked([MASK_ID, MASK_ID, 4, 5], positions, [5, 6], Variant.MASK_CLUES)
         rand = masked([3, MASK_ID, MASK_ID, 7], positions, [5, 6], Variant.MASK_RANDOM)
-        for item in (plain, (keep, drop, rand)):
+        for item in ((plain,), (keep, drop, rand)):
             assert finite_diff_check(state, item, coeffs=(1, 1, 1), eps=1e-4,
                                      min_coords=count) < 1e-4
 
@@ -317,7 +317,7 @@ class TestFullHeadOracle:
             scheme = (MaskScheme.DETERMINISTIC, MaskScheme.RANDOM_TOKEN,
                       MaskScheme.WHOLE_WORD)[int(rng.integers(3))]
             try:
-                return [apply_mask(sample, scheme, mask_rng), make_contrastive_pair(sample),
+                return [(apply_mask(sample, scheme, mask_rng),), make_contrastive_pair(sample),
                         make_classification_triple(sample, mask_rng)]
             except InsufficientContext:
                 continue
@@ -377,7 +377,7 @@ class TestRowForward:
         state = init(ModelConfig(vocab_size=8, d=4, max_len=n, seed=4))
         tokens = [3 + i % 5 for i in range(n)]
         tokens[7] = MASK_ID
-        item = masked(tokens, [7], [5])
+        item = (masked(tokens, [7], [5]),)
         grads = loss_and_grad(state, item, (1, 0, 0))[1]
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -443,7 +443,7 @@ class TestTrain:
         """A classification triple, a contrastive pair and a plain sample."""
         triple = sample_triple(5)
         return [triple, triple[:2],
-                masked([3, MASK_ID, MASK_ID, 5, 6], [1, 2], [7, 8], Variant.PLAIN)]
+                (masked([3, MASK_ID, MASK_ID, 5, 6], [1, 2], [7, 8], Variant.PLAIN),)]
 
     @pytest.mark.parametrize("lr", [0.0, 0.3])
     def test_matches_reference_loop_bit_for_bit(self, lr):
@@ -485,7 +485,7 @@ class TestPredictFill:
     def test_memorizes_single_fact(self):
         cfg = ModelConfig(vocab_size=12, d=16, max_len=8, seed=0)
         keep = masked([3, 4, MASK_ID, 5], [2], [7], Variant.KEEP_CLUES)
-        state, _ = train(cfg, [keep], steps=150, lr=0.5)
+        state, _ = train(cfg, [(keep,)], steps=150, lr=0.5)
         assert predict_fill(state, [3, 4, MASK_ID, 5]) == [7]
 
     def test_uniform_ties_resolve_to_lowest_content_id(self):

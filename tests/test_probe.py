@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,11 +23,11 @@ from detmask.probe import (
     build_questions,
     evaluate,
     filter_leakage,
-    instantiate,
     length_batches,
     run_model,
     split_questions,
 )
+from detmask.tokenizer import tokens_lower
 from oracles import consistency_oracle, instantiate_oracle, unique_object_flags_oracle
 from test_model import zero_state
 
@@ -38,17 +36,21 @@ def fact(s: str, p: str, o: str, surface: str) -> Fact:
     return Fact(Triplet(s, p, o), subject_surface=s, object_surface=surface)
 
 
-def question(f: Fact, prompt_id: int, n_masks: int = 1) -> ClozeQuestion:
-    tokens = ("about",) + (MASK_TOKEN,) * n_masks + ("indeed",)
-    return ClozeQuestion(fact=f, prompt_tokens=tokens, prompt_id=prompt_id)
+def question(f: Fact, prompt_id: int, n_masks: int = 1, prompt=None) -> ClozeQuestion:
+    """A question of ``f`` with ``prompt`` (default: ``n_masks`` masks between
+    two words), its gold tokens and id made as ``build_questions`` makes them."""
+    tokens = prompt or ("about",) + (MASK_TOKEN,) * n_masks + ("indeed",)
+    t = f.triplet
+    return ClozeQuestion(f, tokens, prompt_id, tuple(tokens_lower(f.object_surface)),
+                         f"{t.subject}|{t.predicate}|{t.object}#{prompt_id}")
 
 
 class TestInstantiate:
     def test_basic_substitution(self):
         t = Template("citizenOf", "[X] is a citizen of [Y].")
         f = fact("Q1", "citizenOf", "Q2", "Poland")
-        f = replace(f, subject_surface="Marie Curie")
-        q = instantiate(t, f)
+        f = f._replace(subject_surface="Marie Curie")
+        q = build_questions([t], [f])[0]
         assert q.prompt_tokens == (
             "marie", "curie", "is", "a", "citizen", "of", MASK_TOKEN, ".",
         )
@@ -58,26 +60,26 @@ class TestInstantiate:
     def test_multi_token_object_gets_one_mask_per_token(self):
         t = Template("bornIn", "[X] was born in [Y]")
         f = fact("Q1", "bornIn", "Q2", "New Zealand")
-        q = instantiate(t, f)
+        q = build_questions([t], [f])[0]
         assert q.prompt_tokens[-2:] == (MASK_TOKEN, MASK_TOKEN)
         assert q.gold_tokens == ("new", "zealand")
 
     def test_object_slot_may_precede_subject(self):
         t = Template("capitalOf", "the capital [Y] belongs to [X]")
         f = fact("Q1", "capitalOf", "Q2", "Lima")
-        f = replace(f, subject_surface="Peru")
-        q = instantiate(t, f)
+        f = f._replace(subject_surface="Peru")
+        q = build_questions([t], [f])[0]
         assert q.prompt_tokens == ("the", "capital", MASK_TOKEN, "belongs", "to", "peru")
 
     def test_bad_templates_rejected(self):
         f = fact("Q1", "p", "Q2", "x")
         for pattern in ("[X] only", "no slots", "[X] and [Y] and [Y]", "[X] [X] [Y]"):
             with pytest.raises(BadTemplate):
-                instantiate(Template("p", pattern), f)
+                build_questions([Template("p", pattern)], [f])
 
     def test_empty_object_surface_rejected(self):
         with pytest.raises(DataError):
-            instantiate(Template("p", "[X] is [Y]"), fact("Q1", "p", "Q2", "  "))
+            build_questions([Template("p", "[X] is [Y]")], [fact("Q1", "p", "Q2", "  ")])
 
     def test_build_questions_orders_prompts_per_relation(self):
         templates = [
@@ -96,20 +98,20 @@ class TestInstantiate:
 class TestFilterLeakage:
     def test_answer_in_template_text_leaks(self):
         t = Template("p", "[X] sits in poland like [Y]")
-        q = instantiate(t, fact("Q1", "p", "Q2", "Poland"))
+        q = build_questions([t], [fact("Q1", "p", "Q2", "Poland")])[0]
         kept, dropped = filter_leakage([q])
         assert kept == [] and dropped == [q]
 
     def test_subword_match_does_not_leak(self):
         t = Template("p", "[X] near yorkshire is [Y]")
-        q = instantiate(t, fact("Q1", "p", "Q2", "York"))
+        q = build_questions([t], [fact("Q1", "p", "Q2", "York")])[0]
         kept, dropped = filter_leakage([q])
         assert kept == [q] and dropped == []
 
     def test_run_must_be_contiguous(self):
         f = fact("Q1", "p", "Q2", "New Zealand")
-        leaked = instantiate(Template("p", "[X] new zealand hosts [Y]"), f)
-        split = instantiate(Template("p", "[X] new deal in zealand for [Y]"), f)
+        leaked = build_questions([Template("p", "[X] new zealand hosts [Y]")], [f])[0]
+        split = build_questions([Template("p", "[X] new deal in zealand for [Y]")], [f])[0]
         kept, dropped = filter_leakage([leaked, split])
         assert dropped == [leaked] and kept == [split]
 
@@ -142,9 +144,9 @@ class TestEvaluate:
         assert report.total.accuracy == pytest.approx(4 / 6)
         assert report.total.consistency == pytest.approx(2 / 3)
         assert report.total.joint == pytest.approx(1 / 2)
-        assert report.total.n_facts == 2
-        assert report.total.n_questions == 6
-        assert report.total.n_pairs == 6
+        assert report.total.facts == 2
+        assert report.total.questions == 6
+        assert report.total.pairs == 6
 
     def test_question_order_does_not_matter(self):
         questions, predictions = self.worked_example()
@@ -166,7 +168,7 @@ class TestEvaluate:
             "S2|p|O2#1": ["gamma"],
         }
         report = evaluate(questions, predictions)
-        assert report.total.n_pairs == 1
+        assert report.total.pairs == 1
         assert report.total.consistency == 0.0
         assert report.total.joint == 0.0
 
@@ -189,8 +191,8 @@ class TestEvaluate:
         assert report.in_domain is None
 
     def test_splits_require_full_labels(self):
-        f1 = replace(fact("S1", "p", "O1", "alpha"), in_domain=True,
-                     relation_type=RelationType.N1_OR_11)
+        f1 = fact("S1", "p", "O1", "alpha")._replace(in_domain=True,
+                                                     relation_type=RelationType.N1_OR_11)
         f2 = fact("S2", "p", "O2", "beta")  # unlabeled
         questions = [question(f1, 0), question(f2, 0)]
         predictions = {q.question_id: ["alpha"] for q in questions}
@@ -198,16 +200,16 @@ class TestEvaluate:
         assert report.in_domain is None and report.n1_or_11 is None
 
     def test_split_metrics(self):
-        f1 = replace(fact("S1", "p", "O1", "alpha"), in_domain=True,
-                     relation_type=RelationType.N1_OR_11)
-        f2 = replace(fact("S2", "q", "O2", "beta"), in_domain=False,
-                     relation_type=RelationType.NM)
+        f1 = fact("S1", "p", "O1", "alpha")._replace(in_domain=True,
+                                                     relation_type=RelationType.N1_OR_11)
+        f2 = fact("S2", "q", "O2", "beta")._replace(in_domain=False,
+                                                    relation_type=RelationType.NM)
         questions = [question(f1, 0), question(f2, 0)]
         predictions = {"S1|p|O1#0": ["alpha"], "S2|q|O2#0": ["wrong"]}
         report = evaluate(questions, predictions)
         assert report.in_domain.accuracy == 1.0
         assert report.out_of_domain.accuracy == 0.0
-        assert report.n1_or_11.n_questions == 1
+        assert report.n1_or_11.questions == 1
         assert report.nm.accuracy == 0.0
         doc = report.to_dict()
         assert doc["format"] == "detmask-report" and doc["version"] == 1
@@ -227,20 +229,20 @@ class TestInstantiateOracle:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(pattern=st.one_of(TEXT, ONE_SLOT_EACH), subject=TEXT, obj=TEXT)
     def test_matches_find_scan(self, pattern, subject, obj):
-        f = replace(fact("S", "p", "O", obj), subject_surface=subject)
+        f = fact("S", "p", "O", obj)._replace(subject_surface=subject)
         try:
             expected = instantiate_oracle(pattern, subject, obj)
         except (BadTemplate, DataError) as exc:
             with pytest.raises(type(exc)) as info:
-                instantiate(Template("p", pattern), f)
+                build_questions([Template("p", pattern)], [f])
             assert str(info.value) == str(exc)
         else:
-            assert instantiate(Template("p", pattern), f).prompt_tokens == expected
+            assert build_questions([Template("p", pattern)], [f])[0].prompt_tokens == expected
 
 
 def test_report_splits_match_the_report_stage():
     # `report` reads the splits without loading probe code, so it keeps its own copy.
-    assert list(cli._SPLITS) == [f.name for f in fields(MetricsReport)]
+    assert list(cli._SPLITS) == list(MetricsReport._fields)
 
 
 class TestConsistencyAgainstOracle:
@@ -314,7 +316,7 @@ class TestRunModel:
             tokens = [words[int(j)] for j in rng.integers(0, len(words), size=n)]
             for j in rng.choice(n, size=masks, replace=False):
                 tokens[int(j)] = MASK_TOKEN
-            out.append(ClozeQuestion(fact=f, prompt_tokens=tuple(tokens), prompt_id=i))
+            out.append(question(f, i, prompt=tuple(tokens)))
         return out
 
     def per_question(self, state, vocab, questions) -> dict[str, list[str]]:
