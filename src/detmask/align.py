@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .editdist import within_one
-from .errors import DataError, EmptyDataset
+from .errors import DataError
 from .kb import KnowledgeBase, Triplet, is_deterministic, predicates_between
 from .tokenizer import Tokens, lower_aligned, token_spans, tokens_inside, tokens_lower
 
@@ -354,7 +354,7 @@ def compute_stats(
     tokens into a single clue set.
     """
     if not samples:
-        raise EmptyDataset("no deterministic samples")
+        raise DataError("no deterministic samples")
     total_tokens = 0
     groups = 0
     clue_sum = 0
@@ -367,7 +367,7 @@ def compute_stats(
             object_sum += len(group.objects)
             clue_sum += len(group.clues)
     if not groups:
-        raise EmptyDataset("no sample has a triplet")
+        raise DataError("no sample has a triplet")
     fraction = 0.0
     paragraph_count = len(samples)
     if counters is not None:

@@ -2,18 +2,19 @@
 
 Every stage reads and writes materialized files, so any step can be re-run
 in isolation and outputs can be diffed across runs.  Exit codes: 0 success,
-1 usage error (also an output that resolves to another of the stage's files),
-2 data error.  Once a stage that returns a ``StageResult`` succeeds, ``main``
-writes a manifest JSON next to its main output, last of all its files,
-recording the input paths, seed, configuration, counters, ``started`` (when
-the stage began) and ``duration_s`` (the whole stage, reading and every write
-included); a failed stage writes none.  Each ``cmd_*`` imports only the
-modules of its own stage.  Logging verbosity comes from the DETMASK_LOG
-environment variable (error, info or debug; default error); only ``align``
-and ``mask`` log, and below info ``logging`` is never imported.  ``main``
-sets OPENBLAS_NUM_THREADS to 1 unless it is already set, before any stage
-loads numpy: the stages' matrix products are small, and waking a second BLAS
-thread for each costs more than it saves.
+1 usage error (also an argument that is not valid UTF-8, or an output that
+resolves to another of the stage's files), 2 data error.  Once a stage that
+returns a ``StageResult`` succeeds, ``main`` writes a manifest JSON next to
+its main output, last of all its files, recording the input paths, seed,
+configuration, counters, ``started`` (when the stage began) and
+``duration_s`` (the whole stage, reading and every write included); a failed
+stage writes none.  Each ``cmd_*`` imports only the modules of its own stage.
+Logging verbosity comes from the DETMASK_LOG environment variable (error,
+info or debug; default error); only ``align`` and ``mask`` log, and below
+info ``logging`` is never imported.  ``main`` sets OPENBLAS_NUM_THREADS to 1
+unless it is already set, before any stage loads numpy: the stages' matrix
+products are small, and waking a second BLAS thread for each costs more than
+it saves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .errors import DataError, DetmaskError, EmptyDataset
+from .errors import DataError, DetmaskError
 from .fileio import read_json, write_json
 
 # What a manifest-writing stage returns: main output path, outputs, config, counters.
@@ -162,12 +163,12 @@ def cmd_mask(args) -> StageResult:
     samples = formats.read_samples(args.samples) if args.samples else []
     ssm = formats.read_ssm(args.ssm) if args.ssm else []
     if scheme is not MaskScheme.SALIENT_SPAN and not samples:
-        raise EmptyDataset(f"{args.samples} holds no samples")
+        raise DataError(f"{args.samples} holds no samples")
     # One tokenization per distinct paragraph, shared by the vocabulary and the samples.
     tokenized = {text: token_spans(text)
                  for text in dict.fromkeys(s.paragraph.text for s in (*samples, *ssm))}
     if not tokenized:
-        raise EmptyDataset("no input samples (pass --samples and/or --ssm)")
+        raise DataError("no input samples (pass --samples and/or --ssm)")
     vocab = Vocabulary.build(tokenized.values())
     formats.write_vocab(vocab_path, vocab)
 
@@ -276,7 +277,7 @@ def cmd_probe(args) -> StageResult:
     questions = build_questions(templates, facts)
     kept, dropped = filter_leakage(questions)
     if not kept:
-        raise EmptyDataset("no questions left after leakage filtering")
+        raise DataError("no questions left after leakage filtering")
     predictions = run_model(state, vocab, kept)
     report = evaluate(kept, predictions)
     doc = report.to_dict()
@@ -426,6 +427,13 @@ def main(argv=None) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     t0 = time.monotonic()
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, str):
+                try:
+                    value.encode()
+                except UnicodeEncodeError:
+                    flag = "--" + name.replace("_", "-")
+                    raise UsageError(f"{flag} is not valid UTF-8: {value!r}") from None
         result = args.func(args)
         if result is not None:
             main_output, outputs, config, counters = result

@@ -1,7 +1,11 @@
 """Exception types shared across the pipeline.
 
 Everything raised on bad *data* derives from ``DataError`` so the CLI can map
-it to a single exit code; programming errors stay ordinary exceptions.
+it to a single exit code; programming errors stay ordinary exceptions.  A
+subclass exists only where something tells it apart: ``MalformedLine`` and
+``DanglingReference`` build their messages, the class names of the three
+masking skips are the mask manifest's ``skip_reasons`` keys, and ``train``
+catches ``NonFiniteLoss``.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ class DanglingReference(DataError):
         super().__init__(f"id {ref_id!r} referenced but not present in alias tables ({kind})")
 
 
-class EmptyDataset(DataError):
-    pass
-
-
 class NoMaskableContent(DataError):
     """The masking scheme's candidate set is empty for this sample."""
 
@@ -41,29 +41,8 @@ class InsufficientContext(DataError):
     """Fewer maskable context tokens than clue tokens; sample must be skipped."""
 
 
-class SequenceTooLong(DataError):
-    pass
-
-
-class EmptyMaskSet(DataError):
-    pass
-
-
 class NonFiniteLoss(DetmaskError):
     def __init__(self, step: int, value: float):
         super().__init__(f"non-finite loss {value!r} at step {step}")
         self.step = step
         self.value = value
-
-
-class NoMask(DataError):
-    pass
-
-
-class BadTemplate(DataError):
-    pass
-
-
-class MissingPrediction(DataError):
-    def __init__(self, question_id: str):
-        super().__init__(f"no prediction for question {question_id}")

@@ -59,21 +59,12 @@ class Variant(Enum):
 class Vocabulary:
     """Closed vocabulary; ids 0..2 are the pad, mask and unknown sentinels.
 
-    Two vocabularies are equal when their token lists are; ``token_to_id``
-    is the index of ``id_to_token``.
+    ``token_to_id`` is the index of ``id_to_token``.
     """
 
     def __init__(self, id_to_token: tuple[str, ...], token_to_id: dict[str, int]) -> None:
         self.id_to_token = id_to_token
         self.token_to_id = token_to_id
-
-    def __eq__(self, other):
-        if not isinstance(other, Vocabulary):
-            return NotImplemented
-        return self.id_to_token == other.id_to_token
-
-    def __hash__(self) -> int:
-        return hash(self.id_to_token)
 
     @classmethod
     def from_tokens(cls, content_tokens: Iterable[str]) -> "Vocabulary":

@@ -33,8 +33,8 @@ random input's pass skips the head.  Prediction runs the head at the mask
 positions and reads each answer off the logits, with the softmax only for
 rows where rounding could make the two disagree.  The backward pass sends
 dK and dV to every position and dq and dh1 to the rows.  One forward serves
-a single sequence or a batch of sequences of one length;
-``predict_fill_batch`` fills a batch in one pass.
+a single sequence or a batch of sequences of one length; ``predict_fill``
+fills a batch in one pass.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DataError, DetmaskError, EmptyMaskSet, NoMask, NonFiniteLoss,
-                     SequenceTooLong)
+from .errors import DataError, DetmaskError, NonFiniteLoss
 from .fileio import atomic_write, decode_json
 from .masking import MASK_ID, PAD_ID, MaskedSample, Vocabulary
 
@@ -147,7 +146,7 @@ def _forward(state: ModelState, tokens, rows, head: bool = True) -> dict:
     n = toks.shape[-1]
     max_len = state.pos_emb.shape[0]
     if n > max_len:
-        raise SequenceTooLong(f"sequence of {n} tokens exceeds max_len {max_len}")
+        raise DataError(f"sequence of {n} tokens exceeds max_len {max_len}")
     d = state.tok_emb.shape[1]
     x = state.tok_emb[toks] + state.pos_emb[:n]
     k = x @ state.wk
@@ -261,7 +260,7 @@ def loss_and_grad(
     w_mlm, w_con, w_cls = coeffs
     keep = item[0]
     if len(keep.mask_positions) == 0:
-        raise EmptyMaskSet("keep input has no mask positions")
+        raise DataError("keep input has no mask positions")
     pos = np.asarray(keep.mask_positions, dtype=np.int64)
     tgt = np.asarray(keep.targets, dtype=np.int64)
     n_obj = len(pos)
@@ -354,7 +353,7 @@ def train(
     """
     data = list(items)
     if not data:
-        raise EmptyMaskSet("no training items")
+        raise DataError("no training items")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     state = init(config)
@@ -383,17 +382,10 @@ def train(
     return state, log
 
 
-def predict_fill(state: ModelState, tokens: Sequence[int]) -> list[int]:
-    """Independent argmax of the head softmax at every mask position,
-    skipping sentinel ids.
-
-    Ties resolve to the lowest token id.
-    """
-    return predict_fill_batch(state, [tokens])[0]
-
-
-def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]]) -> list[list[int]]:
-    """``predict_fill`` of each sequence in ``batch``, all of one length, in one pass.
+def predict_fill(state: ModelState, batch: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Independent argmax of the head softmax at every mask position of each
+    sequence in ``batch``, all of one length, in one pass, skipping sentinel
+    ids; ties resolve to the lowest content id.
 
     Each answer is read off the logits where that provably equals the
     softmax's argmax, and from the softmax elsewhere (``_fill_argmax``).
@@ -402,7 +394,7 @@ def predict_fill_batch(state: ModelState, batch: Sequence[Sequence[int]]) -> lis
     toks = np.asarray(batch, dtype=np.int64)
     is_mask = toks == MASK_ID
     if not is_mask.any(axis=1).all():
-        raise NoMask("input has no mask positions")
+        raise DataError("input has no mask positions")
     with np.errstate(over="ignore", invalid="ignore"):
         h2 = _forward(state, toks, np.nonzero(is_mask), head=False)["h2"]
         answers = _fill_argmax(_logits(state, h2))

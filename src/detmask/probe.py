@@ -20,11 +20,10 @@ fact in the pre-training data) and unique-object vs multi-object relations.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import BadTemplate, DataError, MissingPrediction
+from .errors import DataError
 from .kb import Triplet
 from .masking import MASK_TOKEN, Vocabulary
 from .tokenizer import tokens_lower
@@ -37,13 +36,6 @@ if TYPE_CHECKING:
 PROMPTS_PER_BATCH = 64
 
 
-class RelationType(Enum):
-    # Every subject of the relation has exactly one object.
-    N1_OR_11 = "n1_or_11"
-    # Some subject has several objects.
-    NM = "nm"
-
-
 class Template(NamedTuple):
     relation: str
     pattern: str
@@ -53,7 +45,8 @@ class Fact(NamedTuple):
     triplet: Triplet
     subject_surface: str
     object_surface: str
-    relation_type: Optional[RelationType] = None
+    # Whether every subject of the relation has exactly one object.
+    unique_object: Optional[bool] = None
     in_domain: Optional[bool] = None
 
 
@@ -102,7 +95,7 @@ def _template_pieces(template: Template) -> list:
     pieces = _PLACEHOLDER.split(template.pattern)
     for ph in ("[X]", "[Y]"):
         if pieces.count(ph) != 1:
-            raise BadTemplate(f"pattern must contain exactly one {ph}: {template.pattern!r}")
+            raise DataError(f"pattern must contain exactly one {ph}: {template.pattern!r}")
     return [p if p in ("[X]", "[Y]") else tokens_lower(p) for p in pieces]
 
 
@@ -172,13 +165,9 @@ def split_questions(
     ``unique_object`` flags each predicate whose every subject has one object
     (``kb.load_unique_object_flags``); a predicate without a flag counts as one.
     """
-    out = []
-    for fact in facts:
-        p = fact.triplet.predicate
-        rel = RelationType.N1_OR_11 if unique_object.get(p, True) else RelationType.NM
-        out.append(fact._replace(relation_type=rel,
-                                 in_domain=fact.triplet in pretraining_triplets))
-    return out
+    return [fact._replace(unique_object=unique_object.get(fact.triplet.predicate, True),
+                          in_domain=fact.triplet in pretraining_triplets)
+            for fact in facts]
 
 
 def _metrics(questions: Sequence[ClozeQuestion],
@@ -197,7 +186,7 @@ def _metrics(questions: Sequence[ClozeQuestion],
         for q in fact_questions:
             answer = answers.get(q.question_id)
             if answer is None:
-                raise MissingPrediction(q.question_id)
+                raise DataError(f"no prediction for question {q.question_id}")
             fact_answers.append(answer)
             if answer == q.gold_tokens:
                 n_correct += 1
@@ -228,8 +217,8 @@ def _metrics(questions: Sequence[ClozeQuestion],
 _LABELLED_SPLITS = MappingProxyType({
     "in_domain": ("in_domain", True),
     "out_of_domain": ("in_domain", False),
-    "n1_or_11": ("relation_type", RelationType.N1_OR_11),
-    "nm": ("relation_type", RelationType.NM),
+    "n1_or_11": ("unique_object", True),
+    "nm": ("unique_object", False),
 })
 
 
@@ -267,14 +256,14 @@ def run_model(
 ) -> dict[str, list[str]]:
     """Fill every question's masks with the model; answers as token strings.
 
-    Each of ``length_batches`` is one forward pass; the answers equal those
-    of ``predict_fill`` on one question at a time.
+    Each of ``length_batches`` is one ``predict_fill`` call; a question's
+    answers equal those of a batch holding it alone.
     """
     from . import model
 
     predictions: dict[str, list[str]] = {}
     for batch in length_batches(questions):
         ids = [[vocab.encode(t) for t in q.prompt_tokens] for q in batch]
-        for q, filled in zip(batch, model.predict_fill_batch(state, ids)):
+        for q, filled in zip(batch, model.predict_fill(state, ids)):
             predictions[q.question_id] = [vocab.decode(i) for i in filled]
     return predictions

@@ -32,8 +32,8 @@ vocabulary distribution of one sequence.
 
 ``predict_fill_oracle`` answers a batch of cloze prompts from the whole
 head softmax at every mask row: the sentinel ids set to -1, then an id by id
-scan that keeps the first of equal maxima.  ``model.predict_fill_batch``
-reads most answers straight off the logits.
+scan that keeps the first of equal maxima.  ``model.predict_fill`` reads
+most answers straight off the logits.
 
 ``finite_diff_check`` compares ``model.loss_and_grad``'s analytic gradients
 with central differences of its own losses.
@@ -73,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from detmask.align import AlignedSample, Paragraph
-from detmask.errors import BadTemplate, DataError, MalformedLine
+from detmask.errors import DataError, MalformedLine
 from detmask.formats import _require, read_jsonl, write_jsonl
 from detmask.kb import KnowledgeBase, Triplet, _iter_lines, _parse_id
 from detmask.masking import (MASK_ID, MASK_TOKEN, PAD_ID, UNK_ID, MaskedSample, MaskScheme,
@@ -239,7 +239,7 @@ def instantiate_oracle(pattern: str, subject_surface: str,
         raise DataError(f"object surface {object_surface!r} has no tokens")
     for ph in ("[X]", "[Y]"):
         if pattern.count(ph) != 1:
-            raise BadTemplate(f"pattern must contain exactly one {ph}: {pattern!r}")
+            raise DataError(f"pattern must contain exactly one {ph}: {pattern!r}")
     tokens: list[str] = []
     rest = pattern
     while rest:

@@ -15,7 +15,7 @@ from detmask.align import (
     build_dataset,
     compute_stats,
 )
-from detmask.errors import DataError, EmptyDataset
+from detmask.errors import DataError
 from detmask.kb import Triplet, build_kb
 from detmask.tokenizer import lower_aligned, token_spans
 from oracles import align_paragraph_oracle, match_predicate_oracle, sample_to_tuples
@@ -370,5 +370,5 @@ class TestComputeStats:
         assert stats.avg_clue_tokens == 3.0
 
     def test_empty_dataset_error(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="no deterministic samples"):
             compute_stats([], None)

@@ -617,6 +617,41 @@ class TestPipelineArtifacts:
         assert "no manifest" not in out
 
 
+def sample_line(doc_id: str, text: str, s_span, p_span, o_span) -> str:
+    """A hand-written samples.jsonl line holding one triplet."""
+    triplet = {"s": "Q1", "p": "P1", "o": "Q2", "s_span": s_span, "p_span": p_span,
+               "o_span": o_span, "edit_distance": 0}
+    return json.dumps({"doc_id": doc_id, "text": text, "entities": [],
+                       "triplets": [triplet]}) + "\n"
+
+
+class TestMaskSkipReasons:
+    """Each masking skip is counted under its error class's name, which is
+    why ``NoClues``, ``InsufficientContext`` and ``NoMaskableContent`` are
+    types of their own."""
+
+    def skip_reasons(self, tmp_path, lines: list[str], *mode: str) -> dict:
+        samples, masked = tmp_path / "samples.jsonl", tmp_path / "masked.jsonl"
+        samples.write_text("".join(lines), encoding="utf-8")
+        assert main(["mask", "--samples", str(samples), "--out", str(masked), *mode]) == 0
+        return read_json(str(masked) + ".manifest.json")["counters"]["skip_reasons"]
+
+    def test_triple_skips_groups_without_clues_or_context(self, tmp_path):
+        text = "alpha beta gamma"
+        lines = [
+            # Subject and predicate lie inside the object span: no clue token.
+            sample_line("inside", text, [0, 5], [6, 10], [0, 16]),
+            # Two clue tokens and no other token to mask at random.
+            sample_line("crowded", text, [0, 5], [6, 10], [11, 16]),
+        ]
+        assert self.skip_reasons(tmp_path, lines, "--emit", "triple") \
+            == {"InsufficientContext": 1, "NoClues": 1}
+
+    def test_object_span_skips_a_span_inside_one_word(self, tmp_path):
+        lines = [sample_line("part", "alpha beta gamma", [0, 5], [6, 10], [12, 14])]
+        assert self.skip_reasons(tmp_path, lines, "--scheme", "object_span") \
+            == {"NoMaskableContent": 1}
+
 def stage_env() -> dict:
     """The environment for a stage subprocess that imports this checkout's detmask."""
     src = str(Path(fileio.__file__).parents[1])
@@ -1006,6 +1041,28 @@ class TestExitCodes:
         assert main([stage, *inputs, *outputs]) == 1
         assert f"error: {flags} name the same file" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    @pytest.mark.parametrize("stage, path_args, flag", [
+        ("build-kb", ["--out", os.fsdecode(b"kb\xff")], "--out"),
+        ("align", ["--out", os.fsdecode(b"s\xff.jsonl")], "--out"),
+        ("mask", ["--out", "m.jsonl", "--vocab", os.fsdecode(b"v\xff.json")], "--vocab"),
+    ], ids=["build_kb", "align", "mask"])
+    def test_path_that_is_not_utf8_is_usage_error(self, pipeline, tmp_path, monkeypatch,
+                                                  capsys, stage, path_args, flag):
+        """A path the manifest could not record exits 1 naming its flag,
+        before the stage runs, and writes nothing."""
+        inputs = {
+            "build-kb": ["--triplets", str(pipeline["triplets"]),
+                         "--entities", str(pipeline["entities"]),
+                         "--predicates", str(pipeline["predicates"])],
+            "align": ["--kb", str(pipeline["kb"]), "--corpus", str(pipeline["corpus"])],
+            "mask": ["--samples", str(pipeline["samples"]), "--emit", "pair"],
+        }[stage]
+        monkeypatch.chdir(tmp_path)
+        assert main([stage, *inputs, *path_args]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} is not valid UTF-8" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stage, args, flags", [
         ("mask", ["--samples", "samples.jsonl", "--out", "samples.jsonl", "--emit", "pair"],

@@ -468,7 +468,7 @@ class TestSmallFormats:
         vocab = Vocabulary.build(map(token_spans, ["war horse", "jaws"]))
         path = tmp_path / "vocab.json"
         write_vocab(path, vocab)
-        assert read_vocab(path) == vocab
+        assert read_vocab(path).id_to_token == vocab.id_to_token
 
     def test_templates(self, tmp_path):
         path = tmp_path / "templates.jsonl"

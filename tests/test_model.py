@@ -14,15 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detmask.model
-from detmask.errors import (
-    DataError,
-    DetmaskError,
-    EmptyMaskSet,
-    InsufficientContext,
-    NoMask,
-    NonFiniteLoss,
-    SequenceTooLong,
-)
+from detmask.errors import DataError, DetmaskError, InsufficientContext, NonFiniteLoss
 from detmask.masking import (
     MASK_ID,
     PAD_ID,
@@ -43,7 +35,6 @@ from detmask.model import (
     load_checkpoint,
     loss_and_grad,
     predict_fill,
-    predict_fill_batch,
     save_checkpoint,
     train,
 )
@@ -146,10 +137,10 @@ class TestForward:
 
     def test_sequence_too_long(self):
         state = init(ModelConfig(vocab_size=12, d=4, max_len=4, seed=0))
-        with pytest.raises(SequenceTooLong):
+        with pytest.raises(DataError, match="sequence of 5 tokens exceeds max_len 4"):
             loss_and_grad(state, (masked([3] * 5, [0], [3]),), (1, 0, 0))
-        with pytest.raises(SequenceTooLong):
-            predict_fill_batch(state, [[3, 3, 3, 3, MASK_ID]])
+        with pytest.raises(DataError, match="sequence of 5 tokens exceeds max_len 4"):
+            predict_fill(state, [[3, 3, 3, 3, MASK_ID]])
 
     def test_avg_truth_prob(self):
         # L_con is the arithmetic mean of the truth probabilities at the keep
@@ -162,7 +153,7 @@ class TestForward:
         expected = (head_probs(state, drop.input_tokens)[rows, tgt].mean()
                     - head_probs(state, keep.input_tokens)[rows, tgt].mean())
         assert l_con == pytest.approx(expected, abs=1e-15)
-        with pytest.raises(EmptyMaskSet):
+        with pytest.raises(DataError, match="keep input has no mask positions"):
             loss_and_grad(state, (masked([3, 4], [], []),), (1, 0, 0))
 
 
@@ -430,7 +421,7 @@ class TestTrain:
 
     def test_empty_items_rejected(self):
         cfg = ModelConfig(vocab_size=10, d=8)
-        with pytest.raises(EmptyMaskSet):
+        with pytest.raises(DataError, match="no training items"):
             train(cfg, [], steps=1, lr=0.1)
 
     def test_non_finite_last_update_raises(self):
@@ -486,18 +477,19 @@ class TestPredictFill:
         cfg = ModelConfig(vocab_size=12, d=16, max_len=8, seed=0)
         keep = masked([3, 4, MASK_ID, 5], [2], [7], Variant.KEEP_CLUES)
         state, _ = train(cfg, [(keep,)], steps=150, lr=0.5)
-        assert predict_fill(state, [3, 4, MASK_ID, 5]) == [7]
+        assert predict_fill(state, [[3, 4, MASK_ID, 5]]) == [[7]]
 
     def test_uniform_ties_resolve_to_lowest_content_id(self):
-        assert predict_fill(zero_state(), [3, MASK_ID, 4]) == [3]
+        assert predict_fill(zero_state(), [[3, MASK_ID, 4]]) == [[3]]
 
     def test_positions_in_order(self):
         state = zero_state()
-        assert len(predict_fill(state, [MASK_ID, 3, MASK_ID])) == 2
+        assert [len(a) for a in predict_fill(state, [[MASK_ID, 3, MASK_ID], [3, 3, MASK_ID]])] \
+            == [2, 1]
 
     def test_no_mask_raises(self):
-        with pytest.raises(NoMask):
-            predict_fill(zero_state(), [3, 4])
+        with pytest.raises(DataError, match="input has no mask positions"):
+            predict_fill(zero_state(), [[3, MASK_ID], [3, 4]])
 
 
 # Crafted heads: with zero attention and feed-forward weights and a zero mask
@@ -516,7 +508,7 @@ def crafted_state() -> ModelState:
 
 @pytest.fixture
 def head_softmax_rows(monkeypatch) -> list[int]:
-    """Rows of each head softmax that ``predict_fill_batch`` falls back to."""
+    """Rows of each head softmax that ``predict_fill`` falls back to."""
     rows: list[int] = []
     real = detmask.model._softmax
 
@@ -530,7 +522,7 @@ def head_softmax_rows(monkeypatch) -> list[int]:
 
 
 class TestPredictFillFromLogits:
-    """``predict_fill_batch`` reads an answer off the logits only where the
+    """``predict_fill`` reads an answer off the logits only where the
     full head softmax must agree, and equals ``predict_fill_oracle``."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -545,11 +537,11 @@ class TestPredictFillFromLogits:
         batch = rng.integers(0, vocab, size=(sequences, n))
         batch[np.arange(sequences), rng.integers(0, n, size=sequences)] = MASK_ID
         batch = batch.tolist()
-        assert predict_fill_batch(state, batch) == predict_fill_oracle(state, batch)
+        assert predict_fill(state, batch) == predict_fill_oracle(state, batch)
 
     def test_exact_ties_take_the_softmax(self, head_softmax_rows):
         state = zero_state(v=CRAFT_V)
-        assert predict_fill_batch(state, [[3, MASK_ID, MASK_ID]]) == [[3, 3]]
+        assert predict_fill(state, [[3, MASK_ID, MASK_ID]]) == [[3, 3]]
         assert predict_fill_oracle(state, [[3, MASK_ID, MASK_ID]]) == [[3, 3]]
         assert head_softmax_rows == [2]
 
@@ -558,7 +550,7 @@ class TestPredictFillFromLogits:
         state = crafted_state()
         state.tok_emb[lower, 0] = 4.0
         state.tok_emb[upper, 0] = np.nextafter(4.0, 5.0)
-        assert predict_fill_batch(state, [[MASK_ID]]) == predict_fill_oracle(state, [[MASK_ID]])
+        assert predict_fill(state, [[MASK_ID]]) == predict_fill_oracle(state, [[MASK_ID]])
         assert head_softmax_rows == [1]
 
     def test_sentinel_that_underflows_content_takes_the_softmax(self, head_softmax_rows):
@@ -566,7 +558,7 @@ class TestPredictFillFromLogits:
         is the lowest content id, not the best content logit."""
         state = crafted_state()
         state.lm_bias[PAD_ID] = 1000.0
-        assert predict_fill_batch(state, [[MASK_ID]]) == [[3]]
+        assert predict_fill(state, [[MASK_ID]]) == [[3]]
         assert predict_fill_oracle(state, [[MASK_ID]]) == [[3]]
         assert head_softmax_rows == [1]
 
@@ -576,7 +568,7 @@ class TestPredictFillFromLogits:
         state.b2[0] = 0.0
         state.pos_emb[1, 0] = 1.0
         batch = [[4, MASK_ID, 4], [MASK_ID, MASK_ID, 3]]
-        assert predict_fill_batch(state, batch) == [[CRAFT_V - 1], [3, CRAFT_V - 1]]
+        assert predict_fill(state, batch) == [[CRAFT_V - 1], [3, CRAFT_V - 1]]
         assert predict_fill_oracle(state, batch) == [[CRAFT_V - 1], [3, CRAFT_V - 1]]
         assert head_softmax_rows == [1]
 
@@ -586,7 +578,7 @@ class TestPredictFillFromLogits:
         state.lm_bias[ids] = -np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert predict_fill_batch(state, [[MASK_ID]]) == [[CRAFT_V - 1]]
+            assert predict_fill(state, [[MASK_ID]]) == [[CRAFT_V - 1]]
         assert predict_fill_oracle(state, [[MASK_ID]]) == [[CRAFT_V - 1]]
         assert head_softmax_rows == []
 
@@ -599,7 +591,7 @@ class TestPredictFillFromLogits:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DataError):
-                predict_fill_batch(state, [[MASK_ID]])
+                predict_fill(state, [[MASK_ID]])
         with pytest.raises(DataError):
             predict_fill_oracle(state, [[MASK_ID]])
 
@@ -613,7 +605,7 @@ class TestCheckpoint:
         save_checkpoint(path, state, cfg, vocab)
         loaded, cfg2, vocab2 = load_checkpoint(path)
         assert cfg2 == cfg
-        assert vocab2 == vocab
+        assert vocab2.id_to_token == vocab.id_to_token
         for name, arr in state.params().items():
             assert np.array_equal(arr, loaded.params()[name]), name
             assert loaded.params()[name].flags.writeable

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from detmask import cli
 
-from detmask.errors import BadTemplate, DataError, MissingPrediction
+from detmask.errors import DataError
 from detmask.kb import Triplet, build_kb
 from detmask.masking import MASK_TOKEN, Vocabulary
 from detmask.model import ModelConfig, init, predict_fill
@@ -18,7 +18,6 @@ from detmask.probe import (
     ClozeQuestion,
     Fact,
     MetricsReport,
-    RelationType,
     Template,
     build_questions,
     evaluate,
@@ -74,7 +73,7 @@ class TestInstantiate:
     def test_bad_templates_rejected(self):
         f = fact("Q1", "p", "Q2", "x")
         for pattern in ("[X] only", "no slots", "[X] and [Y] and [Y]", "[X] [X] [Y]"):
-            with pytest.raises(BadTemplate):
+            with pytest.raises(DataError, match="pattern must contain exactly one"):
                 build_questions([Template("p", pattern)], [f])
 
     def test_empty_object_surface_rejected(self):
@@ -182,7 +181,7 @@ class TestEvaluate:
 
     def test_missing_prediction_raises(self):
         f = fact("S1", "p", "O1", "alpha")
-        with pytest.raises(MissingPrediction):
+        with pytest.raises(DataError, match=r"no prediction for question S1\|p\|O1#0"):
             evaluate([question(f, 0)], {})
 
     def test_empty_question_list(self):
@@ -191,8 +190,7 @@ class TestEvaluate:
         assert report.in_domain is None
 
     def test_splits_require_full_labels(self):
-        f1 = fact("S1", "p", "O1", "alpha")._replace(in_domain=True,
-                                                     relation_type=RelationType.N1_OR_11)
+        f1 = fact("S1", "p", "O1", "alpha")._replace(in_domain=True, unique_object=True)
         f2 = fact("S2", "p", "O2", "beta")  # unlabeled
         questions = [question(f1, 0), question(f2, 0)]
         predictions = {q.question_id: ["alpha"] for q in questions}
@@ -200,10 +198,8 @@ class TestEvaluate:
         assert report.in_domain is None and report.n1_or_11 is None
 
     def test_split_metrics(self):
-        f1 = fact("S1", "p", "O1", "alpha")._replace(in_domain=True,
-                                                     relation_type=RelationType.N1_OR_11)
-        f2 = fact("S2", "q", "O2", "beta")._replace(in_domain=False,
-                                                    relation_type=RelationType.NM)
+        f1 = fact("S1", "p", "O1", "alpha")._replace(in_domain=True, unique_object=True)
+        f2 = fact("S2", "q", "O2", "beta")._replace(in_domain=False, unique_object=False)
         questions = [question(f1, 0), question(f2, 0)]
         predictions = {"S1|p|O1#0": ["alpha"], "S2|q|O2#0": ["wrong"]}
         report = evaluate(questions, predictions)
@@ -232,7 +228,7 @@ class TestInstantiateOracle:
         f = fact("S", "p", "O", obj)._replace(subject_surface=subject)
         try:
             expected = instantiate_oracle(pattern, subject, obj)
-        except (BadTemplate, DataError) as exc:
+        except DataError as exc:
             with pytest.raises(type(exc)) as info:
                 build_questions([Template("p", pattern)], [f])
             assert str(info.value) == str(exc)
@@ -287,9 +283,9 @@ class TestSplitQuestions:
         ]
         labeled = split_questions(facts, unique_object_flags_oracle(kb),
                                   {Triplet("A", "p", "B")})
-        assert labeled[0].relation_type is RelationType.N1_OR_11
+        assert labeled[0].unique_object is True
         assert labeled[0].in_domain is True
-        assert labeled[1].relation_type is RelationType.NM
+        assert labeled[1].unique_object is False
         assert labeled[1].in_domain is False
 
 
@@ -322,7 +318,7 @@ class TestRunModel:
     def per_question(self, state, vocab, questions) -> dict[str, list[str]]:
         return {
             q.question_id: [vocab.decode(i) for i in
-                            predict_fill(state, [vocab.encode(t) for t in q.prompt_tokens])]
+                            predict_fill(state, [[vocab.encode(t) for t in q.prompt_tokens]])[0]]
             for q in questions
         }
 
