@@ -8,13 +8,12 @@ returns a ``StageResult`` succeeds, ``main`` writes a manifest JSON next to
 its main output, last of all its files, recording the input paths, seed,
 configuration, counters, ``started`` (when the stage began) and
 ``duration_s`` (the whole stage, reading and every write included); a failed
-stage writes none.  Each ``cmd_*`` imports only the modules of its own stage.
-Logging verbosity comes from the DETMASK_LOG environment variable (error,
-info or debug; default error); only ``align`` and ``mask`` log, and below
-info ``logging`` is never imported.  ``main`` sets OPENBLAS_NUM_THREADS to 1
-unless it is already set, before any stage loads numpy: the stages' matrix
-products are small, and waking a second BLAS thread for each costs more than
-it saves.
+stage writes none.  The counters of ``align`` and ``mask`` end with ``skips``,
+the ``[doc_id, reason]`` of each paragraph or object group they skipped, in
+input order.  Each ``cmd_*`` imports only the modules of its own stage.
+``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is already set, before any
+stage loads numpy: the stages' matrix products are small, and waking a second
+BLAS thread for each costs more than it saves.
 """
 
 from __future__ import annotations
@@ -71,19 +70,6 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
-def _logger(name: str):
-    """The logger ``name`` once logging is set up at the DETMASK_LOG level,
-    or None below info, where nothing detmask logs can show; any other value
-    means error."""
-    level = os.environ.get("DETMASK_LOG", "error").lower()
-    if level not in ("info", "debug"):
-        return None
-    import logging
-
-    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
-    return logging.getLogger(name)
-
-
 def _distinct_outputs(args, **paths) -> None:
     """Raise ``UsageError`` if two of a stage's outputs (flag=path, the main
     output first, whose manifest is one too), or an output and one of the
@@ -124,9 +110,6 @@ def cmd_align(args) -> StageResult:
     kb = load_kb_dir(args.kb)
     corpus = formats.read_corpus(args.corpus)
     result = build_dataset(corpus, kb)
-    if result.skips and (log := _logger("detmask.align")):
-        for doc_id, reason in result.skips:
-            log.warning("skipping paragraph %s: %s", doc_id, reason)
     formats.write_samples(args.out, result.deterministic_samples)
     formats.write_ssm(ssm_out, result.span_samples)
     c = result.counters
@@ -140,6 +123,7 @@ def cmd_align(args) -> StageResult:
         "non_deterministic_triplets": c.non_deterministic,
         "unmatched_deterministic_triplets": c.unmatched_deterministic,
         "emitted_triplets": c.emitted_triplets,
+        "skips": result.skips,
     }
     outputs = {"samples": str(args.out), "ssm": str(ssm_out)}
     return args.out, outputs, {"threads": args.threads}, counters
@@ -173,6 +157,7 @@ def cmd_mask(args) -> StageResult:
     formats.write_vocab(vocab_path, vocab)
 
     skipped: Counter = Counter()
+    skips: list[tuple[str, str]] = []
     groups = 0
     if scheme is MaskScheme.SALIENT_SPAN:
         pairs = ((s, tokenize_for_spans(s, tokenized[s.paragraph.text], vocab))
@@ -183,11 +168,10 @@ def cmd_mask(args) -> StageResult:
     # Pairs and the object schemes draw nothing; the others seed a Random per group.
     draws = args.emit == "triple" or scheme not in (None, MaskScheme.DETERMINISTIC,
                                                      MaskScheme.OBJECT_SPAN)
-    log = _logger("detmask.cli")
 
     def masked_lines():
         """Each output line as soon as it is made; a group that raises
-        ``DataError`` is skipped whole and counted."""
+        ``DataError`` is skipped whole and recorded."""
         nonlocal groups
         for sample, ts in pairs:
             rng = Random(f"{args.seed}/{groups}") if draws else None
@@ -201,8 +185,7 @@ def cmd_mask(args) -> StageResult:
                     made = (apply_mask(ts, scheme, rng),)
             except DataError as exc:
                 skipped[type(exc).__name__] += 1
-                if log:
-                    log.info("skipping %s: %s", sample.paragraph.doc_id, exc)
+                skips.append((sample.paragraph.doc_id, str(exc)))
                 continue
             yield from made
 
@@ -210,8 +193,9 @@ def cmd_mask(args) -> StageResult:
     counters = {
         "groups_processed": groups,
         "lines_emitted": lines_emitted,
-        "groups_skipped": sum(skipped.values()),
+        "groups_skipped": len(skips),
         "skip_reasons": dict(sorted(skipped.items())),
+        "skips": skips,
     }
     outputs = {"masked": str(args.out), "vocab": str(vocab_path)}
     return args.out, outputs, {"scheme": args.scheme, "emit": args.emit}, counters
@@ -267,8 +251,6 @@ def cmd_probe(args) -> StageResult:
         raise UsageError("--kb and --pretrain must be given together")
     _distinct_outputs(args, **{"--out": args.out})
     state, _config, vocab = load_checkpoint(args.model)
-    if vocab is None:
-        raise DataError("checkpoint does not embed a vocabulary")
     templates = formats.read_templates(args.templates)
     facts = formats.read_facts(args.facts)
     if args.kb:
@@ -297,6 +279,7 @@ _SCHEMES = ("random_token", "whole_word", "salient_span", "object_span", "determ
 
 _SPLITS = ("total", "in_domain", "out_of_domain", "n1_or_11", "nm")
 _METRICS = ("accuracy", "consistency", "joint", "facts", "questions")
+_COUNTS = ("questions_built", "questions_kept", "questions_dropped_leakage")
 
 
 def cmd_report(args) -> None:
@@ -304,26 +287,25 @@ def cmd_report(args) -> None:
     if doc.get("format") != "detmask-report":
         raise DataError(f"{args.report} is not a probe report")
     splits = doc.get("splits", {})
-    counts = doc.get("counts") or {}
+    counts = doc.get("counts", {})
     if not isinstance(splits, dict) or not isinstance(counts, dict):
         raise DataError(f"{args.report}: 'splits' and 'counts' must be objects")
     for name in _SPLITS:
         m = splits.get(name)
-        if m and (not isinstance(m, dict)
-                  or any(type(m.get(k)) not in (int, float) for k in _METRICS)):
+        if m is not None and (not isinstance(m, dict)
+                              or any(type(m.get(k)) not in (int, float) for k in _METRICS)):
             raise DataError(f"{args.report}: split {name!r} must hold the numbers "
                             + ", ".join(_METRICS))
+    if counts and any(type(counts.get(k)) is not int for k in _COUNTS):
+        raise DataError(f"{args.report}: 'counts' must hold the integers " + ", ".join(_COUNTS))
     for name in _SPLITS:
         m = splits.get(name)
         print(f"{name:<14} acc {m['accuracy']:.4f}  consis {m['consistency']:.4f}  "
               f"joint {m['joint']:.4f}  ({m['facts']} facts, {m['questions']} questions)"
-              if m else f"{name:<14} -")
+              if m is not None else f"{name:<14} -")
     if counts:
-        print(
-            f"questions: built {counts.get('questions_built')}, kept "
-            f"{counts.get('questions_kept')}, dropped for leakage "
-            f"{counts.get('questions_dropped_leakage')}"
-        )
+        built, kept, dropped = (counts[k] for k in _COUNTS)
+        print(f"questions: built {built}, kept {kept}, dropped for leakage {dropped}")
 
 
 def cmd_stats(args) -> None:
@@ -335,13 +317,20 @@ def cmd_stats(args) -> None:
     counters = None
     if args.manifest or manifest_path.exists():
         c = read_json(manifest_path).get("counters", {})
-        if not isinstance(c, dict) or any(type(v) is not int for v in c.values()):
-            raise DataError(f"{manifest_path}: counters must be an object of integers")
+        if not isinstance(c, dict):
+            raise DataError(f"{manifest_path}: counters must be an object")
         counters = AlignCounters(
             paragraphs=c.get("paragraphs_processed", len(samples)),
             candidates=c.get("candidate_triplets", 0),
             non_deterministic=c.get("non_deterministic_triplets", 0),
         )
+        if not (all(type(v) is int for v in vars(counters).values())
+                and 0 <= counters.non_deterministic <= counters.candidates
+                and counters.paragraphs >= len(samples)):
+            raise DataError(
+                f"{manifest_path}: counters must be integers with 0 <= "
+                "non_deterministic_triplets <= candidate_triplets and "
+                f"paragraphs_processed at least the {len(samples)} samples")
     stats = compute_stats(samples, counters)
     print(f"{'paragraphs':<24}{stats.paragraph_count}")
     print(f"{'samples':<24}{stats.sample_count}")

@@ -453,8 +453,7 @@ CHECKPOINT_FORMAT = "detmask-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, state: ModelState, config: ModelConfig,
-                    vocab: Optional[Vocabulary] = None) -> None:
+def save_checkpoint(path, state: ModelState, config: ModelConfig, vocab: Vocabulary) -> None:
     """Write a checkpoint: one JSON header line, then raw little-endian float64.
 
     Tensor offsets are byte positions within the binary section, in the order
@@ -471,7 +470,7 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
         "version": CHECKPOINT_VERSION,
         "config": config._asdict(),
         "dtype": "<f8",
-        "vocab": list(vocab.id_to_token) if vocab is not None else None,
+        "vocab": list(vocab.id_to_token),
         "tensors": entries,
     }
     with atomic_write(path, "wb") as fh:
@@ -480,11 +479,11 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig,
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]]:
+def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Vocabulary]:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    A header that is not the expected JSON, a vocabulary that
-    ``Vocabulary.from_stored`` rejects or whose size is not the config's,
+    A header that is not the expected JSON, a vocabulary that is missing,
+    that ``Vocabulary.from_stored`` rejects or whose size is not the config's,
     a tensor set or shape other than ``_param_shapes`` of the config, a
     tensor reaching past the end of the file, or a NaN or infinite value
     raises ``DataError``.
@@ -503,13 +502,12 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig, Optional[Vocabulary]
         entries = {e["name"]: (tuple(e["shape"]), e["offset"]) for e in header["tensors"]}
         config = ModelConfig(**header["config"])
         shapes = _param_shapes(config)
-        toks = header.get("vocab")
-        vocab = None if toks is None else Vocabulary.from_stored(toks, path)
+        vocab = Vocabulary.from_stored(header.get("vocab"), path)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from None
     if not all(type(x) is int for x in (config.vocab_size, config.d, config.max_len)):
         raise DataError(f"{path}: checkpoint config sizes are not integers")
-    if vocab is not None and vocab.size != config.vocab_size:
+    if vocab.size != config.vocab_size:
         raise DataError(f"{path}: vocabulary has {vocab.size} tokens, "
                         f"but the config has {config.vocab_size}")
     if set(entries) != set(shapes):

@@ -530,7 +530,7 @@ class TestPipelineArtifacts:
                     "paragraphs_processed": 5, "paragraphs_skipped": 0, "ssm_emitted": 4,
                     "paragraphs_no_output": 1, "samples_emitted": 3, "candidate_triplets": 5,
                     "non_deterministic_triplets": 2, "unmatched_deterministic_triplets": 0,
-                    "emitted_triplets": 3,
+                    "emitted_triplets": 3, "skips": [],
                 },
             },
             masked: {
@@ -540,7 +540,7 @@ class TestPipelineArtifacts:
                 "seed": 3,
                 "config": {"scheme": None, "emit": "triple"},
                 "counters": {"groups_processed": 3, "lines_emitted": 9, "groups_skipped": 0,
-                             "skip_reasons": {}},
+                             "skip_reasons": {}, "skips": []},
             },
             ckpt: {
                 "command": "train",
@@ -628,13 +628,14 @@ def sample_line(doc_id: str, text: str, s_span, p_span, o_span) -> str:
 class TestMaskSkipReasons:
     """Each masking skip is counted under its error class's name, which is
     why ``NoClues``, ``InsufficientContext`` and ``NoMaskableContent`` are
-    types of their own."""
+    types of their own, and listed in ``skips`` with its doc id and message."""
 
-    def skip_reasons(self, tmp_path, lines: list[str], *mode: str) -> dict:
+    def skip_counters(self, tmp_path, lines: list[str], *mode: str) -> tuple:
         samples, masked = tmp_path / "samples.jsonl", tmp_path / "masked.jsonl"
         samples.write_text("".join(lines), encoding="utf-8")
         assert main(["mask", "--samples", str(samples), "--out", str(masked), *mode]) == 0
-        return read_json(str(masked) + ".manifest.json")["counters"]["skip_reasons"]
+        counters = read_json(str(masked) + ".manifest.json")["counters"]
+        return counters["skip_reasons"], counters["skips"]
 
     def test_triple_skips_groups_without_clues_or_context(self, tmp_path):
         text = "alpha beta gamma"
@@ -644,13 +645,15 @@ class TestMaskSkipReasons:
             # Two clue tokens and no other token to mask at random.
             sample_line("crowded", text, [0, 5], [6, 10], [11, 16]),
         ]
-        assert self.skip_reasons(tmp_path, lines, "--emit", "triple") \
-            == {"InsufficientContext": 1, "NoClues": 1}
+        assert self.skip_counters(tmp_path, lines, "--emit", "triple") == (
+            {"InsufficientContext": 1, "NoClues": 1},
+            [["inside", "sample has no clue tokens"],
+             ["crowded", "need 2 maskable context tokens, have 0"]])
 
     def test_object_span_skips_a_span_inside_one_word(self, tmp_path):
         lines = [sample_line("part", "alpha beta gamma", [0, 5], [6, 10], [12, 14])]
-        assert self.skip_reasons(tmp_path, lines, "--scheme", "object_span") \
-            == {"NoMaskableContent": 1}
+        assert self.skip_counters(tmp_path, lines, "--scheme", "object_span") == (
+            {"NoMaskableContent": 1}, [["part", "no object tokens to mask"]])
 
 def stage_env() -> dict:
     """The environment for a stage subprocess that imports this checkout's detmask."""
@@ -671,7 +674,8 @@ class TestStageImports:
         kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"format": "detmask-report", "splits": {}}), encoding="utf-8")
-        env = stage_env()
+        # DETMASK_LOG once switched logging on; it must not load logging now.
+        env = {**stage_env(), "DETMASK_LOG": "debug"}
         bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
                               env=env, capture_output=True, text=True, timeout=60)
         lean = tuple({"logging", "dataclasses", "datetime", "inspect"}
@@ -714,46 +718,69 @@ class TestStageImports:
             assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
+class TestAlignSkips:
+    def test_skipped_paragraph_is_in_the_manifest(self, tmp_path, capsys):
+        """A paragraph whose pre-linked span is invalid is recorded with its
+        reason in the align manifest's ``skips``, which ``stats`` reads past."""
+        paths = write_inputs(tmp_path)
+        bad = {"doc_id": "bad", "text": "x", "entity_spans": [[0, 99, "Jaws"]]}
+        with open(paths["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
+        assert main(["build-kb", "--triplets", str(paths["triplets"]),
+                     "--entities", str(paths["entities"]),
+                     "--predicates", str(paths["predicates"]), "--out", str(kb_dir)]) == 0
+        assert main(["align", "--kb", str(kb_dir), "--corpus", str(paths["corpus"]),
+                     "--out", str(samples)]) == 0
+        counters = read_json(str(samples) + ".manifest.json")["counters"]
+        assert counters["skips"] == [["bad", "pre-linked span [0,99) outside text of length 1"]]
+        assert counters["paragraphs_skipped"] == 1
+        capsys.readouterr()
+        assert main(["stats", "--samples", str(samples)]) == 0
+        assert capsys.readouterr() == (
+            "paragraphs              6\n"
+            "samples                 3\n"
+            "avg tokens/paragraph    8.6667\n"
+            "avg clue tokens         3.3333\n"
+            "avg object tokens       1.6667\n"
+            "nondeterministic frac   0.4000\n", "")
+
+
 class TestLogging:
-    """Only align (a warning per skipped paragraph) and mask (an info line per
-    skipped group) log; DETMASK_LOG picks error, info or debug, and any other
-    value means error."""
+    """Skip messages once went to stderr from DETMASK_LOG=info on.  They are
+    now the ``skips`` of align's and mask's manifests at every value of the
+    variable, which no stage reads, and nothing is logged."""
 
     @pytest.mark.parametrize("level", [None, "error", "info", "DEBUG", "loud"])
-    def test_skip_messages_show_from_info_on(self, tmp_path, level):
+    def test_skip_messages_show_from_info_on(self, tmp_path, monkeypatch, capsys, level):
+        if level is None:
+            monkeypatch.delenv("DETMASK_LOG", raising=False)
+        else:
+            monkeypatch.setenv("DETMASK_LOG", level)
         paths = write_inputs(tmp_path)
-        corpus = tmp_path / "corpus.jsonl"
         bad = {"doc_id": "bad", "text": "x", "entity_spans": [[0, 99, "Jaws"]]}
-        corpus.write_text(corpus.read_text(encoding="utf-8") + json.dumps(bad) + "\n",
-                          encoding="utf-8")
-        samples = tmp_path / "samples.jsonl"
-        env = {k: v for k, v in stage_env().items() if k != "DETMASK_LOG"}
-        if level is not None:
-            env["DETMASK_LOG"] = level
-        shown = level in ("info", "DEBUG")
-
-        def run(*argv):
-            proc = subprocess.run([sys.executable, "-m", "detmask.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            return proc.returncode, proc.stderr
-
-        assert run("build-kb", "--triplets", str(paths["triplets"]),
-                   "--entities", str(paths["entities"]),
-                   "--predicates", str(paths["predicates"]), "--out", str(tmp_path / "kb")
-                   ) == (0, "")
-        warning = ("WARNING detmask.align: skipping paragraph bad: "
-                   "pre-linked span [0,99) outside text of length 1\n")
-        assert run("align", "--kb", str(tmp_path / "kb"), "--corpus", str(corpus),
-                   "--out", str(samples)) == (0, warning if shown else "")
+        with open(paths["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
+        assert main(["build-kb", "--triplets", str(paths["triplets"]),
+                     "--entities", str(paths["entities"]),
+                     "--predicates", str(paths["predicates"]), "--out", str(kb_dir)]) == 0
+        assert main(["align", "--kb", str(kb_dir), "--corpus", str(paths["corpus"]),
+                     "--out", str(samples)]) == 0
+        assert read_json(str(samples) + ".manifest.json")["counters"]["skips"] == [
+            ["bad", "pre-linked span [0,99) outside text of length 1"]]
         # A triplet whose subject and predicate are its object: no clue tokens.
         loop = {"doc_id": "loop", "text": "Jaws", "entities": [[0, 4, "Jaws"]],
                 "triplets": [{"s": "Jaws", "p": "directedBy", "o": "Jaws", "s_span": [0, 4],
                               "p_span": [0, 4], "o_span": [0, 4], "edit_distance": 0}]}
         with open(samples, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(loop) + "\n")
-        info = "INFO detmask.cli: skipping loop: sample has no clue tokens\n"
-        assert run("mask", "--samples", str(samples), "--out", str(tmp_path / "masked.jsonl"),
-                   "--emit", "pair") == (0, info if shown else "")
+        masked = tmp_path / "masked.jsonl"
+        assert main(["mask", "--samples", str(samples), "--out", str(masked),
+                     "--emit", "pair"]) == 0
+        assert read_json(str(masked) + ".manifest.json")["counters"]["skips"] == [
+            ["loop", "sample has no clue tokens"]]
+        assert capsys.readouterr().err == ""
 
 
 class TestBlasThreads:
@@ -1241,6 +1268,34 @@ class TestExitCodes:
             assert captured.err.startswith("detmask: error:"), name
             assert captured.out == "", name
 
+    @pytest.mark.parametrize("change", [
+        {"splits": {"total": 0}}, {"splits": {"in_domain": []}}, {"splits": {"nm": ""}},
+        {"splits": {"total": False}}, {"counts": {"facts": 4}},
+        {"counts": {"questions_built": "many", "questions_kept": 1,
+                    "questions_dropped_leakage": 0}},
+        {"counts": None}, {"counts": False},
+    ], ids=["zero", "list", "text", "false", "counts_without_keys",
+            "text_count", "counts_null", "counts_false"])
+    def test_report_of_the_wrong_kind_is_data_error(self, pipeline, tmp_path, capsys, change):
+        """A split that is present and not null must be an object of the five
+        numbers, and ``counts`` an object that, unless empty, holds the three
+        question counts as ints."""
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**read_json(pipeline["report"]), **change}),
+                        encoding="utf-8")
+        assert main(["report", "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"detmask: error: {path}: ")
+        assert captured.out == ""
+
+    def test_null_split_and_empty_counts_print_as_absent(self, pipeline, tmp_path, capsys):
+        doc = read_json(pipeline["report"])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**doc, "splits": {**doc["splits"], "nm": None},
+                                    "counts": {}}), encoding="utf-8")
+        assert main(["report", "--report", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("\nnm             -\n")
+
     def test_non_json_vocabulary_is_data_error(self, pipeline, tmp_path, capsys):
         vocab = tmp_path / "vocab.json"
         vocab.write_text('{"tokens": [', encoding="utf-8")
@@ -1512,14 +1567,34 @@ class TestExitCodes:
 
     def test_align_manifest_counters_not_integers_is_data_error(self, pipeline, tmp_path,
                                                                 capsys):
+        """``stats`` checks the three counters it reads: ints, with no more
+        non-deterministic than candidate triplets and at least one paragraph
+        per sample (three here).  Any other counter, ``skips`` included, is
+        not its business."""
         manifest = read_json(str(pipeline["samples"]) + ".manifest.json")
         for name, counters in (("string", {**manifest["counters"], "candidate_triplets": "x"}),
-                               ("list", [1])):
-            path = tmp_path / f"{name}.manifest.json"
+                               ("bool", {"candidate_triplets": True}),
+                               ("list", [1]),
+                               ("more non-deterministic", {"candidate_triplets": 2,
+                                                           "non_deterministic_triplets": 5}),
+                               ("negative", {"non_deterministic_triplets": -1}),
+                               ("negative paragraphs", {"paragraphs_processed": -3}),
+                               ("fewer paragraphs than samples", {"paragraphs_processed": 2})):
+            path = tmp_path / "corrupt.manifest.json"
             path.write_text(json.dumps({**manifest, "counters": counters}), encoding="utf-8")
             code = main(["stats", "--samples", str(pipeline["samples"]), "--manifest", str(path)])
             assert code == 2, name
-            assert capsys.readouterr().err.startswith("detmask: error:"), name
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"detmask: error: {path}: counters must be"), name
+            assert captured.out == "", name
+        path = tmp_path / "skips.manifest.json"
+        skips = [["p9", "pre-linked span [0,99) outside text of length 1"]]
+        path.write_text(json.dumps({**manifest, "counters": {**manifest["counters"],
+                                                             "skips": skips}}),
+                        encoding="utf-8")
+        assert main(["stats", "--samples", str(pipeline["samples"]),
+                     "--manifest", str(path)]) == 0
+        assert "nondeterministic frac   0.4000\n" in capsys.readouterr().out
 
     def test_explicit_missing_manifest_is_data_error(self, pipeline, tmp_path, capsys):
         absent = tmp_path / "absent.manifest.json"

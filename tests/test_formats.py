@@ -505,12 +505,14 @@ class TestSmallFormats:
 class TestAtomicWrites:
     def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
         cfg = ModelConfig(vocab_size=9, d=4, max_len=6, seed=1)
+        vocab = Vocabulary.from_tokens("abcdef")
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init(cfg), cfg)
+        save_checkpoint(path, init(cfg), cfg, vocab)
         before = path.read_bytes()
         monkeypatch.setattr(fileio, "open", half_writing_open, raising=False)
         with pytest.raises(OSError):
-            save_checkpoint(path, init(ModelConfig(vocab_size=9, d=4, max_len=6, seed=2)), cfg)
+            save_checkpoint(path, init(ModelConfig(vocab_size=9, d=4, max_len=6, seed=2)), cfg,
+                            vocab)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
         state, _cfg, _vocab = load_checkpoint(path)

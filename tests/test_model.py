@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detmask.model
+from detmask.cli import main
 from detmask.errors import DataError, DetmaskError, InsufficientContext, NonFiniteLoss
 from detmask.masking import (
     MASK_ID,
@@ -613,7 +614,7 @@ class TestCheckpoint:
     def test_header_is_json_line(self, tmp_path):
         cfg = ModelConfig(vocab_size=9, d=4, max_len=6)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, init(cfg), cfg)
+        save_checkpoint(path, init(cfg), cfg, Vocabulary.from_tokens("abcdef"))
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             body = fh.read()
@@ -633,12 +634,23 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
-    def test_vocab_optional(self, tmp_path):
+    def test_vocabulary_required(self, tmp_path, capsys):
+        """A header whose vocabulary is null or absent is a data error, and
+        ``probe`` exits 2 on it before reading anything else."""
         cfg = ModelConfig(vocab_size=9, d=4, max_len=6)
-        path = tmp_path / "novocab.ckpt"
-        save_checkpoint(path, init(cfg), cfg)
-        _state, _cfg, vocab = load_checkpoint(path)
-        assert vocab is None
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init(cfg), cfg, Vocabulary.from_tokens("abcdef"))
+        header_line, body = path.read_bytes().split(b"\n", 1)
+        null = {**json.loads(header_line), "vocab": None}
+        absent = {k: v for k, v in null.items() if k != "vocab"}
+        message = "vocabulary tokens must be a list of strings"
+        for header in (null, absent):
+            path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+            with pytest.raises(DataError, match=message):
+                load_checkpoint(path)
+            assert main(["probe", "--model", str(path), "--templates", "templates.jsonl",
+                         "--facts", "facts.jsonl", "--out", str(tmp_path / "r.json")]) == 2
+            assert capsys.readouterr().err == f"detmask: error: {path}: {message}\n"
 
     def test_stored_vocabulary_is_validated(self, tmp_path):
         cfg = ModelConfig(vocab_size=9, d=4, max_len=6)
