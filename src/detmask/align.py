@@ -20,7 +20,7 @@ order, in this process.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
 from .editdist import within_one
 from .errors import DataError
@@ -57,15 +57,24 @@ class AlignedSample(NamedTuple):
 class AlignCounters(SimpleNamespace):
     """Run-level tallies; candidate counts are per distinct (s,p,o) per paragraph.
 
+    ``tokens``, ``object_groups``, ``clue_tokens`` and ``object_tokens`` sum
+    over the samples with an emitted triplet, as ``add_sample`` counts them.
     Mutable, and equal to another ``AlignCounters`` with the same tallies."""
 
-    def __init__(self, paragraphs: int = 0, skipped: int = 0, candidates: int = 0,
-                 non_deterministic: int = 0, unmatched_deterministic: int = 0,
-                 emitted_triplets: int = 0) -> None:
-        super().__init__(paragraphs=paragraphs, skipped=skipped, candidates=candidates,
-                         non_deterministic=non_deterministic,
-                         unmatched_deterministic=unmatched_deterministic,
-                         emitted_triplets=emitted_triplets)
+    def __init__(self) -> None:
+        super().__init__(paragraphs=0, skipped=0, candidates=0, non_deterministic=0,
+                         unmatched_deterministic=0, emitted_triplets=0, tokens=0,
+                         object_groups=0, clue_tokens=0, object_tokens=0)
+
+    def add_sample(self, sample: AlignedSample, tokens: Tokens) -> None:
+        """Add a deterministic sample's paragraph ``tokens`` and its object
+        groups: each is one masked instance, whose subject and predicate
+        tokens pool into a single clue set."""
+        self.tokens += len(tokens.starts)
+        for group in object_groups(sample, tokens):
+            self.object_groups += 1
+            self.object_tokens += len(group.objects)
+            self.clue_tokens += len(group.clues)
 
 
 class BuildResult(NamedTuple):
@@ -74,15 +83,6 @@ class BuildResult(NamedTuple):
     counters: AlignCounters
     # (doc_id, reason) of each skipped paragraph, in corpus order.
     skips: list[tuple[str, str]]
-
-
-class DatasetStats(NamedTuple):
-    paragraph_count: int
-    sample_count: int
-    avg_tokens_per_paragraph: float
-    avg_clue_tokens: float
-    avg_object_tokens: float
-    nondeterministic_fraction: float
 
 
 class EntityLinker:
@@ -285,7 +285,10 @@ class Aligner:
                             )
                         )
                         counts.emitted_triplets += 1
-        return AlignedSample(paragraph, entity_spans, tuple(aligned))
+        sample = AlignedSample(paragraph, entity_spans, tuple(aligned))
+        if aligned:
+            counts.add_sample(sample, tokens)
+        return sample
 
 
 def build_dataset(
@@ -343,42 +346,3 @@ def object_groups(sample: AlignedSample, tokens: Tokens) -> list[ObjectGroup]:
             tokens_inside(tokens, t.predicate_span.char_start, t.predicate_span.char_end))
     return list(groups.values())
 
-
-def compute_stats(
-    samples: Sequence[AlignedSample], counters: Optional[AlignCounters] = None
-) -> DatasetStats:
-    """Summary statistics over the deterministic samples.
-
-    Clue and object token averages are taken per masked instance: triplets
-    sharing one object span in a sample pool their subject and predicate
-    tokens into a single clue set.
-    """
-    if not samples:
-        raise DataError("no deterministic samples")
-    total_tokens = 0
-    groups = 0
-    clue_sum = 0
-    object_sum = 0
-    for sample in samples:
-        tokens = token_spans(sample.paragraph.text)
-        total_tokens += len(tokens.starts)
-        for group in object_groups(sample, tokens):
-            groups += 1
-            object_sum += len(group.objects)
-            clue_sum += len(group.clues)
-    if not groups:
-        raise DataError("no sample has a triplet")
-    fraction = 0.0
-    paragraph_count = len(samples)
-    if counters is not None:
-        paragraph_count = counters.paragraphs
-        if counters.candidates:
-            fraction = counters.non_deterministic / counters.candidates
-    return DatasetStats(
-        paragraph_count=paragraph_count,
-        sample_count=len(samples),
-        avg_tokens_per_paragraph=total_tokens / len(samples),
-        avg_clue_tokens=clue_sum / groups,
-        avg_object_tokens=object_sum / groups,
-        nondeterministic_fraction=fraction,
-    )

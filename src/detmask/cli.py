@@ -10,7 +10,14 @@ configuration, counters, ``started`` (when the stage began) and
 ``duration_s`` (the whole stage, reading and every write included); a failed
 stage writes none.  The counters of ``align`` and ``mask`` end with ``skips``,
 the ``[doc_id, reason]`` of each paragraph or object group they skipped, in
-input order.  Each ``cmd_*`` imports only the modules of its own stage.
+input order.  Before ``skips``, ``align`` counts the sums that ``stats``
+prints averages of (``tokens``, ``object_groups``, ``clue_tokens`` and
+``object_tokens``), and its manifest ends with the ``sha256`` of its outputs
+(``samples`` and ``ssm``).  ``stats`` exits 2 on a manifest that is not
+align's or whose samples digest differs from ``--samples``; when the digest
+matches and the sums are there it prints from the manifest alone, and
+otherwise it reads and counts the samples.  Each ``cmd_*`` imports only the
+modules of its own stage.
 ``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is already set, before any
 stage loads numpy: the stages' matrix products are small, and waking a second
 BLAS thread for each costs more than it saves.
@@ -30,8 +37,9 @@ from . import __version__
 from .errors import DataError, DetmaskError
 from .fileio import read_json, write_json
 
-# What a manifest-writing stage returns: main output path, outputs, config, counters.
-StageResult = tuple[object, dict, dict, dict]
+# What a manifest-writing stage returns: main output path, outputs, config,
+# counters, and the sha256 of the outputs it records them for.
+StageResult = tuple[object, dict, dict, dict, dict]
 
 
 class UsageError(Exception):
@@ -96,7 +104,7 @@ def cmd_build_kb(args) -> StageResult:
         "entities": len(kb.entity_aliases),
         "predicates": len(kb.predicate_aliases),
     }
-    return out / "kb", {"kb": str(out)}, {}, counters
+    return out / "kb", {"kb": str(out)}, {}, counters, {}
 
 
 def cmd_align(args) -> StageResult:
@@ -123,10 +131,16 @@ def cmd_align(args) -> StageResult:
         "non_deterministic_triplets": c.non_deterministic,
         "unmatched_deterministic_triplets": c.unmatched_deterministic,
         "emitted_triplets": c.emitted_triplets,
+        "tokens": c.tokens,
+        "object_groups": c.object_groups,
+        "clue_tokens": c.clue_tokens,
+        "object_tokens": c.object_tokens,
         "skips": result.skips,
     }
     outputs = {"samples": str(args.out), "ssm": str(ssm_out)}
-    return args.out, outputs, {"threads": args.threads}, counters
+    # A FIFO or device output has no content left to hash.
+    digests = {k: _sha256(path) for k, path in outputs.items() if os.path.isfile(path)}
+    return args.out, outputs, {"threads": args.threads}, counters, digests
 
 
 def cmd_mask(args) -> StageResult:
@@ -198,7 +212,7 @@ def cmd_mask(args) -> StageResult:
         "skips": skips,
     }
     outputs = {"masked": str(args.out), "vocab": str(vocab_path)}
-    return args.out, outputs, {"scheme": args.scheme, "emit": args.emit}, counters
+    return args.out, outputs, {"scheme": args.scheme, "emit": args.emit}, counters, {}
 
 
 def cmd_train(args) -> StageResult:
@@ -237,7 +251,8 @@ def cmd_train(args) -> StageResult:
         "final_L_mlm": last.l_mlm,
         "final_L_total": last.l_total,
     }
-    return args.out, {"checkpoint": str(args.out), "log": str(log_path)}, run_config, counters
+    outputs = {"checkpoint": str(args.out), "log": str(log_path)}
+    return args.out, outputs, run_config, counters, {}
 
 
 def cmd_probe(args) -> StageResult:
@@ -271,7 +286,7 @@ def cmd_probe(args) -> StageResult:
     }
     write_json(args.out, doc)
     counters = {**doc["counts"], "prediction_batches": len(length_batches(kept))}
-    return args.out, {"report": str(args.out)}, {}, counters
+    return args.out, {"report": str(args.out)}, {}, counters, {}
 
 
 # The values of masking.MaskScheme, spelled out so that parsing loads no masking code.
@@ -308,38 +323,84 @@ def cmd_report(args) -> None:
         print(f"questions: built {built}, kept {kept}, dropped for leakage {dropped}")
 
 
-def cmd_stats(args) -> None:
-    from . import formats
-    from .align import AlignCounters, compute_stats
+# The align counters that ``stats`` prints from when the manifest matches the samples.
+_TALLIES = ("samples_emitted", "tokens", "object_groups", "clue_tokens", "object_tokens")
 
-    samples = formats.read_samples(args.samples)
-    manifest_path = Path(args.manifest or str(args.samples) + ".manifest.json")
-    counters = None
-    if args.manifest or manifest_path.exists():
-        c = read_json(manifest_path).get("counters", {})
-        if not isinstance(c, dict):
-            raise DataError(f"{manifest_path}: counters must be an object")
-        counters = AlignCounters(
-            paragraphs=c.get("paragraphs_processed", len(samples)),
-            candidates=c.get("candidate_triplets", 0),
-            non_deterministic=c.get("non_deterministic_triplets", 0),
-        )
-        if not (all(type(v) is int for v in vars(counters).values())
-                and 0 <= counters.non_deterministic <= counters.candidates
-                and counters.paragraphs >= len(samples)):
+
+def _sha256(path) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _print_stats(counters, manifest_path, samples: int, tokens: int, groups: int,
+                 clues: int, objects: int) -> None:
+    """Check the align ``counters`` (None without a manifest) and print the
+    summary of ``samples`` with these tallies."""
+    paragraphs, candidates, non_deterministic = samples, 0, 0
+    if counters is not None:
+        paragraphs = counters.get("paragraphs_processed", samples)
+        candidates = counters.get("candidate_triplets", 0)
+        non_deterministic = counters.get("non_deterministic_triplets", 0)
+        if not (all(type(v) is int for v in (paragraphs, candidates, non_deterministic))
+                and 0 <= non_deterministic <= candidates and paragraphs >= samples):
             raise DataError(
                 f"{manifest_path}: counters must be integers with 0 <= "
                 "non_deterministic_triplets <= candidate_triplets and "
-                f"paragraphs_processed at least the {len(samples)} samples")
-    stats = compute_stats(samples, counters)
-    print(f"{'paragraphs':<24}{stats.paragraph_count}")
-    print(f"{'samples':<24}{stats.sample_count}")
-    print(f"{'avg tokens/paragraph':<24}{stats.avg_tokens_per_paragraph:.4f}")
-    print(f"{'avg clue tokens':<24}{stats.avg_clue_tokens:.4f}")
-    print(f"{'avg object tokens':<24}{stats.avg_object_tokens:.4f}")
-    print(f"{'nondeterministic frac':<24}{stats.nondeterministic_fraction:.4f}")
+                f"paragraphs_processed at least the {samples} samples")
+    if not samples:
+        raise DataError("no deterministic samples")
+    if not groups:
+        raise DataError("no sample has a triplet")
+    print(f"{'paragraphs':<24}{paragraphs}")
+    print(f"{'samples':<24}{samples}")
+    print(f"{'avg tokens/paragraph':<24}{tokens / samples:.4f}")
+    print(f"{'avg clue tokens':<24}{clues / groups:.4f}")
+    print(f"{'avg object tokens':<24}{objects / groups:.4f}")
+    fraction = non_deterministic / candidates if candidates else 0.0
+    print(f"{'nondeterministic frac':<24}{fraction:.4f}")
     if counters is None:
         print("(no manifest found: nondeterministic fraction defaults to 0)")
+
+
+def cmd_stats(args) -> None:
+    manifest_path = Path(args.manifest or str(args.samples) + ".manifest.json")
+    counters = None
+    if args.manifest or manifest_path.exists():
+        manifest = read_json(manifest_path)
+        if manifest.get("command") != "align":
+            raise DataError(f"{manifest_path} is not an align manifest")
+        counters, digests = manifest.get("counters", {}), manifest.get("sha256", {})
+        if not isinstance(counters, dict):
+            raise DataError(f"{manifest_path}: counters must be an object")
+        if not isinstance(digests, dict):
+            raise DataError(f"{manifest_path}: sha256 must be an object")
+        if "samples" in digests:
+            if digests["samples"] != _sha256(args.samples):
+                raise DataError(f"{args.samples} is not the samples file that "
+                                f"{manifest_path} describes: its sha256 differs")
+            if all(k in counters for k in _TALLIES):
+                tallies = [counters[k] for k in _TALLIES]
+                if not all(type(v) is int and v >= 0 for v in tallies):
+                    raise DataError(f"{manifest_path}: counters must be integers >= 0: "
+                                    + ", ".join(_TALLIES))
+                _print_stats(counters, manifest_path, *tallies)
+                return
+    # No manifest, or one without the samples digest or the sums: count the samples.
+    from . import formats
+    from .align import AlignCounters
+    from .tokenizer import token_spans
+
+    samples = formats.read_samples(args.samples)
+    tally = AlignCounters()
+    for sample in samples:
+        tally.add_sample(sample, token_spans(sample.paragraph.text))
+    _print_stats(counters, manifest_path, len(samples), tally.tokens, tally.object_groups,
+                 tally.clue_tokens, tally.object_tokens)
 
 
 def build_parser() -> _Parser:
@@ -425,7 +486,7 @@ def main(argv=None) -> int:
                     raise UsageError(f"{flag} is not valid UTF-8: {value!r}") from None
         result = args.func(args)
         if result is not None:
-            main_output, outputs, config, counters = result
+            main_output, outputs, config, counters, digests = result
             write_json(f"{main_output}.manifest.json", {
                 "command": args.command,
                 "inputs": {k: str(getattr(args, k)) for k in args.inputs if getattr(args, k)},
@@ -435,6 +496,7 @@ def main(argv=None) -> int:
                 "started": started,
                 "duration_s": round(time.monotonic() - t0, 6),
                 "counters": counters,
+                **({"sha256": digests} if digests else {}),
             })
     except (UsageError, DetmaskError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -8,18 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detmask.align import (
+    AlignCounters,
     Aligner,
     Paragraph,
     PredicateMatcher,
     Span,
     build_dataset,
-    compute_stats,
 )
+from detmask.cli import main
 from detmask.errors import DataError
+from detmask.formats import read_samples, write_samples
 from detmask.kb import Triplet, build_kb
 from detmask.tokenizer import lower_aligned, token_spans
 from oracles import align_paragraph_oracle, match_predicate_oracle, sample_to_tuples
 from worldgen import make_world
+
+
+TALLIES = ("tokens", "object_groups", "clue_tokens", "object_tokens")
 
 
 def film_kb():
@@ -279,7 +284,10 @@ class TestBuildDataset:
 class TestOracleEquivalence:
     """The engine must reproduce the exhaustive reference exactly."""
 
-    def test_random_worlds(self):
+    def test_random_worlds(self, tmp_path):
+        """Also: the stats tallies of the run equal a fresh tally of the
+        samples file it writes, which is what ``stats`` counts without a
+        manifest."""
         rng = np.random.default_rng(2024)
         for _ in range(40):
             kb, corpus = make_world(
@@ -307,20 +315,26 @@ class TestOracleEquivalence:
                 assert got_aligned == aligned, paragraph.text
             assert result.counters.candidates == total_candidates
             assert result.counters.non_deterministic == total_nondet
+            write_samples(tmp_path / "samples.jsonl", result.deterministic_samples)
+            fresh = AlignCounters()
+            for sample in read_samples(tmp_path / "samples.jsonl"):
+                fresh.add_sample(sample, token_spans(sample.paragraph.text))
+            assert [getattr(result.counters, k) for k in TALLIES] == [
+                getattr(fresh, k) for k in TALLIES]
 
 
 class TestComputeStats:
+    """The tallies that ``stats`` prints, as ``build_dataset`` counts them."""
+
     def test_fraction_from_counters(self):
         kb = film_kb()
-        result = build_dataset([Paragraph("p", FILM_TEXT)], kb)
-        stats = compute_stats(result.deterministic_samples, result.counters)
+        c = build_dataset([Paragraph("p", FILM_TEXT)], kb).counters
         # Candidates: forward (deterministic) and reverse (two objects).
-        assert stats.nondeterministic_fraction == 0.5
+        assert c.non_deterministic / c.candidates == 0.5
 
     def test_object_token_average_single(self):
-        result = build_dataset([Paragraph("p", FILM_TEXT)], film_kb())
-        stats = compute_stats(result.deterministic_samples, result.counters)
-        assert stats.avg_object_tokens == 2.0  # "Steven Spielberg"
+        c = build_dataset([Paragraph("p", FILM_TEXT)], film_kb()).counters
+        assert c.object_tokens / c.object_groups == 2.0  # "Steven Spielberg"
 
     def test_object_token_average_two_samples(self):
         kb = build_kb(
@@ -337,9 +351,8 @@ class TestComputeStats:
             Paragraph("1", "alpha guards beta gamma"),
             Paragraph("2", "colt guards delta epsilon zeta omega"),
         ]
-        result = build_dataset(corpus, kb)
-        stats = compute_stats(result.deterministic_samples, result.counters)
-        assert stats.avg_object_tokens == 3.0  # (2 + 4) / 2
+        c = build_dataset(corpus, kb).counters
+        assert c.object_tokens / c.object_groups == 3.0  # (2 + 4) / 2
 
     def test_clue_tokens_union_over_shared_object(self):
         kb = build_kb(
@@ -349,12 +362,11 @@ class TestComputeStats:
         )
         text = "alpha guards beta and colt rules beta"
         result = build_dataset([Paragraph("1", text)], kb)
-        sample = result.deterministic_samples[0]
+        c = result.counters
         # Both triplets pair with the first "beta" span, so they form one
         # group whose clue union covers alpha, guards, colt, and rules.
-        stats = compute_stats([sample], result.counters)
-        assert stats.avg_clue_tokens == 4.0
-        assert stats.sample_count == 1
+        assert c.clue_tokens / c.object_groups == 4.0
+        assert len(result.deterministic_samples) == 1
 
     def test_clue_tokens_not_double_counted(self):
         kb = build_kb(
@@ -363,12 +375,12 @@ class TestComputeStats:
             {"p": ("guards",), "q": ("rules",)},
         )
         text = "alpha guards rules beta"
-        result = build_dataset([Paragraph("1", text)], kb)
-        stats = compute_stats(result.deterministic_samples, result.counters)
+        c = build_dataset([Paragraph("1", text)], kb).counters
         # Shared subject token counted once in the union: alpha, guards,
         # rules give three clue tokens, not four.
-        assert stats.avg_clue_tokens == 3.0
+        assert c.clue_tokens / c.object_groups == 3.0
 
-    def test_empty_dataset_error(self):
-        with pytest.raises(DataError, match="no deterministic samples"):
-            compute_stats([], None)
+    def test_empty_dataset_error(self, tmp_path, capsys):
+        (tmp_path / "samples.jsonl").write_text("", encoding="utf-8")
+        assert main(["stats", "--samples", str(tmp_path / "samples.jsonl")]) == 2
+        assert capsys.readouterr().err == "detmask: error: no deterministic samples\n"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -80,6 +82,10 @@ FACTS = [
     {"s": "Odyssey", "p": "directedBy", "o": "Kubrick",
      "s_surface": "Odyssey", "o_surface": "Stanley Kubrick"},
 ]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_inputs(root: Path) -> dict[str, Path]:
@@ -530,8 +536,10 @@ class TestPipelineArtifacts:
                     "paragraphs_processed": 5, "paragraphs_skipped": 0, "ssm_emitted": 4,
                     "paragraphs_no_output": 1, "samples_emitted": 3, "candidate_triplets": 5,
                     "non_deterministic_triplets": 2, "unmatched_deterministic_triplets": 0,
-                    "emitted_triplets": 3, "skips": [],
+                    "emitted_triplets": 3, "tokens": 26, "object_groups": 3, "clue_tokens": 10,
+                    "object_tokens": 5, "skips": [],
                 },
+                "sha256": {"samples": sha256(samples), "ssm": sha256(root / "samples.ssm.jsonl")},
             },
             masked: {
                 "command": "mask",
@@ -566,10 +574,18 @@ class TestPipelineArtifacts:
         }
         for main_output, want in expected.items():
             manifest = read_json(str(main_output) + ".manifest.json")
-            assert list(manifest) == ["command", "inputs", "outputs", "seed", "config",
-                                      "started", "duration_s", "counters"]
+            keys = ["command", "inputs", "outputs", "seed", "config", "started", "duration_s",
+                    "counters"]
+            assert list(manifest) == keys + (["sha256"] if "sha256" in want else []), main_output
             del manifest["started"], manifest["duration_s"]
             assert manifest == want, main_output
+
+    def test_align_output_that_is_not_a_file_has_no_digest(self, pipeline, tmp_path):
+        """Reading a FIFO or device back would block or hash nothing."""
+        samples = tmp_path / "samples.jsonl"
+        assert main(["align", "--kb", str(pipeline["kb"]), "--corpus", str(pipeline["corpus"]),
+                     "--out", str(samples), "--ssm-out", os.devnull]) == 0
+        assert read_json(f"{samples}.manifest.json")["sha256"] == {"samples": sha256(samples)}
 
     def test_manifest_duration_covers_the_whole_stage(self, pipeline, tmp_path, monkeypatch):
         def slow(read):
@@ -666,12 +682,15 @@ class TestStageImports:
     def test_stages_import_only_what_they_use(self, tmp_path):
         """build-kb, align, stats, report and every mode of mask never load
         numpy or model code; build-kb and report load no reader, aligner or
-        masking code.  None of them loads logging, dataclasses, datetime or
-        inspect unless a bare interpreter in the same environment already has;
+        masking code, and neither does stats beside an align manifest, which
+        with report loads no KB code either.  None of them loads logging,
+        dataclasses, datetime or inspect unless a bare interpreter in the
+        same environment already has;
         train and probe, which load numpy (and with it inspect and datetime),
         load neither logging nor dataclasses."""
         paths = write_inputs(tmp_path)
         kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
+        alone = tmp_path / "alone" / "samples.jsonl"
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"format": "detmask-report", "splits": {}}), encoding="utf-8")
         # DETMASK_LOG once switched logging on; it must not load logging now.
@@ -691,7 +710,9 @@ class TestStageImports:
               "--out", str(kb_dir)], kb_only),
             (["align", "--kb", str(kb_dir), "--corpus", str(paths["corpus"]),
               "--out", str(samples)], numpy_free),
-            (["stats", "--samples", str(samples)], numpy_free),
+            # With no manifest beside its copy of the samples, stats counts them.
+            (["stats", "--samples", str(alone)], numpy_free),
+            (["stats", "--samples", str(samples)], (*kb_only, "detmask.kb")),
             (["report", "--report", str(report)], (*kb_only, "detmask.kb")),
             *((["mask", "--samples", str(samples), "--out", str(tmp_path / f"masked{i}.jsonl"),
                 *mode], numpy_free)
@@ -716,6 +737,9 @@ class TestStageImports:
             proc = subprocess.run([sys.executable, "-c", code, ",".join(absent), *argv],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, (argv[0], proc.stderr)
+            if argv[0] == "align":
+                alone.parent.mkdir()
+                shutil.copy(samples, alone)
 
 
 class TestAlignSkips:
@@ -744,6 +768,55 @@ class TestAlignSkips:
             "avg clue tokens         3.3333\n"
             "avg object tokens       1.6667\n"
             "nondeterministic frac   0.4000\n", "")
+
+
+def stats_from_each_source(samples: Path, tmp_path: Path, capsys) -> tuple[str, str, str]:
+    """``stats`` stdout on ``samples``: from the tallies of its align manifest,
+    counting the samples under that manifest without its ``sha256``, and
+    counting a copy of the samples that has no manifest."""
+    manifest = read_json(f"{samples}.manifest.json")
+    del manifest["sha256"]
+    undigested = tmp_path / "undigested.manifest.json"
+    undigested.write_text(json.dumps(manifest), encoding="utf-8")
+    alone = tmp_path / "alone" / "samples.jsonl"
+    alone.parent.mkdir()
+    shutil.copy(samples, alone)
+    outs = []
+    for argv in (["stats", "--samples", str(samples)],
+                 ["stats", "--samples", str(samples), "--manifest", str(undigested)],
+                 ["stats", "--samples", str(alone)]):
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+        outs.append(out)
+    return tuple(outs)
+
+
+class TestStatsSources:
+    @pytest.mark.parametrize("extra", [
+        [],
+        [{"doc_id": "bad", "text": "x", "entity_spans": [[0, 99, "Jaws"]]},
+         {"doc_id": "p6", "text": "Jaws was direted by Steven Spielberg"}],
+    ], ids=["cli_world", "skip_and_distance_1"])
+    def test_manifest_tallies_match_counting_the_samples(self, tmp_path, capsys, extra):
+        """The align manifest's tallies print what counting samples.jsonl
+        prints; without a manifest only the paragraph count, the fraction
+        and the closing note differ."""
+        paths = write_inputs(tmp_path)
+        with open(paths["corpus"], "a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(obj) + "\n" for obj in extra)
+        kb_dir, samples = tmp_path / "kb", tmp_path / "samples.jsonl"
+        assert main(["build-kb", "--triplets", str(paths["triplets"]),
+                     "--entities", str(paths["entities"]),
+                     "--predicates", str(paths["predicates"]), "--out", str(kb_dir)]) == 0
+        assert main(["align", "--kb", str(kb_dir), "--corpus", str(paths["corpus"]),
+                     "--out", str(samples)]) == 0
+        tallied, counted, alone = stats_from_each_source(samples, tmp_path, capsys)
+        assert counted == tallied
+        assert alone.splitlines()[1:5] == tallied.splitlines()[1:5]
+        assert alone.splitlines()[-1].startswith("(no manifest found: ")
+        assert tallied.splitlines()[1] == f"samples                 {3 + bool(extra)}"
 
 
 class TestLogging:
@@ -1567,12 +1640,17 @@ class TestExitCodes:
 
     def test_align_manifest_counters_not_integers_is_data_error(self, pipeline, tmp_path,
                                                                 capsys):
-        """``stats`` checks the three counters it reads: ints, with no more
+        """``stats`` checks the counters it reads: ints, with no more
         non-deterministic than candidate triplets and at least one paragraph
-        per sample (three here).  Any other counter, ``skips`` included, is
+        per sample (three here), and, when it prints from the tallies, those
+        as ints of at least 0.  Any other counter, ``skips`` included, is
         not its business."""
         manifest = read_json(str(pipeline["samples"]) + ".manifest.json")
         for name, counters in (("string", {**manifest["counters"], "candidate_triplets": "x"}),
+                               ("negative tally", {**manifest["counters"], "tokens": -1}),
+                               ("bool tally", {**manifest["counters"], "clue_tokens": True}),
+                               ("string samples", {**manifest["counters"],
+                                                   "samples_emitted": "3"}),
                                ("bool", {"candidate_triplets": True}),
                                ("list", [1]),
                                ("more non-deterministic", {"candidate_triplets": 2,
@@ -1595,6 +1673,38 @@ class TestExitCodes:
         assert main(["stats", "--samples", str(pipeline["samples"]),
                      "--manifest", str(path)]) == 0
         assert "nondeterministic frac   0.4000\n" in capsys.readouterr().out
+
+    def test_stats_on_the_manifest_of_another_stage_is_data_error(self, pipeline, capsys):
+        manifest = str(pipeline["masked"]) + ".manifest.json"
+        assert main(["stats", "--samples", str(pipeline["samples"]), "--manifest", manifest]) == 2
+        assert capsys.readouterr() == (
+            "", f"detmask: error: {manifest} is not an align manifest\n")
+
+    def test_stats_on_samples_changed_since_align_is_data_error(self, pipeline, tmp_path,
+                                                               capsys):
+        """One byte changed in samples.jsonl beside its manifest: the manifest's
+        tallies no longer describe the file."""
+        samples = tmp_path / "samples.jsonl"
+        manifest = tmp_path / "samples.jsonl.manifest.json"
+        shutil.copy(str(pipeline["samples"]) + ".manifest.json", manifest)
+        text = pipeline["samples"].read_text(encoding="utf-8")
+        samples.write_text(text.replace("American", "Americas", 1), encoding="utf-8")
+        assert main(["stats", "--samples", str(samples)]) == 2
+        assert capsys.readouterr() == ("", f"detmask: error: {samples} is not the samples "
+                                           f"file that {manifest} describes: its sha256 differs\n")
+
+    def test_stats_on_the_manifest_of_another_corpus_is_data_error(self, pipeline, tmp_path,
+                                                                  capsys):
+        corpus, other = tmp_path / "corpus.jsonl", tmp_path / "other.jsonl"
+        corpus.write_text("".join(json.dumps(obj) + "\n" for obj in CORPUS[:2]), encoding="utf-8")
+        assert main(["align", "--kb", str(pipeline["kb"]), "--corpus", str(corpus),
+                     "--out", str(other)]) == 0
+        manifest = f"{other}.manifest.json"
+        capsys.readouterr()
+        assert main(["stats", "--samples", str(pipeline["samples"]), "--manifest", manifest]) == 2
+        assert capsys.readouterr() == ("", f"detmask: error: {pipeline['samples']} is not the "
+                                           f"samples file that {manifest} describes: its sha256 "
+                                           "differs\n")
 
     def test_explicit_missing_manifest_is_data_error(self, pipeline, tmp_path, capsys):
         absent = tmp_path / "absent.manifest.json"

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from test_cli import stats_from_each_source
 from worldgen import make_world
 
 DIGESTS = Path(__file__).with_name("golden.sha256")
@@ -113,7 +114,9 @@ def read_digests() -> dict[str, str]:
     return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
 
 
-def test_pipeline_outputs_match_golden_digests(tmp_path):
+def test_pipeline_outputs_match_golden_digests(tmp_path, capsys):
+    """Also: ``stats`` prints the same from the align manifest's tallies as
+    from counting the samples."""
     write_world(tmp_path / "inputs")
     started = time.perf_counter()
     first = run_pipeline(tmp_path / "inputs", tmp_path / "a", "0", "1")
@@ -122,6 +125,10 @@ def test_pipeline_outputs_match_golden_digests(tmp_path):
     assert {name: first[name] for name in PINNED} == read_digests()
     assert first == second
     assert elapsed < 5.0, f"two pipelines took {elapsed:.1f}s"
+    tallied, counted, alone = stats_from_each_source(tmp_path / "a" / "samples.jsonl",
+                                                     tmp_path, capsys)
+    assert tallied == counted == (tmp_path / "a" / "stats.txt").read_text(encoding="utf-8")
+    assert alone.splitlines()[1:5] == tallied.splitlines()[1:5]
 
 
 if __name__ == "__main__":
