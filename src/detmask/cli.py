@@ -12,12 +12,17 @@ stage writes none.  The counters of ``align`` and ``mask`` end with ``skips``,
 the ``[doc_id, reason]`` of each paragraph or object group they skipped, in
 input order.  Before ``skips``, ``align`` counts the sums that ``stats``
 prints averages of (``tokens``, ``object_groups``, ``clue_tokens`` and
-``object_tokens``), and its manifest ends with the ``sha256`` of its outputs
-(``samples`` and ``ssm``).  ``stats`` exits 2 on a manifest that is not
-align's or whose samples digest differs from ``--samples``; when the digest
-matches and the sums are there it prints from the manifest alone, and
-otherwise it reads and counts the samples.  Each ``cmd_*`` imports only the
-modules of its own stage.
+``object_tokens``), and ``mask`` counts its training ``items`` and its
+``longest`` input; both manifests end with the ``sha256`` of their outputs
+(``samples`` and ``ssm``; ``masked`` and ``vocab``).  ``stats`` exits 2 on a
+manifest that is not align's or whose samples digest differs from
+``--samples``; when the digest matches and the sums are there it prints from
+the manifest alone, and otherwise it reads and counts the samples.  ``train``
+trusts the manifest beside ``--data`` only if it is mask's and its digests
+are those of ``--data`` and ``--vocab``: it then reads and checks the lines
+of the items it keeps and takes ``items`` and ``longest`` from it; otherwise
+it reads and checks every line, and such a manifest is never an error.
+Each ``cmd_*`` imports only the modules of its own stage.
 ``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is already set, before any
 stage loads numpy: the stages' matrix products are small, and waking a second
 BLAS thread for each costs more than it saves.
@@ -138,9 +143,7 @@ def cmd_align(args) -> StageResult:
         "skips": result.skips,
     }
     outputs = {"samples": str(args.out), "ssm": str(ssm_out)}
-    # A FIFO or device output has no content left to hash.
-    digests = {k: _sha256(path) for k, path in outputs.items() if os.path.isfile(path)}
-    return args.out, outputs, {"threads": args.threads}, counters, digests
+    return args.out, outputs, {"threads": args.threads}, counters, _digests(outputs)
 
 
 def cmd_mask(args) -> StageResult:
@@ -172,7 +175,7 @@ def cmd_mask(args) -> StageResult:
 
     skipped: Counter = Counter()
     skips: list[tuple[str, str]] = []
-    groups = 0
+    groups = items = longest = 0
     if scheme is MaskScheme.SALIENT_SPAN:
         pairs = ((s, tokenize_for_spans(s, tokenized[s.paragraph.text], vocab))
                  for s in ssm or samples)
@@ -185,8 +188,9 @@ def cmd_mask(args) -> StageResult:
 
     def masked_lines():
         """Each output line as soon as it is made; a group that raises
-        ``DataError`` is skipped whole and recorded."""
-        nonlocal groups
+        ``DataError`` is skipped whole and recorded.  Each made pair, triple
+        or single line is one training item."""
+        nonlocal groups, items, longest
         for sample, ts in pairs:
             rng = Random(f"{args.seed}/{groups}") if draws else None
             groups += 1
@@ -201,6 +205,8 @@ def cmd_mask(args) -> StageResult:
                 skipped[type(exc).__name__] += 1
                 skips.append((sample.paragraph.doc_id, str(exc)))
                 continue
+            items += 1
+            longest = max(longest, len(made[0].input_tokens))
             yield from made
 
     lines_emitted = formats.write_masked(args.out, masked_lines())
@@ -209,10 +215,36 @@ def cmd_mask(args) -> StageResult:
         "lines_emitted": lines_emitted,
         "groups_skipped": len(skips),
         "skip_reasons": dict(sorted(skipped.items())),
+        "items": items,
+        "longest": longest,
         "skips": skips,
     }
     outputs = {"masked": str(args.out), "vocab": str(vocab_path)}
-    return args.out, outputs, {"scheme": args.scheme, "emit": args.emit}, counters, {}
+    config = {"scheme": args.scheme, "emit": args.emit}
+    return args.out, outputs, config, counters, _digests(outputs)
+
+
+def _mask_tallies(args) -> tuple[int, int] | None:
+    """The item count and longest input in the manifest beside ``--data``, if
+    it is a mask manifest whose digests are those of ``--data`` and
+    ``--vocab``; otherwise None.  Such a manifest is never an error."""
+    manifest_path = f"{args.data}.manifest.json"
+    if not all(os.path.isfile(p) for p in (manifest_path, args.data, args.vocab)):
+        return None
+    try:
+        manifest = read_json(manifest_path)
+        counters, digests = manifest.get("counters"), manifest.get("sha256")
+        if not (manifest.get("command") == "mask" and isinstance(counters, dict)
+                and isinstance(digests, dict)):
+            return None
+        tallies = counters.get("items"), counters.get("longest")
+        if not all(type(v) is int and v >= 0 for v in tallies) or any(
+                digests.get(k) != _sha256(path)
+                for k, path in (("vocab", args.vocab), ("masked", args.data))):
+            return None
+    except (DataError, OSError):
+        return None
+    return tallies
 
 
 def cmd_train(args) -> StageResult:
@@ -222,9 +254,15 @@ def cmd_train(args) -> StageResult:
     log_path = args.log or str(args.out) + ".log.jsonl"
     _distinct_outputs(args, **{"--out": args.out, "--log": log_path})
     vocab = formats.read_vocab(args.vocab)
-    # Training reads item ``step % len(items)``, so it never reads past item ``steps``.
-    items, n_items, longest = formats.read_masked(args.data, vocab.size, args.vocab,
-                                                  args.steps)
+    # Training reads item ``step % len(items)``, so it never reads past item
+    # ``steps``.  The file that ``mask`` wrote passes every check, so with its
+    # tallies the reader stops there.
+    tallies = _mask_tallies(args)
+    seen: dict = {}
+    items, n_items, longest = formats.read_masked(args.data, vocab.size, args.vocab, args.steps,
+                                                  whole=tallies is None, tally=seen)
+    if tallies is not None:
+        n_items, longest = tallies
     config = ModelConfig(
         vocab_size=vocab.size,
         d=args.dim,
@@ -247,6 +285,7 @@ def cmd_train(args) -> StageResult:
     last = train_log[-1]
     counters = {
         "items": n_items,
+        "lines_read": seen["lines_read"],
         "steps_run": len(train_log),
         "final_L_mlm": last.l_mlm,
         "final_L_total": last.l_total,
@@ -332,9 +371,15 @@ def _sha256(path) -> str:
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        # A small buffer: a 1 MiB one would set ``mask``'s peak memory.
+        while chunk := fh.read(1 << 16):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _digests(outputs: dict) -> dict:
+    """The sha256 of each output; a FIFO or device has no content left to hash."""
+    return {k: _sha256(path) for k, path in outputs.items() if os.path.isfile(path)}
 
 
 def _print_stats(counters, manifest_path, samples: int, tokens: int, groups: int,

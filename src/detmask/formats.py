@@ -288,20 +288,22 @@ _GROUP_NEXT = (None, Variant.MASK_CLUES, Variant.MASK_RANDOM)
 
 
 def _masked_items(path: PathLike, vocab_size: int,
-                  vocab_path: PathLike) -> Iterator[tuple[MaskedSample, ...]]:
-    """The lines of each training item of a masked file, in order.
+                  vocab_path: PathLike) -> Iterator[tuple[int, tuple[MaskedSample, ...]]]:
+    """The lines of each training item of a masked file, in order, each with
+    the number of lines read so far.
 
     A keep_clues line followed by a mask_clues line (and optionally a
     mask_random line) for the same doc forms one group; every other line
     stands alone.  Each line is checked before the next is read: its shape,
     then, as the inputs of one group are one paragraph, that a line joining
     a group has inputs of the group's length, then its ids against the
-    vocabulary.  Any fault raises ``DataError``.
+    vocabulary.  Any fault raises ``DataError``.  A group of two is complete
+    only once the next line is read, so that line is counted with it.
     """
     name = str(path)
     token_ids = frozenset(range(vocab_size))
     group: list[MaskedSample] = []
-    for line_no, obj in read_jsonl(path):
+    for n, (line_no, obj) in enumerate(read_jsonl(path), start=1):
         line, known = _masked_line(obj, name, line_no, token_ids)
         joins = (bool(group) and line.variant is _GROUP_NEXT[len(group)]
                  and line.doc_id == group[0].doc_id)
@@ -314,29 +316,33 @@ def _masked_items(path: PathLike, vocab_size: int,
             group.append(line)
         else:
             if group:
-                yield tuple(group)
+                yield n, tuple(group)
             group = [line]
         if len(group) == 3 or group[0].variant is not Variant.KEEP_CLUES:
-            yield tuple(group)
+            yield n, tuple(group)
             group = []
     if group:
-        yield tuple(group)
+        yield n, tuple(group)
 
 
-def read_masked(path: PathLike, vocab_size: int, vocab_path: PathLike,
-                keep: int) -> tuple[list[tuple[MaskedSample, ...]], int, int]:
+def read_masked(path: PathLike, vocab_size: int, vocab_path: PathLike, keep: int,
+                whole: bool = True, tally: dict | None = None,
+                ) -> tuple[list[tuple[MaskedSample, ...]], int, int]:
     """The first ``keep`` training items of a masked file, the number of its
-    items, and its longest input, in one pass that checks every line.
+    items, and its longest input.
 
     Lines form items, and are checked in file order, as ``_masked_items``
     says; ids must lie below ``vocab_size``, the size of the vocabulary in
     ``vocab_path``.  Each item is a tuple of its one to three lines.  Only
     the kept items hold their lines, as ``MaskedSample``s with int64 input
-    arrays and tuples of mask positions and targets.
+    arrays and tuples of mask positions and targets.  With ``whole`` every
+    line is read and checked; without it reading stops once the ``keep``-th
+    item is complete, and the count and longest input are those of the items
+    read.  A ``tally`` dict gets ``lines_read``, the lines read and checked.
     """
     items: list[tuple[MaskedSample, ...]] = []
-    count = longest = 0
-    for group in _masked_items(path, vocab_size, vocab_path):
+    count = longest = lines = 0
+    for lines, group in _masked_items(path, vocab_size, vocab_path):
         count += 1
         # The lines of a group have inputs of one length.
         longest = max(longest, len(group[0].input_tokens))
@@ -345,6 +351,10 @@ def read_masked(path: PathLike, vocab_size: int, vocab_path: PathLike,
                 m._replace(input_tokens=array("q", m.input_tokens),
                            mask_positions=tuple(m.mask_positions), targets=tuple(m.targets))
                 for m in group))
+        if not whole and count >= keep:
+            break
+    if tally is not None:
+        tally["lines_read"] = lines
     return items, count, longest
 
 

@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from detmask.model import load_checkpoint
 from detmask.probe import build_questions, filter_leakage, length_batches
 from oracles import read_masked_oracle
 from test_formats import half_writing_open
+from worldgen import make_world, write_world_inputs
 
 ENTITIES = """\
 WarHorse\tWar Horse
@@ -548,7 +550,8 @@ class TestPipelineArtifacts:
                 "seed": 3,
                 "config": {"scheme": None, "emit": "triple"},
                 "counters": {"groups_processed": 3, "lines_emitted": 9, "groups_skipped": 0,
-                             "skip_reasons": {}, "skips": []},
+                             "skip_reasons": {}, "items": 3, "longest": 11, "skips": []},
+                "sha256": {"masked": sha256(masked), "vocab": sha256(root / "vocab.json")},
             },
             ckpt: {
                 "command": "train",
@@ -557,8 +560,8 @@ class TestPipelineArtifacts:
                 "seed": 0,
                 "config": {"steps": 40, "lr": 0.5, "dim": 8, "max_len": 64,
                            "lambda_con": 1.0, "lambda_cls": 1.0},
-                "counters": {"items": 3, "steps_run": 40, "final_L_mlm": last["L_mlm"],
-                             "final_L_total": last["L_total"]},
+                "counters": {"items": 3, "lines_read": 9, "steps_run": 40,
+                             "final_L_mlm": last["L_mlm"], "final_L_total": last["L_total"]},
             },
             report: {
                 "command": "probe",
@@ -2071,3 +2074,155 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
+
+
+# Every way ``mask`` makes training items: the five schemes, pairs and triples.
+MASK_MODES = [("--scheme", scheme) for scheme in (
+    "random_token", "whole_word", "salient_span", "object_span", "deterministic")] + [
+    ("--emit", "pair"), ("--emit", "triple")]
+
+
+def edit_last_masked_line(lines: list[str], fault: str, size: int) -> None:
+    """Put one fault of ``test_fault_after_kept_items_is_data_error`` into the
+    last of ``lines``."""
+    last = json.loads(lines[-1])
+    if fault == "json":
+        lines[-1] = lines[-1][:-1]
+        return
+    if fault == "vocab size":
+        last["input_ids"][0] = size
+    elif fault == "2**63":
+        last["input_ids"][0] = 2 ** 63
+    elif fault == "position":
+        last["mask_positions"][0] = len(last["input_ids"])
+    else:
+        last["input_ids"].append(3)
+    lines[-1] = json.dumps(last)
+
+
+class TestTrainFromMaskManifest:
+    """``train`` reads only the items it trains on when the mask manifest
+    beside ``--data`` vouches for ``--data`` and ``--vocab``, and gives the
+    bytes that a full read gives."""
+
+    def train(self, data: Path, vocab: Path, out: Path, steps: int):
+        """Exit code, checkpoint and log bytes, counters and ``lines_read``."""
+        code = main(["train", "--data", str(data), "--vocab", str(vocab), "--out", str(out),
+                     "--steps", str(steps), "--dim", "4"])
+        if code:
+            return code, None, None, None, None
+        counters = read_json(f"{out}.manifest.json")["counters"]
+        lines_read = counters.pop("lines_read")
+        return (code, out.read_bytes(), Path(f"{out}.log.jsonl").read_bytes(), counters,
+                lines_read)
+
+    def aligned(self, pipeline, tmp_path, world) -> Path:
+        """The samples of the CLI world, or of a random worldgen world."""
+        if world == "cli":
+            return pipeline["samples"]
+        kb_tables, paragraphs = make_world(np.random.default_rng(world), n_paragraphs=40)
+        paths = write_world_inputs(tmp_path, kb_tables, paragraphs)
+        assert main(["build-kb", "--out", str(tmp_path / "kb"),
+                     *(f"--{k}={paths[k]}" for k in ("triplets", "entities", "predicates"))]) == 0
+        samples = tmp_path / "samples.jsonl"
+        assert main(["align", "--kb", str(tmp_path / "kb"), "--corpus", str(paths["corpus"]),
+                     "--out", str(samples)]) == 0
+        return samples
+
+    @pytest.mark.parametrize("world", ["cli", 3, 8])
+    def test_manifest_agrees_with_a_full_read(self, pipeline, tmp_path, world):
+        """In every mask mode the manifest's ``items`` and ``longest`` are
+        what a full ``read_masked`` counts, and ``train`` with the manifest
+        beside ``--data`` writes the bytes and counters of a copy without
+        one, with ``--steps`` below and above the item count; below it, it
+        reads fewer lines."""
+        samples = self.aligned(pipeline, tmp_path, world)
+        for flag, mode in MASK_MODES:
+            run, bare = tmp_path / mode, tmp_path / f"{mode}-bare"
+            run.mkdir()
+            bare.mkdir()
+            masked, vocab = run / "masked.jsonl", run / "vocab.json"
+            source = (["--ssm", str(samples.with_name("samples.ssm.jsonl"))]
+                      if mode == "salient_span" else ["--samples", str(samples)])
+            assert main(["mask", *source, "--out", str(masked), flag, mode, "--seed", "2"]) == 0
+            counters = read_json(f"{masked}.manifest.json")["counters"]
+            _items, count, longest = read_masked(masked, read_vocab(vocab).size, vocab, 1)
+            assert (counters["items"], counters["longest"]) == (count, longest), mode
+            assert count > 2, mode
+            shutil.copy(masked, bare / "masked.jsonl")
+            for steps in (count // 2, count + 2):
+                *vouched, vouched_lines = self.train(masked, vocab, run / f"{steps}.ckpt", steps)
+                *full, full_lines = self.train(bare / "masked.jsonl", vocab,
+                                               bare / f"{steps}.ckpt", steps)
+                assert vouched == full and vouched[0] == 0, (mode, steps)
+                assert full_lines == counters["lines_emitted"], (mode, steps)
+                if steps > count:
+                    assert vouched_lines == full_lines, (mode, steps)
+                else:
+                    assert vouched_lines < full_lines, (mode, steps)
+
+    def beside_its_manifest(self, pipeline, tmp_path) -> Path:
+        """A copy of the pipeline's masked file with its mask manifest beside it."""
+        data = tmp_path / "masked.jsonl"
+        shutil.copy(pipeline["masked"], data)
+        shutil.copy(f"{pipeline['masked']}.manifest.json", f"{data}.manifest.json")
+        return data
+
+    def test_vouched_read_stops_after_the_kept_items(self, pipeline, tmp_path):
+        """The pipeline's triples: ``--steps 1`` reads the first three lines."""
+        data = self.beside_its_manifest(pipeline, tmp_path)
+        vocab = pipeline["root"] / "vocab.json"
+        assert self.train(data, vocab, tmp_path / "m.ckpt", 1)[-1] == 3
+
+    @pytest.mark.parametrize("fault", ["json", "vocab size", "2**63", "position", "ragged"])
+    def test_fault_beside_the_manifest_of_the_unedited_file(self, pipeline, tmp_path, capsys,
+                                                            fault):
+        """The digest differs, so every line is checked: ``train --steps 1``
+        exits 2 with the message it gives without the manifest, and writes
+        no checkpoint or log."""
+        vocab = pipeline["root"] / "vocab.json"
+        data = tmp_path / "masked.jsonl"
+        lines = pipeline["masked"].read_text(encoding="utf-8").splitlines()
+        edit_last_masked_line(lines, fault, read_vocab(vocab).size)
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["train", "--data", str(data), "--vocab", str(vocab),
+                "--out", str(tmp_path / "m.ckpt"), "--steps", "1"]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        shutil.copy(f"{pipeline['masked']}.manifest.json", f"{data}.manifest.json")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == error
+        assert error.startswith(f"detmask: error: {data if fault != 'ragged' else 'p3'}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "masked.jsonl", "masked.jsonl.manifest.json"]
+
+    @pytest.mark.parametrize("change", [
+        "vocab bytes", "align manifest", "no items", "no longest", "bool items",
+        "bool longest", "negative items", "negative longest"])
+    def test_manifest_that_does_not_vouch_changes_nothing(self, pipeline, tmp_path, change):
+        """``train`` then reads every line, and writes what it writes with no
+        manifest beside ``--data``."""
+        data = self.beside_its_manifest(pipeline, tmp_path)
+        vocab = pipeline["root"] / "vocab.json"
+        manifest_path = Path(f"{data}.manifest.json")
+        manifest = read_json(manifest_path)
+        kind, _, key = change.partition(" ")
+        if change == "vocab bytes":
+            vocab = tmp_path / "vocab.json"
+            vocab.write_text(json.dumps(read_json(pipeline["root"] / "vocab.json"), indent=1),
+                             encoding="utf-8")
+        elif change == "align manifest":
+            shutil.copy(f"{pipeline['samples']}.manifest.json", manifest_path)
+        elif kind == "no":
+            del manifest["counters"][key]
+        else:
+            manifest["counters"][key] = True if kind == "bool" else -1
+        if kind in ("no", "bool", "negative"):
+            fileio.write_json(manifest_path, manifest)
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copy(data, bare / "masked.jsonl")
+        result = self.train(data, vocab, tmp_path / "m.ckpt", 1)
+        assert result == self.train(bare / "masked.jsonl", pipeline["root"] / "vocab.json",
+                                    bare / "m.ckpt", 1)
+        assert result[-1] == 9

@@ -8,6 +8,8 @@ with zero or many mentions, and occasional pre-linked spans.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from detmask.align import Paragraph
@@ -162,3 +164,27 @@ def random_tokenized_sample(
         object_positions=tuple(objects),
         clue_positions=tuple(sorted(clue_ids)),
     )
+
+
+def write_world_inputs(root, kb: KnowledgeBase, paragraphs: list[Paragraph]) -> dict:
+    """The KB tables and corpus of a world as the files ``build-kb`` and
+    ``align`` read; returns their paths by flag name."""
+    paths = {name: root / file for name, file in (
+        ("entities", "entities.tsv"), ("predicates", "predicates.tsv"),
+        ("triplets", "triplets.tsv"), ("corpus", "corpus.jsonl"))}
+    paths["entities"].write_text("".join(
+        f"{eid}\t{aliases[0]}\t{'|'.join(aliases[1:])}\n"
+        for eid, aliases in kb.entity_aliases.items()), encoding="utf-8")
+    paths["predicates"].write_text("".join(
+        f"{pid}\t{'|'.join(aliases)}\n" for pid, aliases in kb.predicate_aliases.items()),
+        encoding="utf-8")
+    paths["triplets"].write_text("".join(
+        f"{t.subject}\t{t.predicate}\t{t.object}\n" for t in sorted(kb.triplets)),
+        encoding="utf-8")
+    with open(paths["corpus"], "w", encoding="utf-8") as fh:
+        for p in paragraphs:
+            row = {"doc_id": p.doc_id, "text": p.text}
+            if p.pre_linked_spans is not None:
+                row["entity_spans"] = [list(s) for s in p.pre_linked_spans]
+            fh.write(json.dumps(row) + "\n")
+    return paths
