@@ -3,7 +3,9 @@
 Every stage reads and writes materialized files, so any step can be re-run
 in isolation and outputs can be diffed across runs.  Exit codes: 0 success,
 1 usage error (also an argument that is not valid UTF-8, or an output that
-resolves to another of the stage's files), 2 data error.  Once a stage that
+resolves to another of the stage's files), 2 data error (also a failed write
+to stdout or to an output file: ``main`` flushes stdout once the stage
+returns, before the manifest).  Once a stage that
 returns a ``StageResult`` succeeds, ``main`` writes a manifest JSON next to
 its main output, last of all its files, recording the input paths, seed,
 configuration, counters, ``started`` (when the stage began) and
@@ -26,6 +28,11 @@ Each ``cmd_*`` imports only the modules of its own stage.
 ``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is already set, before any
 stage loads numpy: the stages' matrix products are small, and waking a second
 BLAS thread for each costs more than it saves.
+Every output and the manifest are closed and renamed before ``main``
+returns.  The process entry, ``_run`` (``python -m detmask.cli`` and the
+``detmask`` script), then flushes stdout and stderr and ends the process
+with ``os._exit``, without interpreter teardown; ``main`` itself only
+returns its code.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .errors import DataError, DetmaskError
@@ -530,6 +538,9 @@ def main(argv=None) -> int:
                     flag = "--" + name.replace("_", "-")
                     raise UsageError(f"{flag} is not valid UTF-8: {value!r}") from None
         result = args.func(args)
+        # A failed write to a buffered stdout surfaces here, as the stage's error.
+        if sys.stdout is not None:  # None if the process started with stdout closed
+            sys.stdout.flush()
         if result is not None:
             main_output, outputs, config, counters, digests = result
             write_json(f"{main_output}.manifest.json", {
@@ -549,5 +560,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def _run() -> NoReturn:
+    """The process entry: ``main``, then flush stdout and stderr and end with
+    ``main``'s code, skipping interpreter teardown.  ``main`` has reported a
+    failed write, so what that left in a buffer is dropped."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import errno
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detmask import fileio, formats, kb, model
+from detmask import cli, fileio, formats, kb, model
 from detmask.cli import main
 from detmask.fileio import read_json
 from detmask.formats import (
@@ -675,9 +678,12 @@ class TestMaskSkipReasons:
             {"NoMaskableContent": 1}, [["part", "no object tokens to mask"]])
 
 def stage_env() -> dict:
-    """The environment for a stage subprocess that imports this checkout's detmask."""
+    """The environment for a stage subprocess that imports this checkout's
+    detmask, with the stdout buffering that users get: ``PYTHONUNBUFFERED``
+    is left out, and a test that needs it sets it."""
     src = str(Path(fileio.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
@@ -932,6 +938,146 @@ class TestTracedStage:
         assert len(steps) == 9
         assert "write_s" in json.loads(Path(str(trace) + ".exit").read_text(encoding="utf-8"))
         assert (ckpt.read_bytes(), log.read_bytes()) == untraced
+
+
+class TestProcessEntry:
+    """A stage run as ``python -m detmask.cli`` ends without interpreter
+    teardown once ``main`` has returned, and a caller sees what an
+    in-process ``main`` gives."""
+
+    # The seven stages on the CLI test world, then a usage error of the
+    # stage, one of argparse, a data error, --version and --help.
+    RUNS = [
+        ["build-kb", "--triplets", "triplets.tsv", "--entities", "entities.tsv",
+         "--predicates", "predicates.tsv", "--out", "kb"],
+        ["align", "--kb", "kb", "--corpus", "corpus.jsonl", "--out", "samples.jsonl"],
+        ["stats", "--samples", "samples.jsonl"],
+        ["mask", "--samples", "samples.jsonl", "--out", "masked.jsonl", "--emit", "triple"],
+        ["train", "--data", "masked.jsonl", "--vocab", "vocab.json", "--out", "model.ckpt",
+         "--steps", "5", "--dim", "8"],
+        ["probe", "--model", "model.ckpt", "--templates", "templates.jsonl",
+         "--facts", "facts.jsonl", "--out", "report.json", "--kb", "kb",
+         "--pretrain", "samples.jsonl"],
+        ["report", "--report", "report.json"],
+        ["mask", "--samples", "samples.jsonl", "--out", "unmade.jsonl"],
+        ["train", "--data", "masked.jsonl"],
+        ["report", "--report", "corpus.jsonl"],
+        ["--version"],
+        ["--help"],
+    ]
+
+    @staticmethod
+    def files(root: Path) -> dict:
+        """Every file under ``root``; a manifest as JSON without its timings."""
+        found = {}
+        for path in sorted(root.rglob("*")):
+            if not path.is_file():
+                continue
+            data = path.read_bytes()
+            if path.name.endswith(".manifest.json"):
+                data = {k: v for k, v in json.loads(data).items()
+                        if k not in ("started", "duration_s")}
+            found[str(path.relative_to(root))] = data
+        return found
+
+    def test_process_gives_what_main_gives(self, tmp_path, monkeypatch, capsys):
+        # argparse wraps --help and usage text to the terminal's width.
+        monkeypatch.setenv("COLUMNS", "80")
+        inline, spawned = tmp_path / "inline", tmp_path / "spawned"
+        for root in (inline, spawned):
+            root.mkdir()
+            write_inputs(root)
+        monkeypatch.chdir(inline)
+        expected = []
+        for argv in self.RUNS:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            expected.append((argv[0], code, *capsys.readouterr()))
+        got = []
+        for argv in self.RUNS:
+            proc = subprocess.run([sys.executable, "-m", "detmask.cli", *argv], cwd=spawned,
+                                  env=stage_env(), capture_output=True, text=True, timeout=120)
+            got.append((argv[0], proc.returncode, proc.stdout, proc.stderr))
+        assert [code for _name, code, *_ in expected] == [0] * 7 + [1, 1, 2, 0, 0]
+        assert got == expected
+        assert self.files(spawned) == self.files(inline)
+
+    def test_console_script_names_the_entry_of_the_main_block(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        [call] = block.body
+        assert project["project"]["scripts"]["detmask"] == f"detmask.cli:{call.value.func.id}"
+        assert call.value.func.id != "main"
+
+    @pytest.mark.parametrize("name, code", [("report.json", 0), ("absent.json", 2)])
+    def test_entry_flushes_then_ends_with_the_code_of_main(self, pipeline, monkeypatch, name,
+                                                           code):
+        events = []
+
+        class Stream(io.StringIO):
+            def __init__(self, label):
+                super().__init__()
+                self.label = label
+
+            def flush(self):
+                events.append(self.label)
+                super().flush()
+
+        out, err = Stream("stdout"), Stream("stderr")
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(sys, "argv", ["detmask", "report",
+                                          "--report", str(pipeline["root"] / name)])
+        monkeypatch.setattr(os, "_exit", lambda status: events.append(("exit", status)))
+        cli._run()
+        # On success main flushes stdout itself, before the entry does.
+        assert events == ["stdout"] * (code == 0) + ["stdout", "stderr", ("exit", code)]
+        assert out.getvalue().startswith("total") == (code == 0)
+        assert err.getvalue().startswith("detmask: error:") == (code == 2)
+
+
+class TestFailedStdoutWrite:
+    """A write to stdout that fails is a data error, however stdout is buffered;
+    a stdout closed from the start is not written to."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+    @pytest.mark.parametrize("stage", ["report", "stats"])
+    def test_failed_stdout_write_exits_two(self, pipeline, stage, sink, unbuffered):
+        argv = (["report", "--report", str(pipeline["report"])] if stage == "report"
+                else ["stats", "--samples", str(pipeline["samples"])])
+        assert Path(f"{pipeline['samples']}.manifest.json").is_file()
+        env = {**stage_env(), **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})}
+        if sink == "/dev/full":
+            stdout = os.open(sink, os.O_WRONLY)
+            error = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            error = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+        try:
+            proc = subprocess.run([sys.executable, "-m", "detmask.cli", *argv], stdout=stdout,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"detmask: error: {error}\n"
+
+    def test_stage_started_with_stdout_closed_exits_zero(self, pipeline):
+        """Python sets ``sys.stdout`` to None then, and ``print`` drops what
+        it is given."""
+        closed = ("import os, sys\nos.close(1)\n"
+                  "os.execv(sys.executable, [sys.executable, '-m', 'detmask.cli', *sys.argv[1:]])")
+        proc = subprocess.run([sys.executable, "-c", closed, "report",
+                               "--report", str(pipeline["report"])],
+                              stderr=subprocess.PIPE, env=stage_env(), text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestDeterminism:
@@ -1541,11 +1687,9 @@ class TestExitCodes:
              "--out", str(tmp_path / "samples.jsonl")],
             probe_split_argv(pipeline, tmp_path / "r.json", kb_dir, pipeline["samples"]),
         ]
-        src = str(Path(fileio.__file__).parents[1])
         # Under these seeds, iterating the KB's triplet set meets X7 or X1 first.
         for seed in ("0", "4"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
-                p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            env = {**stage_env(), "PYTHONHASHSEED": seed}
             for argv in runs:
                 proc = subprocess.run([sys.executable, "-m", "detmask.cli", *argv], env=env,
                                       capture_output=True, text=True, timeout=120)
