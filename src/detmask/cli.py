@@ -4,9 +4,9 @@ Every stage reads and writes materialized files, so any step can be re-run
 in isolation and outputs can be diffed across runs.  Exit codes: 0 success,
 1 usage error (also an argument that is not valid UTF-8, or an output that
 resolves to another of the stage's files), 2 data error (also a failed write
-to stdout or to an output file: ``main`` flushes stdout once the stage
-returns, before the manifest).  Once a stage that
-returns a ``StageResult`` succeeds, ``main`` writes a manifest JSON next to
+to stdout, which ``main`` flushes before the manifest and after ``--help``
+or ``--version``, or to an output file).  Once a stage that returns a
+``StageResult`` succeeds, ``main`` writes a manifest JSON next to
 its main output, last of all its files, recording the input paths, seed,
 configuration, counters, ``started`` (when the stage began) and
 ``duration_s`` (the whole stage, reading and every write included); a failed
@@ -16,14 +16,17 @@ input order.  Before ``skips``, ``align`` counts the sums that ``stats``
 prints averages of (``tokens``, ``object_groups``, ``clue_tokens`` and
 ``object_tokens``), and ``mask`` counts its training ``items`` and its
 ``longest`` input; both manifests end with the ``sha256`` of their outputs
-(``samples`` and ``ssm``; ``masked`` and ``vocab``).  ``stats`` exits 2 on a
-manifest that is not align's or whose samples digest differs from
-``--samples``; when the digest matches and the sums are there it prints from
-the manifest alone, and otherwise it reads and counts the samples.  ``train``
-trusts the manifest beside ``--data`` only if it is mask's and its digests
-are those of ``--data`` and ``--vocab``: it then reads and checks the lines
-of the items it keeps and takes ``items`` and ``longest`` from it; otherwise
-it reads and checks every line, and such a manifest is never an error.
+(``samples`` and ``ssm``; ``masked`` and ``vocab``).  ``_vouched`` alone
+decides when a manifest vouches for files and its tallies: it is the
+manifest of the stage that wrote them, it holds each file's sha256 and each
+tally, and every tally is an int >= 0.  It refuses another stage's manifest,
+``counters`` or ``sha256`` that is not an object, a digest that differs and
+a tally that is not an int >= 0; a missing digest or tally only keeps it
+from vouching.  ``stats`` prints from the align manifest alone when it
+vouches for ``--samples``, exits 2 when it refuses, and otherwise counts the
+samples.  ``train`` reads and checks only the lines of the items it keeps
+when the mask manifest beside ``--data`` vouches for ``--data`` and
+``--vocab``, and every line otherwise.
 Each ``cmd_*`` imports only the modules of its own stage.
 ``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is already set, before any
 stage loads numpy: the stages' matrix products are small, and waking a second
@@ -42,7 +45,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 from typing import NoReturn
 
@@ -181,7 +183,6 @@ def cmd_mask(args) -> StageResult:
     vocab = Vocabulary.build(tokenized.values())
     formats.write_vocab(vocab_path, vocab)
 
-    skipped: Counter = Counter()
     skips: list[tuple[str, str]] = []
     groups = items = longest = 0
     if scheme is MaskScheme.SALIENT_SPAN:
@@ -210,7 +211,6 @@ def cmd_mask(args) -> StageResult:
                 else:
                     made = (apply_mask(ts, scheme, rng),)
             except DataError as exc:
-                skipped[type(exc).__name__] += 1
                 skips.append((sample.paragraph.doc_id, str(exc)))
                 continue
             items += 1
@@ -222,7 +222,6 @@ def cmd_mask(args) -> StageResult:
         "groups_processed": groups,
         "lines_emitted": lines_emitted,
         "groups_skipped": len(skips),
-        "skip_reasons": dict(sorted(skipped.items())),
         "items": items,
         "longest": longest,
         "skips": skips,
@@ -230,29 +229,6 @@ def cmd_mask(args) -> StageResult:
     outputs = {"masked": str(args.out), "vocab": str(vocab_path)}
     config = {"scheme": args.scheme, "emit": args.emit}
     return args.out, outputs, config, counters, _digests(outputs)
-
-
-def _mask_tallies(args) -> tuple[int, int] | None:
-    """The item count and longest input in the manifest beside ``--data``, if
-    it is a mask manifest whose digests are those of ``--data`` and
-    ``--vocab``; otherwise None.  Such a manifest is never an error."""
-    manifest_path = f"{args.data}.manifest.json"
-    if not all(os.path.isfile(p) for p in (manifest_path, args.data, args.vocab)):
-        return None
-    try:
-        manifest = read_json(manifest_path)
-        counters, digests = manifest.get("counters"), manifest.get("sha256")
-        if not (manifest.get("command") == "mask" and isinstance(counters, dict)
-                and isinstance(digests, dict)):
-            return None
-        tallies = counters.get("items"), counters.get("longest")
-        if not all(type(v) is int and v >= 0 for v in tallies) or any(
-                digests.get(k) != _sha256(path)
-                for k, path in (("vocab", args.vocab), ("masked", args.data))):
-            return None
-    except (DataError, OSError):
-        return None
-    return tallies
 
 
 def cmd_train(args) -> StageResult:
@@ -264,13 +240,18 @@ def cmd_train(args) -> StageResult:
     vocab = formats.read_vocab(args.vocab)
     # Training reads item ``step % len(items)``, so it never reads past item
     # ``steps``.  The file that ``mask`` wrote passes every check, so with its
-    # tallies the reader stops there.
-    tallies = _mask_tallies(args)
+    # tallies the reader stops there; a manifest that does not vouch is no error.
+    manifest_path, tallies = f"{args.data}.manifest.json", None
+    if all(os.path.isfile(p) for p in (manifest_path, args.data, args.vocab)):
+        try:
+            tallies = _vouched(manifest_path, "mask", {"masked": args.data, "vocab": args.vocab},
+                               ("items", "longest"))[1]
+        except (DataError, OSError):
+            pass
     seen: dict = {}
     items, n_items, longest = formats.read_masked(args.data, vocab.size, args.vocab, args.steps,
                                                   whole=tallies is None, tally=seen)
-    if tallies is not None:
-        n_items, longest = tallies
+    n_items, longest = tallies or (n_items, longest)
     config = ModelConfig(
         vocab_size=vocab.size,
         d=args.dim,
@@ -390,6 +371,33 @@ def _digests(outputs: dict) -> dict:
     return {k: _sha256(path) for k, path in outputs.items() if os.path.isfile(path)}
 
 
+def _vouched(manifest_path, command: str, files: dict,
+             keys: tuple) -> tuple[dict, tuple | None]:
+    """The ``counters`` of the ``command`` manifest at ``manifest_path``, and
+    the values of ``keys`` in them if it vouches for ``files`` (name: path),
+    else None.  Raises ``DataError`` if it refuses them (see the module doc)."""
+    manifest = read_json(manifest_path)
+    if manifest.get("command") != command:
+        raise DataError(f"{manifest_path} is not an {command} manifest")
+    counters, digests = manifest.get("counters", {}), manifest.get("sha256", {})
+    if not isinstance(counters, dict):
+        raise DataError(f"{manifest_path}: counters must be an object")
+    if not isinstance(digests, dict):
+        raise DataError(f"{manifest_path}: sha256 must be an object")
+    if not all(name in digests for name in files):
+        return counters, None
+    for name, path in files.items():
+        if digests[name] != _sha256(path):
+            raise DataError(f"{path} is not the {name} file that {manifest_path} describes: "
+                            "its sha256 differs")
+    if not all(k in counters for k in keys):
+        return counters, None
+    values = tuple(counters[k] for k in keys)
+    if not all(type(v) is int and v >= 0 for v in values):
+        raise DataError(f"{manifest_path}: counters must be integers >= 0: " + ", ".join(keys))
+    return counters, values
+
+
 def _print_stats(counters, manifest_path, samples: int, tokens: int, groups: int,
                  clues: int, objects: int) -> None:
     """Check the align ``counters`` (None without a manifest) and print the
@@ -422,38 +430,21 @@ def _print_stats(counters, manifest_path, samples: int, tokens: int, groups: int
 
 def cmd_stats(args) -> None:
     manifest_path = Path(args.manifest or str(args.samples) + ".manifest.json")
-    counters = None
+    counters = tallies = None
     if args.manifest or manifest_path.exists():
-        manifest = read_json(manifest_path)
-        if manifest.get("command") != "align":
-            raise DataError(f"{manifest_path} is not an align manifest")
-        counters, digests = manifest.get("counters", {}), manifest.get("sha256", {})
-        if not isinstance(counters, dict):
-            raise DataError(f"{manifest_path}: counters must be an object")
-        if not isinstance(digests, dict):
-            raise DataError(f"{manifest_path}: sha256 must be an object")
-        if "samples" in digests:
-            if digests["samples"] != _sha256(args.samples):
-                raise DataError(f"{args.samples} is not the samples file that "
-                                f"{manifest_path} describes: its sha256 differs")
-            if all(k in counters for k in _TALLIES):
-                tallies = [counters[k] for k in _TALLIES]
-                if not all(type(v) is int and v >= 0 for v in tallies):
-                    raise DataError(f"{manifest_path}: counters must be integers >= 0: "
-                                    + ", ".join(_TALLIES))
-                _print_stats(counters, manifest_path, *tallies)
-                return
-    # No manifest, or one without the samples digest or the sums: count the samples.
-    from . import formats
-    from .align import AlignCounters
-    from .tokenizer import token_spans
+        counters, tallies = _vouched(manifest_path, "align", {"samples": args.samples}, _TALLIES)
+    if tallies is None:  # no manifest, or one without the samples digest or the sums
+        from . import formats
+        from .align import AlignCounters
+        from .tokenizer import token_spans
 
-    samples = formats.read_samples(args.samples)
-    tally = AlignCounters()
-    for sample in samples:
-        tally.add_sample(sample, token_spans(sample.paragraph.text))
-    _print_stats(counters, manifest_path, len(samples), tally.tokens, tally.object_groups,
-                 tally.clue_tokens, tally.object_tokens)
+        samples = formats.read_samples(args.samples)
+        tally = AlignCounters()
+        for sample in samples:
+            tally.add_sample(sample, token_spans(sample.paragraph.text))
+        tallies = (len(samples), tally.tokens, tally.object_groups, tally.clue_tokens,
+                   tally.object_tokens)
+    _print_stats(counters, manifest_path, *tallies)
 
 
 def build_parser() -> _Parser:
@@ -526,10 +517,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
-    t0 = time.monotonic()
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # after --help or --version, what they printed fails here
+            if sys.stdout is not None:
+                sys.stdout.flush()
+            raise
+        started = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+        t0 = time.monotonic()
         for name, value in vars(args).items():
             if isinstance(value, str):
                 try:

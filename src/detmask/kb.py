@@ -3,9 +3,8 @@
 The KB is fully in-memory, and its tables never change after load.  Its two
 lookup indexes, ``sp_index`` and ``so_index``, are built on first read, so
 ``build-kb``, which only checks and rewrites the tables, never builds them.
-Concurrent reads are safe: threads that read an index for the first time at
-once may each build it, and every build is equal.  A ``Triplet`` is a named
-tuple, so it hashes, compares and sorts as ``(subject, predicate, object)``.
+A ``Triplet`` is a named tuple, so it hashes, compares and sorts as
+``(subject, predicate, object)``.
 File formats (UTF-8, LF, ``#`` comment lines ignored in all three):
 
 * ``triplets.tsv``    one ``subject<TAB>predicate<TAB>object`` per line
@@ -28,14 +27,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .errors import DanglingReference, DataError, MalformedLine
 from .fileio import atomic_write
 
 EntityId = str
 PredicateId = str
-AliasTable = Mapping[str, tuple[str, ...]]
 
 
 class Triplet(NamedTuple):

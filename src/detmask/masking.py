@@ -29,7 +29,7 @@ from random import Random
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .align import AlignedSample, Span, object_groups
-from .errors import DataError, InsufficientContext, NoClues, NoMaskableContent
+from .errors import DataError
 from .tokenizer import Tokens, count_words, tokens_inside
 
 PAD_ID = 0
@@ -193,24 +193,24 @@ def apply_mask(sample: TokenizedSample, scheme: MaskScheme,
     objects = sample.object_positions
     if scheme in (MaskScheme.DETERMINISTIC, MaskScheme.OBJECT_SPAN):
         if not objects:
-            raise NoMaskableContent("no object tokens to mask")
+            raise DataError("no object tokens to mask")
         return _masked(sample, objects, Variant.PLAIN, scheme)
     if scheme is MaskScheme.RANDOM_TOKEN:
         k = len(objects)
         if k == 0 or k > len(sample.tokens):
-            raise NoMaskableContent("token budget empty or larger than the sample")
+            raise DataError("token budget empty or larger than the sample")
         return _masked(sample, rng.sample(range(len(sample.tokens)), k), Variant.PLAIN, scheme)
     if scheme is MaskScheme.WHOLE_WORD:
         k = sample.object_word_count
         starts = [i for i, first in enumerate(sample.word_boundaries) if first or i == 0]
         words = [range(a, b) for a, b in zip(starts, starts[1:] + [len(sample.tokens)])]
         if k == 0 or k > len(words):
-            raise NoMaskableContent("word budget empty or larger than the sample")
+            raise DataError("word budget empty or larger than the sample")
         positions = [p for w in rng.sample(words, k) for p in w]
         return _masked(sample, positions, Variant.PLAIN, scheme)
     if scheme is MaskScheme.SALIENT_SPAN:
         if not sample.entity_token_spans:
-            raise NoMaskableContent("no entity spans to mask")
+            raise DataError("no entity spans to mask")
         a, b = sample.entity_token_spans[rng.randrange(len(sample.entity_token_spans))]
         return _masked(sample, range(a, b), Variant.PLAIN, scheme)
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -221,9 +221,9 @@ def make_contrastive_pair(sample: TokenizedSample) -> tuple[MaskedSample, Masked
     objects = sample.object_positions
     clues = sample.clue_positions
     if not objects:
-        raise NoMaskableContent("no object tokens to mask")
+        raise DataError("no object tokens to mask")
     if not clues:
-        raise NoClues("sample has no clue tokens")
+        raise DataError("sample has no clue tokens")
     keep = _masked(sample, objects, Variant.KEEP_CLUES, MaskScheme.DETERMINISTIC)
     drop = _masked(sample, objects + clues, Variant.MASK_CLUES, MaskScheme.DETERMINISTIC)
     return keep, drop
@@ -243,8 +243,7 @@ def make_classification_triple(
     taken = sample.foreign_clue_positions.union(sample.object_positions, clues)
     eligible = [i for i in range(len(sample.tokens)) if i not in taken]
     if len(eligible) < len(clues):
-        raise InsufficientContext(f"need {len(clues)} maskable context tokens, "
-                                  f"have {len(eligible)}")
+        raise DataError(f"need {len(clues)} maskable context tokens, have {len(eligible)}")
     randoms = rng.sample(eligible, len(clues))
     randv = _masked(sample, sample.object_positions + tuple(randoms),
                     Variant.MASK_RANDOM, MaskScheme.DETERMINISTIC)

@@ -20,7 +20,7 @@ from statistics import median
 import numpy as np
 
 from detmask.align import Aligner, Paragraph, build_dataset
-from detmask.errors import InsufficientContext
+from detmask.errors import DataError
 from detmask.formats import write_samples
 from detmask.kb import Triplet, build_kb
 from detmask.masking import (
@@ -209,8 +209,9 @@ def test_masking_budgets_hold_across_ten_thousand_samples():
             try:
                 make_classification_triple(sample, mask_rng)
                 check(False)
-            except InsufficientContext:
-                pass
+            except DataError as exc:
+                if "maskable context tokens" not in str(exc):
+                    raise
             continue
         kept, dropped, randomized = make_classification_triple(sample, mask_rng)
         check(kept.mask_positions == sample.object_positions)
@@ -238,8 +239,9 @@ def _sample_triple(rng: np.random.Generator, mask_rng: Random):
         sample = random_tokenized_sample(rng, vocab_size=50, max_len=32)
         try:
             return make_classification_triple(sample, mask_rng)
-        except InsufficientContext:
-            continue
+        except DataError as exc:
+            if "maskable context tokens" not in str(exc):
+                raise
 
 
 def test_gradients_match_finite_differences_for_every_loss_term():

@@ -553,7 +553,7 @@ class TestPipelineArtifacts:
                 "seed": 3,
                 "config": {"scheme": None, "emit": "triple"},
                 "counters": {"groups_processed": 3, "lines_emitted": 9, "groups_skipped": 0,
-                             "skip_reasons": {}, "items": 3, "longest": 11, "skips": []},
+                             "items": 3, "longest": 11, "skips": []},
                 "sha256": {"masked": sha256(masked), "vocab": sha256(root / "vocab.json")},
             },
             ckpt: {
@@ -648,16 +648,16 @@ def sample_line(doc_id: str, text: str, s_span, p_span, o_span) -> str:
 
 
 class TestMaskSkipReasons:
-    """Each masking skip is counted under its error class's name, which is
-    why ``NoClues``, ``InsufficientContext`` and ``NoMaskableContent`` are
-    types of their own, and listed in ``skips`` with its doc id and message."""
+    """Each masking skip is listed once in ``skips``, with its doc id and
+    message, and ``groups_skipped`` counts them."""
 
-    def skip_counters(self, tmp_path, lines: list[str], *mode: str) -> tuple:
+    def skip_counters(self, tmp_path, lines: list[str], *mode: str) -> list:
         samples, masked = tmp_path / "samples.jsonl", tmp_path / "masked.jsonl"
         samples.write_text("".join(lines), encoding="utf-8")
         assert main(["mask", "--samples", str(samples), "--out", str(masked), *mode]) == 0
         counters = read_json(str(masked) + ".manifest.json")["counters"]
-        return counters["skip_reasons"], counters["skips"]
+        assert counters["groups_skipped"] == len(counters["skips"])
+        return counters["skips"]
 
     def test_triple_skips_groups_without_clues_or_context(self, tmp_path):
         text = "alpha beta gamma"
@@ -667,15 +667,14 @@ class TestMaskSkipReasons:
             # Two clue tokens and no other token to mask at random.
             sample_line("crowded", text, [0, 5], [6, 10], [11, 16]),
         ]
-        assert self.skip_counters(tmp_path, lines, "--emit", "triple") == (
-            {"InsufficientContext": 1, "NoClues": 1},
-            [["inside", "sample has no clue tokens"],
-             ["crowded", "need 2 maskable context tokens, have 0"]])
+        assert self.skip_counters(tmp_path, lines, "--emit", "triple") == [
+            ["inside", "sample has no clue tokens"],
+            ["crowded", "need 2 maskable context tokens, have 0"]]
 
     def test_object_span_skips_a_span_inside_one_word(self, tmp_path):
         lines = [sample_line("part", "alpha beta gamma", [0, 5], [6, 10], [12, 14])]
-        assert self.skip_counters(tmp_path, lines, "--scheme", "object_span") == (
-            {"NoMaskableContent": 1}, [["part", "no object tokens to mask"]])
+        assert self.skip_counters(tmp_path, lines, "--scheme", "object_span") == [
+            ["part", "no object tokens to mask"]]
 
 def stage_env() -> dict:
     """The environment for a stage subprocess that imports this checkout's
@@ -1068,6 +1067,26 @@ class TestFailedStdoutWrite:
             os.close(stdout)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"detmask: error: {error}\n"
+
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_failed_stdout_write_of_argparse_exits_two(self, flag, sink):
+        """What ``--help`` and ``--version`` print fails as a stage's output
+        does: one error line and exit 2, not an ignored exception at exit."""
+        if sink == "/dev/full":
+            stdout, code = os.open(sink, os.O_WRONLY), errno.ENOSPC
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            code = errno.EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "detmask.cli", flag], stdout=stdout,
+                                  stderr=subprocess.PIPE, env=stage_env(), text=True,
+                                  timeout=120)
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"detmask: error: [Errno {code}] {os.strerror(code)}\n")
 
     def test_stage_started_with_stdout_closed_exits_zero(self, pipeline):
         """Python sets ``sys.stdout`` to None then, and ``print`` drops what
@@ -2370,3 +2389,76 @@ class TestTrainFromMaskManifest:
         assert result == self.train(bare / "masked.jsonl", pipeline["root"] / "vocab.json",
                                     bare / "m.ckpt", 1)
         assert result[-1] == 9
+
+
+# Edits of a manifest after which it does not vouch for its files, given the
+# name of one digest and of one tally that the reader takes from it.
+MANIFEST_EDITS = {
+    "another stage": lambda m, digest, tally: m.update(command="probe"),
+    "counters list": lambda m, digest, tally: m.update(counters=[1]),
+    "sha256 list": lambda m, digest, tally: m.update(sha256=[]),
+    "no digest": lambda m, digest, tally: m["sha256"].pop(digest),
+    "changed digest": lambda m, digest, tally: m["sha256"].update({digest: "0" * 64}),
+    "changed digest, no tally": lambda m, digest, tally: (
+        m["sha256"].update({digest: "0" * 64}), m["counters"].pop(tally)),
+    "no tally": lambda m, digest, tally: m["counters"].pop(tally),
+    "bool tally": lambda m, digest, tally: m["counters"].update({tally: True}),
+    "negative tally": lambda m, digest, tally: m["counters"].update({tally: -1}),
+}
+
+_CHANGED = "{samples} is not the samples file that {manifest} describes: its sha256 differs"
+_NOT_INTS = ("{manifest}: counters must be integers >= 0: samples_emitted, tokens, "
+             "object_groups, clue_tokens, object_tokens")
+
+
+class TestManifestEdits:
+    """One table of manifest edits run against both readers of a manifest."""
+
+    @pytest.mark.parametrize("edit, error", [
+        ("another stage", "{manifest} is not an align manifest"),
+        ("counters list", "{manifest}: counters must be an object"),
+        ("sha256 list", "{manifest}: sha256 must be an object"),
+        ("no digest", None),
+        ("changed digest", _CHANGED),
+        ("changed digest, no tally", _CHANGED),
+        ("no tally", None),
+        ("bool tally", _NOT_INTS),
+        ("negative tally", _NOT_INTS),
+    ])
+    def test_stats_on_an_edited_align_manifest(self, pipeline, tmp_path, capsys, edit, error):
+        """``stats`` exits 2 with ``error``, or with no error prints what it
+        prints beside the unedited manifest, having counted the samples."""
+        argv = ["stats", "--samples", str(pipeline["samples"])]
+        capsys.readouterr()
+        assert main(argv) == 0
+        tallied = capsys.readouterr().out
+        manifest = read_json(f"{pipeline['samples']}.manifest.json")
+        MANIFEST_EDITS[edit](manifest, "samples", "object_tokens")
+        path = tmp_path / "edited.manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        code = main([*argv, "--manifest", str(path)])
+        expected = (0, tallied, "") if error is None else (
+            2, "", "detmask: error: "
+            + error.format(samples=pipeline["samples"], manifest=path) + "\n")
+        assert (code, *capsys.readouterr()) == expected
+
+    @pytest.mark.parametrize("edit", MANIFEST_EDITS)
+    def test_train_beside_an_edited_mask_manifest(self, pipeline, tmp_path, edit):
+        """``train --steps 1`` reads all nine lines and writes the checkpoint,
+        log and counters of a run with no manifest beside ``--data``."""
+        manifest = read_json(f"{pipeline['masked']}.manifest.json")
+        MANIFEST_EDITS[edit](manifest, "vocab", "longest")
+        runs = []
+        for name, beside in (("edited", manifest), ("bare", None)):
+            run = tmp_path / name
+            run.mkdir()
+            shutil.copy(pipeline["masked"], run / "masked.jsonl")
+            if beside is not None:
+                fileio.write_json(run / "masked.jsonl.manifest.json", beside)
+            assert main(["train", "--data", str(run / "masked.jsonl"),
+                         "--vocab", str(pipeline["root"] / "vocab.json"),
+                         "--out", str(run / "m.ckpt"), "--steps", "1", "--dim", "4"]) == 0
+            runs.append(((run / "m.ckpt").read_bytes(), (run / "m.ckpt.log.jsonl").read_bytes(),
+                         read_json(run / "m.ckpt.manifest.json")["counters"]))
+        assert runs[0] == runs[1]
+        assert runs[0][2]["lines_read"] == 9

@@ -16,7 +16,7 @@ from detmask.align import (
     Span,
     build_dataset,
 )
-from detmask.errors import InsufficientContext, NoClues, NoMaskableContent
+from detmask.errors import DataError
 from detmask.kb import Triplet, build_kb
 from detmask.masking import (
     MASK_ID,
@@ -290,19 +290,19 @@ class TestApplyMask:
     def test_no_object_raises(self):
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = plain(FILM_TEXT, vocab)
-        for scheme in (
-            MaskScheme.DETERMINISTIC,
-            MaskScheme.OBJECT_SPAN,
-            MaskScheme.RANDOM_TOKEN,
-            MaskScheme.WHOLE_WORD,
+        for scheme, message in (
+            (MaskScheme.DETERMINISTIC, "no object tokens to mask"),
+            (MaskScheme.OBJECT_SPAN, "no object tokens to mask"),
+            (MaskScheme.RANDOM_TOKEN, "token budget empty or larger than the sample"),
+            (MaskScheme.WHOLE_WORD, "word budget empty or larger than the sample"),
         ):
-            with pytest.raises(NoMaskableContent):
+            with pytest.raises(DataError, match=f"^{message}$"):
                 apply_mask(tok, scheme, Random(0))
 
     def test_no_entity_spans_raises_for_salient(self):
         vocab = Vocabulary.build(map(token_spans, [FILM_TEXT]))
         tok = plain(FILM_TEXT, vocab)
-        with pytest.raises(NoMaskableContent):
+        with pytest.raises(DataError, match="^no entity spans to mask$"):
             apply_mask(tok, MaskScheme.SALIENT_SPAN, Random(0))
 
     def test_same_seed_same_mask(self):
@@ -372,7 +372,7 @@ class TestContrastivePair:
             word_boundaries=(True, True, True),
             object_positions=(1,),
         )
-        with pytest.raises(NoClues):
+        with pytest.raises(DataError, match="^sample has no clue tokens$"):
             make_contrastive_pair(tok)
 
     def test_no_object_raises(self):
@@ -382,7 +382,7 @@ class TestContrastivePair:
             word_boundaries=(True, True),
             clue_positions=(0,),
         )
-        with pytest.raises(NoMaskableContent):
+        with pytest.raises(DataError, match="^no object tokens to mask$"):
             make_contrastive_pair(tok)
 
 
@@ -409,7 +409,7 @@ class TestClassificationTriple:
             clue_positions=(0, 1),
         )
         # Two clues but only one Other token.
-        with pytest.raises(InsufficientContext):
+        with pytest.raises(DataError, match="^need 2 maskable context tokens, have 1$"):
             make_classification_triple(tok, Random(0))
 
     def test_foreign_positions_shrink_eligible_pool(self):
@@ -465,7 +465,9 @@ class TestRandomSampleProperties:
 
             eligible = context_positions_oracle(sample)
             if len(eligible) < len(sample.clue_positions):
-                with pytest.raises(InsufficientContext):
+                need = len(sample.clue_positions)
+                with pytest.raises(DataError, match=f"^need {need} maskable context tokens, "
+                                                    f"have {len(eligible)}$"):
                     make_classification_triple(sample, mask_rng)
                 continue
             keep, drop, randv = make_classification_triple(sample, mask_rng)
