@@ -4,13 +4,13 @@ Every stage reads and writes materialized files, so any step can be re-run
 in isolation and outputs can be diffed across runs.  Exit codes: 0 success,
 1 usage error (also an argument that is not valid UTF-8, or an output that
 resolves to another of the stage's files), 2 data error (also a failed write
-to stdout, which ``main`` flushes before the manifest and after ``--help``
-or ``--version``, or to an output file).  Once a stage that returns a
-``StageResult`` succeeds, ``main`` writes a manifest JSON next to
-its main output, last of all its files, recording the input paths, seed,
-configuration, counters, ``started`` (when the stage began) and
-``duration_s`` (the whole stage, reading and every write included); a failed
-stage writes none.  The counters of ``align`` and ``mask`` end with ``skips``,
+to stdout, which ``main`` flushes before the manifest, or to an output file;
+argparse's own writes, as for ``--help`` or ``--version``, fail the same
+way).  Once a stage that returns a ``StageResult`` succeeds, ``main`` writes
+a manifest JSON next to its main output, last of all its files, recording
+the input paths, seed, configuration, counters, ``started`` (when the stage
+began) and ``duration_s`` (the whole stage, reading and every write
+included); a failed stage writes none.  The counters of ``align`` and ``mask`` end with ``skips``,
 the ``[doc_id, reason]`` of each paragraph or object group they skipped, in
 input order.  Before ``skips``, ``align`` counts the sums that ``stats``
 prints averages of (``tokens``, ``object_groups``, ``clue_tokens`` and
@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .errors import DataError, DetmaskError
+from .errors import DataError
 from .fileio import read_json, write_json
 
 # What a manifest-writing stage returns: main output path, outputs, config,
@@ -67,6 +67,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    # argparse drops an OSError from its writes (``--help``, ``--version``,
+    # usage); let it through, as from a stage's write, for ``main`` to report.
+    def _print_message(self, message: str, file=None):
+        file = file or sys.stderr
+        if message and file is not None:  # None if the process started with it closed
+            file.write(message)
+            file.flush()
 
 
 def _int_at_least(low: int):
@@ -341,11 +349,17 @@ def cmd_report(args) -> None:
                             + ", ".join(_METRICS))
     if counts and any(type(counts.get(k)) is not int for k in _COUNTS):
         raise DataError(f"{args.report}: 'counts' must hold the integers " + ", ".join(_COUNTS))
+    lines = []
     for name in _SPLITS:
         m = splits.get(name)
-        print(f"{name:<14} acc {m['accuracy']:.4f}  consis {m['consistency']:.4f}  "
-              f"joint {m['joint']:.4f}  ({m['facts']} facts, {m['questions']} questions)"
-              if m is not None else f"{name:<14} -")
+        try:
+            lines.append(f"{name:<14} acc {m['accuracy']:.4f}  consis {m['consistency']:.4f}  "
+                         f"joint {m['joint']:.4f}  ({m['facts']} facts, {m['questions']} "
+                         "questions)" if m is not None else f"{name:<14} -")
+        except OverflowError:  # an int too large for a float
+            raise DataError(f"{args.report}: split {name!r} holds a number too large "
+                            "for a float") from None
+    print(*lines, sep="\n")
     if counts:
         built, kept, dropped = (counts[k] for k in _COUNTS)
         print(f"questions: built {built}, kept {kept}, dropped for leakage {dropped}")
@@ -417,11 +431,16 @@ def _print_stats(counters, manifest_path, samples: int, tokens: int, groups: int
         raise DataError("no deterministic samples")
     if not groups:
         raise DataError("no sample has a triplet")
+    try:
+        averages = (tokens / samples, clues / groups, objects / groups)
+    except OverflowError:  # only tallies from a manifest can be that large
+        raise DataError(f"{manifest_path}: counters must be small enough to average "
+                        "as floats") from None
     print(f"{'paragraphs':<24}{paragraphs}")
     print(f"{'samples':<24}{samples}")
-    print(f"{'avg tokens/paragraph':<24}{tokens / samples:.4f}")
-    print(f"{'avg clue tokens':<24}{clues / groups:.4f}")
-    print(f"{'avg object tokens':<24}{objects / groups:.4f}")
+    for label, average in zip(("avg tokens/paragraph", "avg clue tokens", "avg object tokens"),
+                              averages):
+        print(f"{label:<24}{average:.4f}")
     fraction = non_deterministic / candidates if candidates else 0.0
     print(f"{'nondeterministic frac':<24}{fraction:.4f}")
     if counters is None:
@@ -518,12 +537,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit:  # after --help or --version, what they printed fails here
-            if sys.stdout is not None:
-                sys.stdout.flush()
-            raise
+        args = parser.parse_args(argv)
         started = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
         t0 = time.monotonic()
         for name, value in vars(args).items():
@@ -550,7 +564,7 @@ def main(argv=None) -> int:
                 "counters": counters,
                 **({"sha256": digests} if digests else {}),
             })
-    except (UsageError, DetmaskError, OSError) as exc:
+    except (UsageError, DataError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
     return 0

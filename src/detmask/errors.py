@@ -1,20 +1,15 @@
 """Exception types shared across the pipeline.
 
-Everything raised on bad *data* derives from ``DataError`` so the CLI can map
-it to a single exit code; programming errors stay ordinary exceptions.  A
-subclass exists only where something tells it apart: ``MalformedLine`` and
-``DanglingReference`` build their messages, and ``train`` catches
-``NonFiniteLoss``.
+Everything raised on bad *data*, a diverging ``train`` run included, is a
+``DataError``, which the CLI maps to exit code 2; programming errors stay
+ordinary exceptions.  ``MalformedLine`` and ``DanglingReference`` exist only
+to build their messages.
 """
 
 from __future__ import annotations
 
 
-class DetmaskError(Exception):
-    """Base class for all detmask-specific errors."""
-
-
-class DataError(DetmaskError):
+class DataError(Exception):
     """Malformed or inconsistent input data."""
 
 
@@ -26,10 +21,3 @@ class MalformedLine(DataError):
 class DanglingReference(DataError):
     def __init__(self, ref_id: str, kind: str):
         super().__init__(f"id {ref_id!r} referenced but not present in alias tables ({kind})")
-
-
-class NonFiniteLoss(DetmaskError):
-    def __init__(self, step: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at step {step}")
-        self.step = step
-        self.value = value

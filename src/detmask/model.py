@@ -45,7 +45,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DetmaskError, NonFiniteLoss
+from .errors import DataError
 from .fileio import atomic_write, decode_json
 from .masking import MASK_ID, PAD_ID, MaskedSample, Vocabulary
 
@@ -316,8 +316,6 @@ def loss_and_grad(
         l_cls = acc / total
 
     l_total = w_mlm * l_mlm + w_con * l_con + w_cls * l_cls
-    if not math.isfinite(l_total):
-        raise NonFiniteLoss(-1, l_total)
     if dlogits:
         # One product over the head rows of every pass: with a drop pass it
         # has at least two rows, which numpy multiplies far faster than one.
@@ -345,11 +343,11 @@ def train(
 ) -> tuple[ModelState, list[LogEntry]]:
     """Plain gradient descent cycling through the items one at a time.
 
-    Deterministic given the config seed and item order.  Raises NonFiniteLoss
-    with the offending step index if any loss leaves the reals, and
-    DetmaskError if the last update leaves a parameter non-finite.  One set of
-    gradient buffers serves every step, and each update scales its gradient
-    in place: ``g * lr`` is the same number as ``lr * g``.
+    Deterministic given the config seed and item order.  Raises DataError,
+    naming the step, if a step's total loss leaves the reals or the last
+    update leaves a parameter non-finite.  One set of gradient buffers serves
+    every step, and each update scales its gradient in place: ``g * lr`` is
+    the same number as ``lr * g``.
     """
     data = list(items)
     if not data:
@@ -361,16 +359,13 @@ def train(
     params = state.params()
     grads = _zero_grads(state)
     log: list[LogEntry] = []
-    # A run that diverges ends in one of the two errors, not in numpy warnings.
+    # A run that diverges ends in a DataError, not in numpy warnings.
     with np.errstate(all="ignore"):
         for step in range(steps):
             item = data[step % len(data)]
-            try:
-                (l_mlm, l_con, l_cls, l_total), _ = loss_and_grad(
-                    state, item, coeffs, grads=grads
-                )
-            except NonFiniteLoss as exc:
-                raise NonFiniteLoss(step, exc.value) from None
+            (l_mlm, l_con, l_cls, l_total), _ = loss_and_grad(state, item, coeffs, grads=grads)
+            if not math.isfinite(l_total):
+                raise DataError(f"non-finite loss {l_total!r} at step {step}")
             log.append(LogEntry(step, l_mlm, l_con, l_cls, l_total))
             if lr:
                 for name, g in grads.items():
@@ -378,7 +373,7 @@ def train(
                     params[name] -= g
     for name, arr in params.items():
         if not np.isfinite(arr).all():
-            raise DetmaskError(f"parameter {name!r} is non-finite after step {steps - 1}")
+            raise DataError(f"parameter {name!r} is non-finite after step {steps - 1}")
     return state, log
 
 

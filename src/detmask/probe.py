@@ -20,6 +20,7 @@ fact in the pre-training data) and unique-object vs multi-object relations.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -196,10 +197,7 @@ def _metrics(questions: Sequence[ClozeQuestion],
             joint_facts += 1
         n = len(fact_answers)
         pairs += n * (n - 1) // 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                if fact_answers[i] == fact_answers[j]:
-                    agreeing += 1
+        agreeing += sum(c * (c - 1) // 2 for c in Counter(fact_answers).values())
     n_questions = len(questions)
     n_facts = len(by_fact)
     return SplitMetrics(

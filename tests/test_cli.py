@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -1068,11 +1069,13 @@ class TestFailedStdoutWrite:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == f"detmask: error: {error}\n"
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
     @pytest.mark.parametrize("flag", ["--help", "--version"])
-    def test_failed_stdout_write_of_argparse_exits_two(self, flag, sink):
+    def test_failed_stdout_write_of_argparse_exits_two(self, flag, sink, unbuffered):
         """What ``--help`` and ``--version`` print fails as a stage's output
         does: one error line and exit 2, not an ignored exception at exit."""
+        env = {**stage_env(), **({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})}
         if sink == "/dev/full":
             stdout, code = os.open(sink, os.O_WRONLY), errno.ENOSPC
         else:
@@ -1081,8 +1084,7 @@ class TestFailedStdoutWrite:
             code = errno.EPIPE
         try:
             proc = subprocess.run([sys.executable, "-m", "detmask.cli", flag], stdout=stdout,
-                                  stderr=subprocess.PIPE, env=stage_env(), text=True,
-                                  timeout=120)
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
         finally:
             os.close(stdout)
         assert (proc.returncode, proc.stderr) == (
@@ -1515,12 +1517,14 @@ class TestExitCodes:
         {"counts": {"questions_built": "many", "questions_kept": 1,
                     "questions_dropped_leakage": 0}},
         {"counts": None}, {"counts": False},
+        {"splits": {"total": {"accuracy": 10 ** 400, "consistency": 0.5, "joint": 0.5,
+                              "facts": 1, "questions": 2}}},
     ], ids=["zero", "list", "text", "false", "counts_without_keys",
-            "text_count", "counts_null", "counts_false"])
+            "text_count", "counts_null", "counts_false", "accuracy_beyond_float"])
     def test_report_of_the_wrong_kind_is_data_error(self, pipeline, tmp_path, capsys, change):
         """A split that is present and not null must be an object of the five
-        numbers, and ``counts`` an object that, unless empty, holds the three
-        question counts as ints."""
+        numbers, none an int too large for a float, and ``counts`` an object
+        that, unless empty, holds the three question counts as ints."""
         path = tmp_path / "report.json"
         path.write_text(json.dumps({**read_json(pipeline["report"]), **change}),
                         encoding="utf-8")
@@ -1612,6 +1616,17 @@ class TestExitCodes:
         assert "non-finite after step 0" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
         assert not (tmp_path / "m.ckpt.log.jsonl").exists()
+
+    def test_diverging_train_is_data_error(self, pipeline, tmp_path, capsys):
+        """A step whose loss leaves the reals ends the run: exit 2 naming the
+        step, and no checkpoint, log or manifest."""
+        code = main(["train", "--data", str(pipeline["masked"]),
+                     "--vocab", str(pipeline["root"] / "vocab.json"),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "50", "--lr", "1e9"])
+        assert code == 2
+        assert re.fullmatch(r"detmask: error: non-finite loss .* at step [1-9]\d*\n",
+                            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_boolean_corpus_offset_is_data_error(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -1809,12 +1824,14 @@ class TestExitCodes:
         """``stats`` checks the counters it reads: ints, with no more
         non-deterministic than candidate triplets and at least one paragraph
         per sample (three here), and, when it prints from the tallies, those
-        as ints of at least 0.  Any other counter, ``skips`` included, is
-        not its business."""
+        as ints of at least 0 whose averages a float can hold.  Any other
+        counter, ``skips`` included, is not its business."""
         manifest = read_json(str(pipeline["samples"]) + ".manifest.json")
         for name, counters in (("string", {**manifest["counters"], "candidate_triplets": "x"}),
                                ("negative tally", {**manifest["counters"], "tokens": -1}),
                                ("bool tally", {**manifest["counters"], "clue_tokens": True}),
+                               ("tally beyond float", {**manifest["counters"],
+                                                       "tokens": 10 ** 400}),
                                ("string samples", {**manifest["counters"],
                                                    "samples_emitted": "3"}),
                                ("bool", {"candidate_triplets": True}),
